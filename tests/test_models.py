@@ -123,6 +123,16 @@ class TestTree:
         with pytest.raises(EmptyInput):
             fit_tree(np.empty((0, 1)), np.empty(0), dt_cfg())
 
+    @pytest.mark.xfail(
+        strict=True, reason="known defect: the Gini split search ignores min_samples_leaf"
+    )
+    def test_min_samples_leaf_bounds_leaf_size(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(2000, 4))
+        y = (X[:, 0] + rng.normal(size=2000) > 0.5).astype(float)
+        t = fit_tree(X, y, dt_cfg())
+        assert min(n.n_samples for n in t.walk() if n.is_leaf) >= dt_cfg().min_samples_leaf
+
 
 class TestForest:
     def test_single_tree_no_bootstrap_matches_tree(self):
@@ -247,4 +257,4 @@ class TestContract:
         overrides = {"rf": {"n_trees": 5}, "xgb": {"rounds": 5}}.get(family, {})
         m = fit_model(X, y, ModelConfig.for_family(family, **overrides))
         back = model_from_json(model_to_json(m))
-        assert np.allclose(back.predict_proba(X), m.predict_proba(X))
+        assert np.array_equal(back.predict_proba(X), m.predict_proba(X))
