@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 from .errors import (
@@ -43,9 +44,9 @@ def _load_config(path):
 def _cmd_run(args):
     cfg = _load_config(args.config)
     if args.out:
-        cfg = type(cfg)(**{**cfg.__dict__, "output_dir": args.out})
+        cfg = dataclasses.replace(cfg, output_dir=args.out)
     if args.format:
-        cfg = type(cfg)(**{**cfg.__dict__, "formats": tuple(args.format.split(","))})
+        cfg = dataclasses.replace(cfg, formats=tuple(args.format.split(",")))
     result = run_experiment(cfg)
     written = emit_report(result, cfg.formats, cfg.output_dir)
     for path in written:

@@ -59,9 +59,6 @@ class FeatureMatrix:
         vals = np.hstack([p.values for p in parts])
         return FeatureMatrix(names, vals)
 
-    def take_rows(self, indices):
-        return FeatureMatrix(self.column_names, self.values[np.asarray(indices, dtype=int)])
-
 
 @dataclass(frozen=True)
 class CategoryMap:

@@ -84,6 +84,10 @@ class NonFiniteScore(ImbtabError):
     pass
 
 
+class NonFiniteFeature(ImbtabError):
+    """A tree model was asked to fit on a NaN or infinite feature value."""
+
+
 class EmptyInput(ImbtabError):
     pass
 

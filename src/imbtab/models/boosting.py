@@ -3,6 +3,12 @@
 Per round, with p = sigmoid(raw score): g = p - y, h = p(1-p). Leaves take
 -G/(H + lambda); a split is accepted only with strictly positive gain
 0.5 * [G_L^2/(H_L+l) + G_R^2/(H_R+l) - (G_L+G_R)^2/(H_L+H_R+l)].
+
+Splits come from tree.py's shared search over the rank codes computed once
+per fit, with (g, h) as the row statistics and the negated gain as the loss;
+min_samples_leaf drops candidates with a smaller side. Each round's training
+contributions are the leaf values written at the rows each leaf received while
+the tree grew, and scoring new rows uses tree.py's shared descent.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 
 from ..errors import EmptyInput, NonFiniteScore
 from .logistic import sigmoid
-from .tree import TreeNode, gini_impurity
+from .tree import TreeNode, best_split, gini_impurity, rank_codes, tree_predict
 
 _EPS = 1e-6
 
@@ -36,69 +42,43 @@ def _leaf_value(G, H, lam):
     return -G / (H + lam)
 
 
-def _best_gain_split(X, g, h, lam, min_samples_leaf):
-    """(feature, threshold, gain) maximizing the second-order gain, or None."""
-    n = len(g)
-    G, H = g.sum(), h.sum()
+def _gain_loss(G, H, lam):
+    """Negated second-order gain of each candidate split of a node with sums G, H."""
     parent = G * G / (H + lam)
-    best = None  # (-gain, feature, threshold) so min-compare gives lexicographic ties
-    for f in range(X.shape[1]):
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        boundaries = np.flatnonzero(sv[:-1] != sv[1:])
-        if len(boundaries) == 0:
-            continue
-        gc = np.cumsum(g[order])
-        hc = np.cumsum(h[order])
-        GL = gc[boundaries]
-        HL = hc[boundaries]
+
+    def loss(left, total, n_left):
+        GL, HL = left
         GR = G - GL
         HR = H - HL
-        n_left = boundaries + 1
-        valid = (n_left >= min_samples_leaf) & ((n - n_left) >= min_samples_leaf)
-        if not valid.any():
-            continue
-        gain = 0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent)
-        gain = np.where(valid, gain, -np.inf)
-        j = int(np.argmax(gain))  # first max = lowest threshold
-        thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
-        cand = (-float(gain[j]), int(f), float(thresholds[j]))
-        if best is None or cand[0] < best[0]:
-            best = cand
-    if best is None or -best[0] <= 0.0:
-        return None
-    return best[1], best[2], -best[0]
+        return -(0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent))
+
+    return loss
 
 
-def _grow_gain_tree(X, y01, g, h, depth, cfg):
+def _grow_gain_tree(X, codes, y01, g, h, rows, depth, cfg, contrib):
+    """Grow a subtree over X[rows]; write each leaf's value to contrib at its rows."""
+    g_node, h_node = g[rows], h[rows]
+    G, H = g_node.sum(), h_node.sum()
     node = TreeNode(
-        score=float(_leaf_value(g.sum(), h.sum(), cfg.l2)),
-        gini=gini_impurity(y01),
-        n_samples=len(g),
+        score=float(_leaf_value(G, H, cfg.l2)),
+        gini=gini_impurity(y01[rows]),
+        n_samples=len(rows),
     )
-    if cfg.max_depth is not None and depth >= cfg.max_depth:
+    found = None
+    if cfg.max_depth is None or depth < cfg.max_depth:
+        feats = np.arange(X.shape[1])
+        loss = _gain_loss(G, H, cfg.l2)
+        found = best_split(X, codes, rows, feats, (g_node, h_node), loss, cfg.min_samples_leaf)
+    if found is None or -found[0] <= 0.0:  # a split needs strictly positive gain
+        contrib[rows] = node.score
         return node
-    found = _best_gain_split(X, g, h, cfg.l2, cfg.min_samples_leaf)
-    if found is None:
-        return node
-    feature, threshold, _ = found
-    mask = X[:, feature] <= threshold
+    _, feature, threshold = found
+    mask = X[rows, feature] <= threshold
     node.feature = feature
     node.threshold = threshold
-    node.left = _grow_gain_tree(X[mask], y01[mask], g[mask], h[mask], depth + 1, cfg)
-    node.right = _grow_gain_tree(X[~mask], y01[~mask], g[~mask], h[~mask], depth + 1, cfg)
+    node.left = _grow_gain_tree(X, codes, y01, g, h, rows[mask], depth + 1, cfg, contrib)
+    node.right = _grow_gain_tree(X, codes, y01, g, h, rows[~mask], depth + 1, cfg, contrib)
     return node
-
-
-def _raw_tree_predict(node, X):
-    out = np.empty(len(X))
-    for i, row in enumerate(X):
-        cur = node
-        while not cur.is_leaf:
-            cur = cur.left if row[cur.feature] <= cur.threshold else cur.right
-        out[i] = cur.score
-    return out
 
 
 def fit_gbt(X, y, cfg):
@@ -106,15 +86,17 @@ def fit_gbt(X, y, cfg):
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise EmptyInput("cannot fit boosted trees on zero rows")
+    codes = rank_codes(X)
+    rows = np.arange(len(y))
     base = logit(min(max(float(y.mean()), _EPS), 1.0 - _EPS))
     raw = np.full(len(y), base)
+    contrib = np.empty(len(y))
     trees = []
     for _ in range(cfg.rounds):
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_gain_tree(X, y, g, h, 0, cfg)
-        contrib = _raw_tree_predict(tree, X)
+        tree = _grow_gain_tree(X, codes, y, g, h, rows, 0, cfg, contrib)
         raw = raw + cfg.learning_rate * contrib
         if not np.all(np.isfinite(raw)):
             raise NonFiniteScore("boosted raw scores became non-finite")
@@ -132,7 +114,7 @@ def gbt_raw_score(model, X):
     X = np.asarray(X, dtype=np.float64)
     raw = np.full(len(X), model.base_score)
     for tree in model.trees:
-        raw = raw + model.learning_rate * _raw_tree_predict(tree, X)
+        raw = raw + model.learning_rate * tree_predict(tree, X)
     return raw
 
 

@@ -2,6 +2,8 @@
 
 Each tree gets its own RNG stream spawned from the forest seed, a bootstrap
 resample (when enabled), and a fresh sqrt-sized feature subset at every split.
+The features are rank-coded once per forest; a bootstrap sample is an array
+of row indices into X, not a copy of the rows.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyInput
-from .tree import fit_tree, tree_predict
+from .tree import grow_cart, rank_codes, tree_predict
 
 
 @dataclass
@@ -31,16 +33,16 @@ def fit_forest(X, y, cfg):
     subset = cfg.feature_subset_size
     if subset is None:
         subset = max(1, math.ceil(math.sqrt(X.shape[1])))
+    codes = rank_codes(X)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
     trees = []
     for ss in streams:
         rng = np.random.default_rng(ss)
         if cfg.bootstrap:
-            idx = rng.integers(len(y), size=len(y))
-            Xb, yb = X[idx], y[idx]
+            rows = rng.integers(len(y), size=len(y))
         else:
-            Xb, yb = X, y
-        trees.append(fit_tree(Xb, yb, cfg, rng=rng, feature_subset_size=subset))
+            rows = np.arange(len(y))
+        trees.append(grow_cart(X, codes, y, rows, 0, cfg, rng, subset))
     return ForestModel(trees=trees, feature_subset_size=subset, bootstrap=cfg.bootstrap, seed=cfg.seed)
 
 

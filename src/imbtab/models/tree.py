@@ -1,8 +1,28 @@
-"""CART classification tree with exact greedy Gini splits.
+"""CART classification trees, and the exact greedy engine that CART, the random
+forest and the boosted trees share.
 
-Candidate thresholds are midpoints between consecutive distinct sorted values
-of a feature. Split ties break to the lowest feature index, then the lowest
-threshold, so growth is reproducible across platforms.
+Fitting is exact greedy split finding (Algorithm 1 of Chen & Guestrin 2016):
+
+- `rank_codes` codes each feature column once per fit as the rank of its
+  value among the column's distinct values. A stable argsort of the codes
+  orders a node's rows exactly as a stable argsort of the values would, and
+  numpy radix-sorts 16-bit keys.
+- `best_split` is the one split search. Per node and per block of features it
+  stable-argsorts the node's codes, takes the cumulative sums of the node's
+  row statistics in that order, and evaluates the split criterion only where
+  the code changes. CART minimises the weighted child Gini; boosting.py
+  minimises the negated second-order gain.
+- Candidate thresholds are midpoints between consecutive distinct values of a
+  feature, read from X at the two rows either side of the boundary. The first
+  optimum in (feature, position) order wins: ties break to the lowest feature
+  index, then the lowest threshold, so growth is reproducible across
+  platforms.
+- A split sends a row left iff its value is <= the threshold, in fitting and
+  in prediction alike.
+
+Prediction has one routine, `tree_predict`: it flattens a tree's preorder into
+arrays and moves all rows down one level at a time. Forests and boosted
+models call it once per tree.
 """
 
 from __future__ import annotations
@@ -11,7 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInput
+from ..errors import EmptyInput, NonFiniteFeature
+
+# Features searched together in one node. It bounds the (features, rows)
+# arrays of a search; all features at once raised peak memory by ~9%.
+_BLOCK = 8
 
 
 @dataclass
@@ -43,40 +67,92 @@ def gini_impurity(y):
     return 2.0 * p * (1.0 - p)
 
 
-def _best_gini_split(X, y, feature_indices, min_samples_leaf):
-    """(feature, threshold, weighted child gini) minimizing impurity, or None."""
-    n = len(y)
-    best = None  # (weighted_gini, feature, threshold)
-    for f in feature_indices:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        sy = y[order]
-        boundaries = np.flatnonzero(sv[:-1] != sv[1:])
-        if len(boundaries) == 0:
+def rank_codes(X):
+    """(n_features, n_rows) codes: codes[f, i] is the rank of X[i, f] among the
+    distinct values of column f. uint16 unless a column has more than 65536
+    distinct values."""
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteFeature("tree models need finite feature values (found NaN or inf)")
+    codes = np.empty((X.shape[1], X.shape[0]), dtype=np.uint16)
+    for f in range(X.shape[1]):
+        distinct, inverse = np.unique(X[:, f], return_inverse=True)
+        if len(distinct) > 1 << 16 and codes.dtype == np.uint16:
+            codes = codes.astype(np.uint32)
+        codes[f] = inverse
+    return codes
+
+
+def best_split(X, codes, rows, feats, stats, loss, min_samples_leaf):
+    """(loss, feature, threshold) of the first split minimising `loss`, or None.
+
+    rows: the node's row indices into X and codes, in the node's row order
+    (ties in a feature keep this order). stats: per-row statistics of the
+    node, each aligned with rows. loss(left, total, n_left) gets, at every
+    candidate, the cumulative sum of each statistic over the left rows and over
+    all the node's rows, both summed in the candidate feature's sorted order,
+    and the left row count; it returns the loss to minimise.
+
+    Candidates leaving fewer than min_samples_leaf rows on a side are dropped,
+    and so is a feature with no candidate left. A feature whose losses include
+    NaN is skipped, unless it is the first feature with a candidate: then its
+    first NaN candidate is the split, as a running strict-less minimum seeded
+    with it would decide.
+    """
+    n = len(rows)
+    best = None  # (loss, feature, last row on the left, first row on the right)
+    for start in range(0, len(feats) if n > 1 else 0, _BLOCK):
+        block = feats[start : start + _BLOCK]
+        node_codes = np.take(codes, block[:, None] * codes.shape[1] + rows)
+        order = np.argsort(node_codes, axis=1, kind="stable")
+        sorted_codes = np.take(node_codes, order + np.arange(0, node_codes.size, n)[:, None])
+        fi, at = np.nonzero(sorted_codes[:, 1:] != sorted_codes[:, :-1])
+        n_left = at + 1
+        if min_samples_leaf > 1:
+            keep = (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
+            fi, at, n_left = fi[keep], at[keep], n_left[keep]
+        if len(at) == 0:
             continue
-        pos_cum = np.cumsum(sy)
-        n_left = boundaries + 1
-        n_right = n - n_left
-        pos_left = pos_cum[boundaries]
-        pos_right = pos_cum[-1] - pos_left
-        p_l = pos_left / n_left
-        p_r = pos_right / n_right
-        weighted = (n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)) / n
-        thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
-        j = int(np.argmin(weighted))  # first occurrence = lowest threshold
-        cand = (float(weighted[j]), int(f), float(thresholds[j]))
-        if best is None or cand[0] < best[0]:
-            best = cand
+        cums = [np.cumsum(s[order], axis=1) for s in stats]
+        values = loss([c[fi, at] for c in cums], [c[fi, -1] for c in cums], n_left)
+        nan = np.isnan(values)
+        if nan.any():
+            if best is None and nan[fi == fi[0]].any():
+                j = int(np.flatnonzero(nan)[0])
+                best = (float(values[j]), int(block[fi[j]]), order[fi[j], at[j]], order[fi[j], at[j] + 1])
+                break
+            keep = ~np.isin(fi, fi[nan])
+            if not keep.any():
+                continue
+            fi, at, values = fi[keep], at[keep], values[keep]
+        j = int(np.argmin(values))
+        if best is None or values[j] < best[0]:
+            best = (float(values[j]), int(block[fi[j]]), order[fi[j], at[j]], order[fi[j], at[j] + 1])
     if best is None:
         return None
-    return best[1], best[2], best[0]
+    value, feature, lo, hi = best
+    threshold = (X[rows[lo], feature] + X[rows[hi], feature]) / 2.0
+    return value, feature, float(threshold)
 
 
-def _grow(X, y, depth, cfg, rng, feature_subset_size):
-    n = len(y)
-    node_gini = gini_impurity(y)
-    score = float(np.mean(y)) if n else 0.0
+def _gini_loss(n):
+    def loss(left, total, n_left):
+        pos_left = left[0]
+        pos_right = total[0] - pos_left
+        n_right = n - n_left
+        p_l = pos_left / n_left
+        p_r = pos_right / n_right
+        return (n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)) / n
+
+    return loss
+
+
+def grow_cart(X, codes, y, rows, depth, cfg, rng, feature_subset_size):
+    """Grow a CART subtree over X[rows] depth-first; the forest's per-split
+    feature draws from rng happen in preorder."""
+    n = len(rows)
+    y_node = y[rows]
+    node_gini = gini_impurity(y_node)
+    score = float(np.mean(y_node)) if n else 0.0
     node = TreeNode(score=score, gini=node_gini, n_samples=n)
     if (
         node_gini == 0.0
@@ -91,17 +167,19 @@ def _grow(X, y, depth, cfg, rng, feature_subset_size):
     else:
         feats = np.arange(n_features)
 
-    found = _best_gini_split(X, y, feats, cfg.min_samples_leaf)
+    # Known defect: the Gini search ignores min_samples_leaf (pinned by a
+    # strict xfail test); the fix changes reports and lands on its own.
+    found = best_split(X, codes, rows, feats, (y_node,), _gini_loss(n), 1)
     if found is None:
         return node
-    feature, threshold, child_gini = found
+    child_gini, feature, threshold = found
     if child_gini >= node_gini:  # no strict impurity reduction
         return node
-    mask = X[:, feature] <= threshold
+    mask = X[rows, feature] <= threshold
     node.feature = feature
     node.threshold = threshold
-    node.left = _grow(X[mask], y[mask], depth + 1, cfg, rng, feature_subset_size)
-    node.right = _grow(X[~mask], y[~mask], depth + 1, cfg, rng, feature_subset_size)
+    node.left = grow_cart(X, codes, y, rows[mask], depth + 1, cfg, rng, feature_subset_size)
+    node.right = grow_cart(X, codes, y, rows[~mask], depth + 1, cfg, rng, feature_subset_size)
     return node
 
 
@@ -113,15 +191,33 @@ def fit_tree(X, y, cfg, rng=None, feature_subset_size=None):
         raise EmptyInput("cannot fit a tree on zero rows")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    return _grow(X, y, 0, cfg, rng, feature_subset_size)
+    rows = np.arange(len(y))
+    return grow_cart(X, rank_codes(X), y, rows, 0, cfg, rng, feature_subset_size)
+
+
+def _flatten(root):
+    """Preorder arrays (feature, threshold, left, right, score); left is -1 at a leaf."""
+    nodes = list(root.walk())
+    index = {id(node): i for i, node in enumerate(nodes)}
+    internal = [not node.is_leaf for node in nodes]
+    feature = np.array([node.feature if i else 0 for node, i in zip(nodes, internal)], dtype=np.intp)
+    threshold = np.array([node.threshold for node in nodes], dtype=np.float64)
+    left = np.array([k + 1 if i else -1 for k, i in enumerate(internal)], dtype=np.intp)
+    right = np.array([index[id(node.right)] if i else -1 for node, i in zip(nodes, internal)], dtype=np.intp)
+    score = np.array([node.score for node in nodes], dtype=np.float64)
+    return feature, threshold, left, right, score
 
 
 def tree_predict(node, X):
+    """Leaf score of every row of X. A row goes left iff X[row, feature] <=
+    threshold, so a NaN value goes right."""
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty(len(X))
-    for i, row in enumerate(X):
-        cur = node
-        while not cur.is_leaf:
-            cur = cur.left if row[cur.feature] <= cur.threshold else cur.right
-        out[i] = cur.score
-    return out
+    feature, threshold, left, right, score = _flatten(node)
+    at = np.zeros(len(X), dtype=np.intp)
+    live = np.flatnonzero(left[at] >= 0)  # rows still at an internal node
+    while len(live):
+        cur = at[live]
+        nxt = np.where(X[live, feature[cur]] <= threshold[cur], left[cur], right[cur])
+        at[live] = nxt
+        live = live[left[nxt] >= 0]
+    return score[at]

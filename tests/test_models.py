@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imbtab.errors import DimensionMismatch, EmptyInput
+from imbtab.errors import DimensionMismatch, EmptyInput, ImbtabError, NonFiniteFeature
 from imbtab.models import (
     ModelConfig,
     classify,
@@ -132,6 +132,26 @@ class TestTree:
         y = (X[:, 0] + rng.normal(size=2000) > 0.5).astype(float)
         t = fit_tree(X, y, dt_cfg())
         assert min(n.n_samples for n in t.walk() if n.is_leaf) >= dt_cfg().min_samples_leaf
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("family", ["dt", "rf", "xgb"])
+    def test_fit_rejects_non_finite(self, family, bad):
+        X = np.array([[0.0, 1.0], [1.0, bad], [2.0, 0.0], [3.0, 1.0]])
+        y = np.array([0, 1, 0, 1])
+        with pytest.raises(NonFiniteFeature) as info:
+            fit_model(X, y, ModelConfig.for_family(family))
+        assert isinstance(info.value, ImbtabError)
+
+    def test_predict_sends_nan_right(self):
+        from imbtab.models import TreeNode
+
+        leaf = lambda s: TreeNode(score=s, gini=0.0, n_samples=1)  # noqa: E731
+        t = TreeNode(score=0.5, gini=0.5, n_samples=2, feature=1, threshold=0.5,
+                     left=leaf(0.0), right=leaf(1.0))
+        X = np.array([[0.0, np.nan], [np.nan, 0.0], [0.0, 1.0]])
+        assert tree_predict(t, X).tolist() == [1.0, 0.0, 1.0]
 
 
 class TestForest:

@@ -191,6 +191,17 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
         assert (tmp_path / "out" / "report.json").exists()
 
+    def test_run_flags_override_output_and_formats(self, tmp_path):
+        data = tmp_path / "d.csv"
+        write_csv(generate_dataset(300, seed=4), data)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(data, output=str(tmp_path / "cfg-out"))))
+        out = tmp_path / "flag-out"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out), "--format", "json"]
+        assert main(argv) == EXIT_OK
+        assert (out / "report.json").exists() and not (out / "report.txt").exists()
+        assert not (tmp_path / "cfg-out").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")
