@@ -99,13 +99,16 @@ def best_split(X, codes, rows, feats, stats, loss, min_samples_leaf):
     with it would decide.
     """
     n = len(rows)
+    if n < 2:
+        return None
     best = None  # (loss, feature, last row on the left, first row on the right)
-    for start in range(0, len(feats) if n > 1 else 0, _BLOCK):
+    for start in range(0, len(feats), _BLOCK):
         block = feats[start : start + _BLOCK]
         node_codes = np.take(codes, block[:, None] * codes.shape[1] + rows)
         order = np.argsort(node_codes, axis=1, kind="stable")
         sorted_codes = np.take(node_codes, order + np.arange(0, node_codes.size, n)[:, None])
-        fi, at = np.nonzero(sorted_codes[:, 1:] != sorted_codes[:, :-1])
+        # (feature, position) pairs where the code changes, in that order
+        fi, at = np.divmod(np.flatnonzero(sorted_codes[:, 1:] != sorted_codes[:, :-1]), n - 1)
         n_left = at + 1
         if min_samples_leaf > 1:
             keep = (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
@@ -115,18 +118,19 @@ def best_split(X, codes, rows, feats, stats, loss, min_samples_leaf):
         cums = [np.cumsum(s[order], axis=1) for s in stats]
         values = loss([c[fi, at] for c in cums], [c[fi, -1] for c in cums], n_left)
         nan = np.isnan(values)
+        locked = False  # a NaN that seeds the running minimum: no loss is < NaN
         if nan.any():
-            if best is None and nan[fi == fi[0]].any():
-                j = int(np.flatnonzero(nan)[0])
-                best = (float(values[j]), int(block[fi[j]]), order[fi[j], at[j]], order[fi[j], at[j] + 1])
-                break
-            keep = ~np.isin(fi, fi[nan])
-            if not keep.any():
-                continue
-            fi, at, values = fi[keep], at[keep], values[keep]
-        j = int(np.argmin(values))
+            locked = best is None and bool(nan[fi == fi[0]].any())
+            if not locked:
+                keep = ~np.isin(fi, fi[nan])
+                if not keep.any():
+                    continue
+                fi, at, values = fi[keep], at[keep], values[keep]
+        j = int(np.argmin(values))  # first minimum; the first NaN when locked
         if best is None or values[j] < best[0]:
             best = (float(values[j]), int(block[fi[j]]), order[fi[j], at[j]], order[fi[j], at[j] + 1])
+        if locked:
+            break
     if best is None:
         return None
     value, feature, lo, hi = best

@@ -27,6 +27,7 @@ from imbtab.models import (
     tree_predict,
 )
 from imbtab.models.boosting import logit
+from imbtab.models.tree import rank_codes
 
 
 # --- oracle: the per-node argsort search ------------------------------------
@@ -239,6 +240,20 @@ def test_golden_model_digest(name):
 # --- property test against the oracle ----------------------------------------
 
 
+def test_wide_codes_match_oracle():
+    # more than 65536 distinct values in one column: codes widen to uint32
+    rng = np.random.default_rng(13)
+    n = 70_000
+    X = np.column_stack([rng.permutation(n) / 7.0, rng.integers(0, 2, n)])
+    y = (X[:, 0] + 2000.0 * X[:, 1] + rng.normal(scale=2000.0, size=n) > 6000.0).astype(float)
+    codes = rank_codes(X)
+    assert codes.dtype == np.uint32
+    assert np.array_equal(codes[0], np.argsort(np.argsort(X[:, 0])))
+    cfg = ModelConfig.for_family("dt", max_depth=2)
+    tree = fit_model(X, y, cfg).model
+    assert _nodes(tree) == _nodes(_oracle_grow(X, y, 0, cfg, np.random.default_rng(0), None))
+
+
 @st.composite
 def _tied_problem(draw):
     n = draw(st.integers(1, 50))
@@ -262,6 +277,8 @@ def test_engine_matches_argsort_oracle(problem, max_depth, min_leaf, seed):
     tree = fit_model(X, y, dt).model
     assert _nodes(tree) == _nodes(_oracle_grow(X, y, 0, dt, np.random.default_rng(0), None))
     assert np.array_equal(tree_predict(tree, X), _oracle_predict(tree, X))
+    X_nan = np.where(np.arange(X.size).reshape(X.shape) % 3 == 0, np.nan, X)
+    assert np.array_equal(tree_predict(tree, X_nan), _oracle_predict(tree, X_nan))
 
     for bootstrap in (True, False):
         rf = ModelConfig.for_family(
@@ -279,3 +296,27 @@ def test_engine_matches_argsort_oracle(problem, max_depth, min_leaf, seed):
         base, trees = _oracle_gbt(X, y, xgb)
         assert model.base_score == base
         assert [_nodes(t) for t in model.trees] == [_nodes(t) for t in trees]
+
+
+@pytest.mark.parametrize("seed", [176, 461])
+def test_saturated_boosting_matches_oracle(seed):
+    # l2 = 0 and a large learning rate drive sigmoid(raw) to exactly 0 or 1,
+    # so h = 0 on those rows and some candidate gains are 0/0 = NaN. These
+    # seeds hit a node where a feature other than the first has a NaN gain:
+    # the running strict-less minimum of the oracle never picks that feature.
+    rng = np.random.default_rng(seed)
+    n, d = rng.integers(5, 40), rng.integers(1, 4)
+    X = rng.choice([0.0, 1.0, 2.0], size=(n, d))
+    y = rng.integers(0, 2, n).astype(float)
+    cfg = ModelConfig.for_family(
+        "xgb",
+        rounds=int(rng.integers(2, 7)),
+        l2=0.0,
+        learning_rate=float(rng.choice([2.0, 5.0, 10.0, 20.0])),
+        max_depth=3,
+        min_samples_leaf=int(rng.integers(1, 3)),
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        model = fit_model(X, y, cfg).model
+        _, trees = _oracle_gbt(X, y, cfg)
+    assert [_nodes(t) for t in model.trees] == [_nodes(t) for t in trees]
