@@ -128,7 +128,8 @@ def best_split(X, codes, rows, feats, stats, loss, min_samples_leaf):
                 fi, at, values = fi[keep], at[keep], values[keep]
         j = int(np.argmin(values))  # first minimum; the first NaN when locked
         if best is None or values[j] < best[0]:
-            best = (float(values[j]), int(block[fi[j]]), order[fi[j], at[j]], order[fi[j], at[j] + 1])
+            f, pos = fi[j], at[j]
+            best = (float(values[j]), int(block[f]), order[f, pos], order[f, pos + 1])
         if locked:
             break
     if best is None:
@@ -200,14 +201,14 @@ def fit_tree(X, y, cfg, rng=None, feature_subset_size=None):
 
 
 def _flatten(root):
-    """Preorder arrays (feature, threshold, left, right, score); left is -1 at a leaf."""
+    """Preorder arrays (feature, threshold, left, right, score); left is -1 at a
+    leaf, and a node's left child is the next node in preorder."""
     nodes = list(root.walk())
     index = {id(node): i for i, node in enumerate(nodes)}
-    internal = [not node.is_leaf for node in nodes]
-    feature = np.array([node.feature if i else 0 for node, i in zip(nodes, internal)], dtype=np.intp)
+    feature = np.array([node.feature for node in nodes], dtype=np.intp)
     threshold = np.array([node.threshold for node in nodes], dtype=np.float64)
-    left = np.array([k + 1 if i else -1 for k, i in enumerate(internal)], dtype=np.intp)
-    right = np.array([index[id(node.right)] if i else -1 for node, i in zip(nodes, internal)], dtype=np.intp)
+    left = np.array([-1 if n.is_leaf else i + 1 for i, n in enumerate(nodes)], dtype=np.intp)
+    right = np.array([-1 if n.is_leaf else index[id(n.right)] for n in nodes], dtype=np.intp)
     score = np.array([node.score for node in nodes], dtype=np.float64)
     return feature, threshold, left, right, score
 

@@ -258,7 +258,8 @@ def test_wide_codes_match_oracle():
 def _tied_problem(draw):
     n = draw(st.integers(1, 50))
     d = draw(st.integers(1, 4))
-    levels = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]), min_size=1, max_size=4))
+    values = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    levels = draw(st.lists(values, min_size=1, max_size=4))
     cells = draw(st.lists(st.sampled_from(levels), min_size=n * d, max_size=n * d))
     y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return np.array(cells, dtype=np.float64).reshape(n, d), np.array(y, dtype=np.float64)
