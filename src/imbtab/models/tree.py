@@ -33,8 +33,8 @@ import numpy as np
 
 from ..errors import EmptyInput, NonFiniteFeature
 
-# Features searched together in one node. It bounds the (features, rows)
-# arrays of a search; all features at once raised peak memory by ~9%.
+# Features searched together in one node: it bounds the size of the
+# (features, rows) arrays that one search holds at a time.
 _BLOCK = 8
 
 
