@@ -147,9 +147,11 @@ class TestNonFiniteFeatures:
     def test_predict_sends_nan_right(self):
         from imbtab.models import TreeNode
 
-        leaf = lambda s: TreeNode(score=s, gini=0.0, n_samples=1)  # noqa: E731
-        t = TreeNode(score=0.5, gini=0.5, n_samples=2, feature=1, threshold=0.5,
-                     left=leaf(0.0), right=leaf(1.0))
+        t = TreeNode(
+            score=0.5, gini=0.5, n_samples=2, feature=1, threshold=0.5,
+            left=TreeNode(score=0.0, gini=0.0, n_samples=1),
+            right=TreeNode(score=1.0, gini=0.0, n_samples=1),
+        )
         X = np.array([[0.0, np.nan], [np.nan, 0.0], [0.0, 1.0]])
         assert tree_predict(t, X).tolist() == [1.0, 0.0, 1.0]
 
