@@ -237,6 +237,20 @@ def test_golden_model_digest(name):
     assert hashlib.sha256(model_to_json(fitted).encode()).hexdigest() == digest
 
 
+def test_midpoint_rounding_onto_upper_value_matches_oracle():
+    # (a + b) / 2 rounds to b for these adjacent doubles, so `X <= threshold`
+    # sends every row left and the right child is empty. The engine partitions
+    # a node by the same comparison as prediction, so it grows the same tree.
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    X = np.array([[a], [b]] * 3)
+    y = np.array([0.0, 1.0] * 3)
+    cfg = ModelConfig.for_family("dt", min_samples_leaf=1, max_depth=2)
+    tree = fit_model(X, y, cfg).model
+    assert tree.threshold == b and tree.right.n_samples == 0
+    assert _nodes(tree) == _nodes(_oracle_grow(X, y, 0, cfg, np.random.default_rng(0), None))
+
+
 # --- property test against the oracle ----------------------------------------
 
 
