@@ -11,7 +11,13 @@ from imbtab import (
     rebalance,
     smote,
 )
-from imbtab.errors import EmptyMinority, KTooLarge, StrategyUnknown, TooFewMinoritySamples
+from imbtab.errors import (
+    EmptyMinority,
+    KTooLarge,
+    NonFiniteFeature,
+    StrategyUnknown,
+    TooFewMinoritySamples,
+)
 
 
 def brute_force_knn(points, query, k, exclude=None):
@@ -157,6 +163,15 @@ class TestNearMiss:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             nearmiss(self.MAJ, self.MIN, variant=1, k=3, n=1)
+
+    @pytest.mark.parametrize("variant", [1, 2, 3])
+    @pytest.mark.parametrize("side", ["majority", "minority"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, variant, side, bad):
+        maj, mn = self.MAJ.copy(), self.MIN.copy()
+        (maj if side == "majority" else mn)[1, 0] = bad
+        with pytest.raises(NonFiniteFeature):
+            nearmiss(maj, mn, variant=variant, k=1, n=1)
 
 
 def fm(values):
