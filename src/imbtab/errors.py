@@ -85,7 +85,7 @@ class NonFiniteScore(ImbtabError):
 
 
 class NonFiniteFeature(ImbtabError):
-    """A tree model was asked to fit on a NaN or infinite feature value."""
+    """A tree model or a neighbour search was given a NaN or infinite feature value."""
 
 
 class EmptyInput(ImbtabError):

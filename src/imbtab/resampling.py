@@ -1,6 +1,12 @@
 """Class rebalancing: SMOTE oversampling and NearMiss undersampling.
 
-All neighbor queries are exact brute-force Euclidean searches; at the row
+Every neighbour query goes through one exact brute-force Euclidean search,
+which takes the queries a block at a time. A block's squared distances come
+from one subtraction and one einsum, and the block is sized so that its
+query-minus-point differences fit in _BLOCK_BYTES. Each query then keeps its
+k nearest by a partition and a sort of the few candidates at or below its
+k-th distance, ties to the lower index. SMOTE, NearMiss-1/2/3 and
+`nearest_neighbors` (a one-query block) all use this search. At the row
 counts this toolkit targets (tens of thousands) a spatial index buys nothing.
 Every random draw comes from one seeded generator consumed in a fixed order,
 so a seed fully determines the output.
@@ -16,6 +22,7 @@ from .encoding import FeatureMatrix
 from .errors import (
     EmptyMinority,
     KTooLarge,
+    NonFiniteFeature,
     StrategyUnknown,
     TooFewMinoritySamples,
 )
@@ -25,6 +32,10 @@ SMOTE_MODES = ("canonical", "paper_literal")
 
 # amount value meaning "pick the count that equalizes the classes"
 BALANCE = "balance"
+
+# Bytes one block of query-minus-point differences may take; it bounds the
+# neighbour search's working memory whatever the number of queries.
+_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -55,7 +66,7 @@ class NeighborIndex:
         if pts.ndim != 2:
             raise ValueError("points must be a 2-D array")
         if pts.size and not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+            raise NonFiniteFeature("points must be finite")
         object.__setattr__(self, "points", pts)
 
 
@@ -76,9 +87,53 @@ class RebalanceResult:
     provenance: tuple = ()  # SyntheticProvenance per synthetic row (SMOTE only)
 
 
-def _sq_distances(points, query):
-    diff = points - query
-    return np.einsum("ij,ij->i", diff, diff)
+def _distance_blocks(points, queries):
+    """Yield (start, d2) over blocks of query rows.
+
+    d2[r, j] is the squared Euclidean distance from queries[start + r] to
+    points[j], summed over the features in order, so every row is bit-equal
+    whatever the block size. The difference block holds at most _BLOCK_BYTES
+    (one query's differences when a single query exceeds it).
+    """
+    step = max(1, _BLOCK_BYTES // max(1, points.size * points.itemsize))
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        # Repeating each query once per point lets the subtraction run over
+        # whole contiguous blocks, not one feature row at a time.
+        diff = np.repeat(block, len(points), axis=0).reshape(len(block), *points.shape)
+        np.subtract(points, diff, out=diff)
+        yield start, np.einsum("bij,bij->bi", diff, diff)
+
+
+def _k_smallest(d2, k, exclude=None):
+    """Per row of d2, the columns of its k smallest entries: ascending, ties to the lower column.
+
+    exclude[r], when given, is a column that row r may not pick; d2 is
+    overwritten there. Only entries <= the row's k-th smallest value are
+    sorted, so a row costs a partition plus a sort of about k candidates.
+    """
+    if k == 0:
+        return np.empty((len(d2), 0), dtype=np.intp)
+    if exclude is not None:
+        # NaN, not inf: it partitions after every distance, inf included, and
+        # fails every <= test, so it can never be a candidate
+        d2[np.arange(len(d2)), exclude] = np.nan
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    flat = np.flatnonzero(d2 <= kth)
+    r, c = np.divmod(flat, d2.shape[1])
+    order = np.lexsort((c, d2.ravel()[flat], r))
+    counts = np.bincount(r, minlength=len(d2))
+    first = np.cumsum(counts) - counts
+    return c[order][first[:, None] + np.arange(k)]
+
+
+def _k_nearest(points, queries, k, exclude=None):
+    """(len(queries), k) indices of each query's k nearest points, as `nearest_neighbors` orders them."""
+    out = np.empty((len(queries), k), dtype=np.intp)
+    for start, d2 in _distance_blocks(points, queries):
+        block = slice(start, start + len(d2))
+        out[block] = _k_smallest(d2, k, None if exclude is None else exclude[block])
+    return out
 
 
 def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
@@ -88,21 +143,16 @@ def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
     otherwise the lowest-index point at distance zero.
     """
     query = np.asarray(query, dtype=np.float64)
-    d2 = _sq_distances(index.points, query)
-    eligible = np.ones(len(d2), dtype=bool)
+    if not np.all(np.isfinite(query)):
+        raise NonFiniteFeature("query must be finite")
+    ((_, d2),) = _distance_blocks(index.points, query[None])
+    exclude = None
     if exclude_self:
-        if self_index is None:
-            zeros = np.flatnonzero(d2 == 0.0)
-            if len(zeros):
-                eligible[zeros[0]] = False
-        else:
-            eligible[self_index] = False
-    n_eligible = int(eligible.sum())
+        exclude = np.flatnonzero(d2[0] == 0.0)[:1] if self_index is None else [self_index]
+    n_eligible = len(index.points) - (0 if exclude is None else len(exclude))
     if k > n_eligible:
         raise KTooLarge(f"k={k} but only {n_eligible} eligible points")
-    idx = np.flatnonzero(eligible)
-    order = np.lexsort((idx, d2[idx]))
-    return [int(i) for i in idx[order][:k]]
+    return [int(i) for i in _k_smallest(d2, k, exclude)[0]]
 
 
 def smote(minority, k, n_new, seed=0, mode="canonical"):
@@ -123,25 +173,24 @@ def smote(minority, k, n_new, seed=0, mode="canonical"):
     if mode not in SMOTE_MODES:
         raise ValueError(f"mode must be one of {SMOTE_MODES}")
 
-    index = NeighborIndex(pts)
-    neighbor_lists = [
-        nearest_neighbors(index, pts[i], k, exclude_self=True, self_index=i)
-        for i in range(len(pts))
-    ]
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteFeature("smote features must be finite")
+    neighbors = _k_nearest(pts, pts, k, exclude=np.arange(len(pts)))
     rng = np.random.default_rng(seed)
-    synthetic = np.empty((n_new * len(pts), pts.shape[1]))
-    provenance = []
-    row = 0
-    for i in range(len(pts)):
-        for _ in range(n_new):
-            j = neighbor_lists[i][int(rng.integers(k))]
-            u = float(rng.random())
-            if mode == "canonical":
-                synthetic[row] = pts[i] + u * (pts[j] - pts[i])
-            else:
-                synthetic[row] = pts[i] + u * np.abs(pts[i] - pts[j])
-            provenance.append(SyntheticProvenance(i, j, u))
-            row += 1
+    base = np.repeat(np.arange(len(pts)), n_new)
+    nb = np.empty(len(base), dtype=np.intp)
+    u = np.empty(len(base))
+    # one neighbor draw then one u per synthetic row, in row order
+    for row, i in enumerate(base):
+        nb[row] = neighbors[i, rng.integers(k)]
+        u[row] = rng.random()
+    if mode == "canonical":
+        synthetic = pts[base] + u[:, None] * (pts[nb] - pts[base])
+    else:
+        synthetic = pts[base] + u[:, None] * np.abs(pts[base] - pts[nb])
+    provenance = [
+        SyntheticProvenance(int(i), int(j), float(v)) for i, j, v in zip(base, nb, u)
+    ]
     return synthetic, provenance
 
 
@@ -150,16 +199,17 @@ def _mean_knn_distance(majority, minority, k, farthest=False):
     if k > len(minority):
         raise KTooLarge(f"k={k} but minority has {len(minority)} points")
     scores = np.empty(len(majority))
-    for i, p in enumerate(majority):
-        d = np.sqrt(_sq_distances(minority, p))
-        # stable selection: distance then index, reversed distance for farthest
-        key = -d if farthest else d
-        order = np.lexsort((np.arange(len(d)), key))
-        scores[i] = d[order[:k]].mean()
+    for start, d2 in _distance_blocks(minority, majority):
+        # The mean runs over the k selected distances, nearest (farthest)
+        # first. That sequence depends only on their values, so no index
+        # tie-break is needed; negating picks and orders the farthest.
+        key = -d2 if farthest else d2
+        picked = np.sort(np.partition(key, k - 1, axis=1)[:, :k], axis=1)
+        scores[start : start + len(d2)] = np.sqrt(-picked if farthest else picked).mean(axis=1)
     return scores
 
 
-def nearmiss(majority, minority, variant, k, n=None, seed=0):
+def nearmiss(majority, minority, variant, k, n=None):
     """Kept majority row indices under NearMiss-1/2/3.
 
     1: n majority points with smallest mean distance to their k nearest
@@ -173,6 +223,8 @@ def nearmiss(majority, minority, variant, k, n=None, seed=0):
         raise EmptyMinority("nearmiss requires at least one minority row")
     if variant not in (1, 2, 3):
         raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
+    if not (np.all(np.isfinite(majority)) and np.all(np.isfinite(minority))):
+        raise NonFiniteFeature("nearmiss features must be finite")
 
     if variant in (1, 2):
         scores = _mean_knn_distance(majority, minority, k, farthest=(variant == 2))
@@ -182,11 +234,7 @@ def nearmiss(majority, minority, variant, k, n=None, seed=0):
 
     if k > len(majority):
         raise KTooLarge(f"k={k} but majority has {len(majority)} points")
-    index = NeighborIndex(majority)
-    kept = set()
-    for p in minority:
-        kept.update(nearest_neighbors(index, p, k))
-    return sorted(kept)
+    return [int(i) for i in np.unique(_k_nearest(majority, minority, k))]
 
 
 def _split_by_label(features, labels):
@@ -249,7 +297,7 @@ def rebalance(features, labels, config):
     elif config.strategy in ("nearmiss1", "nearmiss2", "nearmiss3"):
         variant = int(config.strategy[-1])
         target = len(min_idx) if config.amount == BALANCE else int(config.amount)
-        kept = nearmiss(X[maj_idx], X[min_idx], variant, config.k, n=target, seed=config.seed)
+        kept = nearmiss(X[maj_idx], X[min_idx], variant, config.k, n=target)
         kept_maj = maj_idx[np.asarray(kept, dtype=int)]
     else:
         raise StrategyUnknown(config.strategy)

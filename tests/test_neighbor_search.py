@@ -1,18 +1,27 @@
 """SMOTE and NearMiss must pick the same neighbours, and so produce the same
 rows, as the per-query brute-force search they were built on.
 
-Golden digests: the sha256 of `rebalance` output (values, labels, mask,
-provenance) for fixed seeded inputs, recorded from the per-query `lexsort`
-implementation. The inputs sit on an integer grid and repeat rows, so many
-distances tie and the lower-index tie rule decides most selections.
+Two kinds of check:
+
+- golden digests: the sha256 of `rebalance` output (values, labels, mask,
+  provenance) for fixed seeded inputs, recorded from the per-query `lexsort`
+  implementation. The inputs sit on an integer grid and repeat rows, so many
+  distances tie and the lower-index tie rule decides most selections;
+- property tests of the blocked search against `_oracle_*`, a copy of that
+  per-query implementation kept here as the reference.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imbtab import FeatureMatrix, ResampleConfig, rebalance
+from imbtab import FeatureMatrix, NeighborIndex, ResampleConfig, nearest_neighbors, rebalance
+from imbtab import resampling
+from imbtab.resampling import _distance_blocks, _k_nearest, _mean_knn_distance
 
 
 def _grid_case():
@@ -83,3 +92,135 @@ def test_rebalance_matches_golden_digest(case, config):
     names = tuple(f"f{i}" for i in range(values.shape[1]))
     result = rebalance(FeatureMatrix(names, values), labels, CONFIGS[config])
     assert _digest(result) == GOLDEN[(case, config)]
+
+
+# --- oracle: one query at a time, full lexsort --------------------------------
+
+
+def _oracle_sq_distances(points, query):
+    diff = points - query
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def _oracle_nearest(points, query, k, exclude_self=False, self_index=None):
+    d2 = _oracle_sq_distances(points, query)
+    eligible = np.ones(len(d2), dtype=bool)
+    if exclude_self:
+        if self_index is None:
+            zeros = np.flatnonzero(d2 == 0.0)
+            if len(zeros):
+                eligible[zeros[0]] = False
+        else:
+            eligible[self_index] = False
+    idx = np.flatnonzero(eligible)
+    order = np.lexsort((idx, d2[idx]))
+    return [int(i) for i in idx[order][:k]]
+
+
+def _oracle_mean_knn_distance(majority, minority, k, farthest=False):
+    scores = np.empty(len(majority))
+    for i, p in enumerate(majority):
+        d = np.sqrt(_oracle_sq_distances(minority, p))
+        key = -d if farthest else d
+        order = np.lexsort((np.arange(len(d)), key))
+        scores[i] = d[order[:k]].mean()
+    return scores
+
+
+# --- property tests against the oracle ---------------------------------------
+
+
+@st.composite
+def _matrix(draw, n_min=1, n_max=30, d=None):
+    """A tie-heavy matrix: few distinct levels, repeated rows, and scales at
+    which squared distances underflow to 0 or overflow to inf."""
+    n = draw(st.integers(n_min, n_max))
+    d = d if d is not None else draw(st.integers(1, 5))
+    levels = draw(
+        st.lists(st.sampled_from([-3.0, -1.0, 0.0, 0.5, 1.0, 2.0, 7.25]), min_size=1, max_size=4)
+    )
+    cells = draw(st.lists(st.sampled_from(levels), min_size=n * d, max_size=n * d))
+    scale = draw(st.sampled_from([1.0, 1e-170, 1e170]))
+    return np.array(cells, dtype=np.float64).reshape(n, d) * scale
+
+
+@st.composite
+def _points_and_queries(draw):
+    points = draw(_matrix())
+    queries = draw(_matrix(n_min=0, n_max=25, d=points.shape[1]))
+    return points, queries
+
+
+# A budget below one query's differences still makes one-query blocks; the
+# others give blocks of a few queries that rarely divide the query count.
+_BUDGETS = st.sampled_from([1, 64, 200, 520, 1000, 4096, 2 << 20])
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_points_and_queries(), budget=_BUDGETS, data=st.data())
+def test_blocked_search_matches_per_query_oracle(problem, budget, data):
+    points, queries = problem
+    k = data.draw(st.integers(0, len(points)))
+    with mock.patch.object(resampling, "_BLOCK_BYTES", budget):
+        blocks = list(_distance_blocks(points, queries))
+        got = _k_nearest(points, queries, k)
+    d2 = np.vstack([b for _, b in blocks]) if blocks else np.empty((0, len(points)))
+    expected = [_oracle_sq_distances(points, q) for q in queries]
+    assert np.array_equal(d2, np.reshape(expected, d2.shape))  # bit-equal
+    assert got.tolist() == [_oracle_nearest(points, q, k) for q in queries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_matrix(n_min=2), budget=_BUDGETS, data=st.data())
+def test_self_excluded_search_matches_oracle(points, budget, data):
+    # SMOTE's query: every point against the others, up to k = n - 1
+    n = len(points)
+    k = data.draw(st.integers(1, n - 1))
+    with mock.patch.object(resampling, "_BLOCK_BYTES", budget):
+        got = _k_nearest(points, points, k, exclude=np.arange(n))
+    expected = [_oracle_nearest(points, points[i], k, True, i) for i in range(n)]
+    assert got.tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_matrix(n_min=2), data=st.data())
+def test_nearest_neighbors_matches_oracle(points, data):
+    n = len(points)
+    index = NeighborIndex(points)
+    q = data.draw(st.integers(0, n - 1))
+    query = points[q]
+    k = data.draw(st.integers(0, n - 1))
+    assert nearest_neighbors(index, query, k) == _oracle_nearest(points, query, k)
+    got = nearest_neighbors(index, query, k, exclude_self=True)
+    assert got == _oracle_nearest(points, query, k, exclude_self=True)
+    got = nearest_neighbors(index, query, k, exclude_self=True, self_index=q)
+    assert got == _oracle_nearest(points, query, k, exclude_self=True, self_index=q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_points_and_queries(), budget=_BUDGETS, farthest=st.booleans(), data=st.data())
+def test_mean_knn_distance_is_bit_equal_to_oracle(problem, budget, farthest, data):
+    minority, majority = problem
+    k = data.draw(st.integers(1, len(minority)))
+    with mock.patch.object(resampling, "_BLOCK_BYTES", budget):
+        got = _mean_knn_distance(majority, minority, k, farthest=farthest)
+    expected = _oracle_mean_knn_distance(majority, minority, k, farthest=farthest)
+    assert np.array_equal(got, expected)
+
+
+def test_blocks_follow_the_byte_budget():
+    points = np.arange(12.0).reshape(4, 3)
+    queries = np.arange(21.0).reshape(7, 3)
+    with mock.patch.object(resampling, "_BLOCK_BYTES", 3 * points.nbytes + 5):
+        blocks = list(_distance_blocks(points, queries))
+    assert [(start, d2.shape) for start, d2 in blocks] == [(0, (3, 4)), (3, (3, 4)), (6, (1, 4))]
+
+
+def test_mean_over_sixteen_neighbours_is_bit_equal():
+    # k >= 8 takes numpy's unrolled pairwise sum; both sides must use it alike
+    rng = np.random.default_rng(3)
+    minority = rng.normal(size=(40, 6)) * 1e3
+    majority = rng.normal(size=(33, 6)) * 1e3
+    for farthest in (False, True):
+        got = _mean_knn_distance(majority, minority, 16, farthest=farthest)
+        assert np.array_equal(got, _oracle_mean_knn_distance(majority, minority, 16, farthest))

@@ -49,6 +49,13 @@ class TestNearestNeighbors:
         with pytest.raises(KTooLarge):
             nearest_neighbors(idx, [0.0], 2, exclude_self=True)
 
+    def test_rejects_non_finite_points_and_query(self):
+        with pytest.raises(NonFiniteFeature):
+            NeighborIndex(np.array([[0.0, np.nan]]))
+        idx = NeighborIndex(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(NonFiniteFeature):
+            nearest_neighbors(idx, [np.inf, 0.0], 1)
+
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(42)
         pts = rng.normal(size=(60, 3))
@@ -119,6 +126,11 @@ class TestSmote:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             smote(np.zeros((3, 2)), k=3, n_new=1)
+
+    def test_rejects_non_finite(self):
+        pts = np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0]])
+        with pytest.raises(NonFiniteFeature):
+            smote(pts, k=1, n_new=1)
 
 
 class TestNearMiss:
