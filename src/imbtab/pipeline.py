@@ -12,7 +12,7 @@ import datetime
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,6 +49,8 @@ from .resampling import STRATEGIES, BALANCE, ResampleConfig, rebalance
 
 ENCODER_METHODS = ("onehot", "impact")
 REPORT_FORMATS = ("json", "txt")
+
+_RESAMPLER_KEYS = frozenset(f.name for f in fields(ResampleConfig))
 
 _KIND_ALIASES = {"numeric": NUMERIC, "categorical": CATEGORICAL, "binary-target": TARGET, "target": TARGET}
 
@@ -160,6 +162,15 @@ def parse_config(text):
             encoders.append(EncoderSpec(column=c.name))
 
     res_doc = doc.get("resampler", {})
+    if not isinstance(res_doc, dict):
+        raise ValidationError("resampler", "must be an object")
+    for key in res_doc:
+        if key not in _RESAMPLER_KEYS:
+            allowed = sorted(_RESAMPLER_KEYS)
+            raise ValidationError(f"resampler.{key}", f"unknown key; allowed: {allowed}")
+    k = res_doc.get("k", 5)
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValidationError("resampler.k", "must be an integer >= 1")
     amount = res_doc.get("amount", BALANCE)
     if amount != BALANCE:
         try:
@@ -169,7 +180,7 @@ def parse_config(text):
     try:
         resampler = ResampleConfig(
             strategy=res_doc.get("strategy", "none"),
-            k=int(res_doc.get("k", 5)),
+            k=k,
             amount=amount,
             seed=int(res_doc.get("seed", 0)),
             smote_mode=res_doc.get("smote_mode", "canonical"),

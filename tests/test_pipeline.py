@@ -60,6 +60,25 @@ class TestParseConfig:
         assert exc.value.path == "resampler.strategy"
         assert "smote" in str(exc.value)
 
+    def test_unknown_resampler_key_path(self, data_csv):
+        doc = base_config(data_csv, resampler={"strategy": "smote", "neighbours": 3})
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.path == "resampler.neighbours"
+
+    @pytest.mark.parametrize("k", ["five", "5", 2.5, None, True, [3], 0])
+    def test_bad_resampler_k_path(self, data_csv, k):
+        doc = base_config(data_csv, resampler={"strategy": "smote", "k": k})
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.path == "resampler.k"
+
+    def test_resampler_must_be_an_object(self, data_csv):
+        doc = base_config(data_csv, resampler=["smote"])
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.path == "resampler"
+
     def test_duplicate_model_names(self, data_csv):
         doc = base_config(data_csv, models=[{"family": "lr", "name": "M"}, {"family": "dt", "name": "M"}])
         with pytest.raises(ValidationError):
