@@ -186,10 +186,16 @@ def smote(minority, k, n_new, seed=0, mode="canonical"):
     for row, i in enumerate(base):
         nb[row] = neighbors[i, rng.integers(k)]
         u[row] = rng.random()
+    # s = base + u * step, computed in place to hold two row arrays, not four
+    synthetic = pts[base]
     if mode == "canonical":
-        synthetic = pts[base] + u[:, None] * (pts[nb] - pts[base])
+        step = pts[nb]
+        step -= synthetic
     else:
-        synthetic = pts[base] + u[:, None] * np.abs(pts[base] - pts[nb])
+        step = synthetic - pts[nb]
+        np.abs(step, out=step)
+    step *= u[:, None]
+    synthetic += step
     provenance = [
         SyntheticProvenance(int(i), int(j), float(v)) for i, j, v in zip(base, nb, u)
     ]
