@@ -104,7 +104,9 @@ def _distance_blocks(points, queries):
         # whole contiguous blocks, not one feature row at a time.
         diff = np.repeat(block, len(points), axis=0).reshape(len(block), *points.shape)
         np.subtract(points, diff, out=diff)
-        yield start, np.einsum("bij,bij->bi", diff, diff)
+        d2 = np.einsum("bij,bij->bi", diff, diff)
+        del diff  # free this block before the next one is allocated
+        yield start, d2
 
 
 def _k_smallest(d2, k, exclude=None):
