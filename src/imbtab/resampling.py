@@ -132,7 +132,7 @@ def _k_smallest(d2, k, exclude=None):
 
 
 def _k_nearest(points, queries, k, exclude=None):
-    """(len(queries), k) indices of each query's k nearest points, as `nearest_neighbors` orders them."""
+    """(len(queries), k) array: each query's k nearest points, ordered as by `nearest_neighbors`."""
     out = np.empty((len(queries), k), dtype=np.intp)
     for start, d2 in _distance_blocks(points, queries):
         block = slice(start, start + len(d2))
