@@ -250,3 +250,14 @@ class TestCli:
         assert audit.exists()
         header = audit.read_text().splitlines()[0]
         assert header == "base_index,neighbor_index,u"
+
+    @pytest.mark.parametrize("command", ["run", "resample"])
+    def test_non_utf8_csv_is_a_data_error(self, tmp_path, command):
+        data = tmp_path / "d.csv"
+        write_csv(generate_dataset(50, seed=1), data)
+        text = data.read_text().replace("male", "mäle", 1)
+        data.write_bytes(text.encode("latin-1"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(data, output=str(tmp_path / "out"))))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "res")]
+        assert main(argv) == EXIT_DATA
