@@ -4,7 +4,8 @@
   imbtab generate-data --rows N [--positive-rate P] [--seed S] --out data.csv
   imbtab resample --config cfg.json --out resampled.csv
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
+`run` and `resample` share the pipeline's front half (`pipeline.prepare`) and
+its exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .errors import (
     PipelineError,
     ValidationError,
 )
-from .pipeline import emit_report, parse_config, run_experiment
+from .pipeline import _stage, emit_report, parse_config, prepare, run_experiment
+from .resampling import rebalance
 from .synth import generate_dataset, write_csv
 
 EXIT_OK = 0
@@ -30,7 +32,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
-_DATA_ERRORS = (FileNotFoundError, HeaderMismatch, MalformedRow)
+_DATA_ERRORS = (FileNotFoundError, HeaderMismatch, MalformedRow, UnicodeDecodeError)
 
 
 def _load_config(path):
@@ -39,6 +41,8 @@ def _load_config(path):
             return parse_config(fh.read())
     except FileNotFoundError as exc:
         raise ParseError(f"config file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config file is not UTF-8: {path}") from exc
 
 
 def _cmd_run(args):
@@ -69,20 +73,10 @@ def _cmd_generate(args):
 def _cmd_resample(args):
     # standalone resampler: run the pipeline front half, dump the training
     # matrix after rebalancing plus a synthetic-row provenance audit
-    import numpy as np
-
-    from .data import cast_columns, drop_missing, load_csv, train_test_split
-    from .pipeline import FittedColumnEncoder, build_features
-    from .resampling import rebalance
-
     cfg = _load_config(args.config)
-    raw = load_csv(cfg.dataset_path, cfg.schema)
-    clean = drop_missing(cast_columns(raw, cfg.schema))
-    train, _ = train_test_split(clean, cfg.split)
-    fitted = {spec.column: FittedColumnEncoder(spec).fit(train) for spec in cfg.encoders}
-    X = build_features(train, cfg.schema, fitted)
-    y = np.asarray(train.column(cfg.target), dtype=int)
-    result = rebalance(X, y, cfg.resampler)
+    data = prepare(cfg)
+    with _stage("resample"):
+        result = rebalance(data.X_train, data.y_train, cfg.resampler)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -135,16 +129,11 @@ def main(argv=None):
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except PipelineError as exc:
-        if isinstance(exc.cause, _DATA_ERRORS):
+    except (ImbtabError, *_DATA_ERRORS) as exc:
+        cause = exc.cause if isinstance(exc, PipelineError) else exc
+        if isinstance(cause, _DATA_ERRORS):
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ImbtabError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -187,7 +187,8 @@ def drop_missing(d):
 
 
 def cast_columns(d, schema):
-    """Re-cast cells of the named columns per their schema kind; failures become MISSING."""
+    """Re-cast cells of the named columns per their schema kind; failures become MISSING.
+    For datasets built in memory: `load_csv` output is already cast this way."""
     known = set(d.column_names)
     for col in schema:
         if col.name not in known:

@@ -1,5 +1,5 @@
-"""Experiment runner: JSON config -> clean -> split -> encode -> resample ->
-fit -> evaluate -> report.
+"""Experiment runner: JSON config -> `prepare` (load, clean, split, encode) ->
+resample -> fit -> evaluate -> report. The CLI `resample` command shares `prepare`.
 
 Encoders and the resampler only ever see training rows; the test split is
 encoded with the fitted artifacts and otherwise untouched. All randomness is
@@ -8,6 +8,7 @@ seeded through the config, so a config fully determines the report.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
 import json
@@ -22,8 +23,6 @@ from .data import (
     TARGET,
     ColumnSchema,
     SplitSpec,
-    cast_columns,
-    class_counts,
     drop_missing,
     load_csv,
     train_test_split,
@@ -244,13 +243,12 @@ class FittedColumnEncoder:
         return d
 
     def fit(self, train):
-        if self.spec.grouping:
-            train = group_categories(train, self.spec.column, self.spec.grouping, self.spec.mode)
+        self.rare_mapping = {}
+        train = self._prepare(train)
         if self.spec.min_count > 0:
             merged = merge_rare_categories(train, self.spec.column, self.spec.min_count)
-            before = train.column(self.spec.column)
-            after = merged.column(self.spec.column)
-            self.rare_mapping = {b: a for b, a in zip(before, after) if b != a}
+            pairs = zip(train.column(self.spec.column), merged.column(self.spec.column))
+            self.rare_mapping = {b: a for b, a in pairs if b != a}
             train = merged
         if self.spec.method == "onehot":
             self.categories = tuple(fit_categories(train, self.spec.column))
@@ -274,11 +272,6 @@ class FittedColumnEncoder:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _numeric_matrix(d, name):
-    vals = np.asarray(d.column(name), dtype=np.float64).reshape(-1, 1)
-    return FeatureMatrix((name,), vals)
-
-
 def build_features(d, schema, fitted_encoders):
     """Schema-ordered feature matrix: numeric passthrough + encoded categoricals."""
     parts = []
@@ -286,74 +279,89 @@ def build_features(d, schema, fitted_encoders):
         if col.kind == TARGET:
             continue
         if col.kind == NUMERIC:
-            parts.append(_numeric_matrix(d, col.name))
+            values = np.asarray(d.column(col.name), dtype=np.float64).reshape(-1, 1)
+            parts.append(FeatureMatrix((col.name,), values))
         else:
             parts.append(fitted_encoders[col.name].transform(d))
     return FeatureMatrix.hstack(parts)
 
 
+@contextlib.contextmanager
 def _stage(name):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    """Re-raise any error other than a PipelineError as PipelineError(name, error)."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
 
-def run_experiment(cfg):
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+@dataclass
+class Prepared:
+    X_train: FeatureMatrix
+    y_train: np.ndarray
+    X_test: FeatureMatrix
+    y_test: np.ndarray
+    encoders: dict  # column -> FittedColumnEncoder
+    ledger: dict  # the row and class counts run_meta.json records
 
+
+def _label_counts(y):
+    return {"0": int(np.sum(y == 0)), "1": int(np.sum(y == 1))}
+
+
+def prepare(cfg):
+    """load -> clean -> split -> encode: the feature matrices every run starts from."""
     with _stage("load"):
         raw = load_csv(cfg.dataset_path, cfg.schema)
     with _stage("clean"):
-        cast = cast_columns(raw, cfg.schema)
-        clean = drop_missing(cast)
+        clean = drop_missing(raw)
     with _stage("split"):
         train, test = train_test_split(clean, cfg.split)
-
     with _stage("encode"):
-        fitted = {
-            spec.column: FittedColumnEncoder(spec).fit(train) for spec in cfg.encoders
-        }
+        fitted = {spec.column: FittedColumnEncoder(spec).fit(train) for spec in cfg.encoders}
         X_train = build_features(train, cfg.schema, fitted)
         X_test = build_features(test, cfg.schema, fitted)
         y_train = np.asarray(train.column(cfg.target), dtype=int)
         y_test = np.asarray(test.column(cfg.target), dtype=int)
 
+    ledger = {
+        "rows_loaded": raw.row_count,
+        "rows_after_clean": clean.row_count,
+        "rows_train": train.row_count,
+        "rows_test": test.row_count,
+        "class_counts_train": _label_counts(y_train),
+        "class_counts_test": _label_counts(y_test),
+    }
+    return Prepared(X_train, y_train, X_test, y_test, fitted, ledger)
+
+
+def run_experiment(cfg):
+    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    data = prepare(cfg)
+
     with _stage("resample"):
-        resampled = rebalance(X_train, y_train, cfg.resampler)
+        resampled = rebalance(data.X_train, data.y_train, cfg.resampler)
 
     reports = []
     for mcfg in cfg.models:
         with _stage(f"fit:{mcfg.name}"):
             model = fit_model(resampled.features.values, resampled.labels, mcfg)
         with _stage(f"evaluate:{mcfg.name}"):
-            probs = model.predict_proba(X_test.values)
+            probs = model.predict_proba(data.X_test.values)
             preds = classify(probs, mcfg.threshold)
-            reports.append(compute_metrics(confusion_matrix(y_test, preds), mcfg.name))
+            reports.append(compute_metrics(confusion_matrix(data.y_test, preds), mcfg.name))
 
     metadata = {
         "started": started,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "split_seed": cfg.split.seed,
         "resample_seed": cfg.resampler.seed,
-        "rows_loaded": raw.row_count,
-        "rows_after_clean": clean.row_count,
-        "rows_train": train.row_count,
-        "rows_test": test.row_count,
+        **data.ledger,
         "rows_train_resampled": int(len(resampled.labels)),
-        "class_counts_train": {str(k): v for k, v in class_counts(train).items()},
-        "class_counts_test": {str(k): v for k, v in class_counts(test).items()},
-        "class_counts_train_resampled": {
-            "0": int(np.sum(resampled.labels == 0)),
-            "1": int(np.sum(resampled.labels == 1)),
-        },
-        "encoder_fingerprints": {c: enc.fingerprint() for c, enc in fitted.items()},
+        "class_counts_train_resampled": _label_counts(resampled.labels),
+        "encoder_fingerprints": {c: enc.fingerprint() for c, enc in data.encoders.items()},
     }
     return RunResult(reports=reports, metadata=metadata)
 

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from imbtab import parse_config, run_experiment, emit_report
-from imbtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from imbtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from imbtab.errors import ParseError, PipelineError, ValidationError
+from imbtab.pipeline import _stage, prepare
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
 
 
@@ -174,6 +175,40 @@ class TestRunExperiment:
         assert meta_a["encoder_fingerprints"] == meta_b["encoder_fingerprints"]
 
 
+class TestPrepare:
+    def test_encoded_splits_match_the_ledger(self, data_csv):
+        cfg = parse_config(json.dumps(base_config(data_csv)))
+        data = prepare(cfg)
+        ledger = data.ledger
+        assert data.X_train.n_rows == len(data.y_train) == ledger["rows_train"]
+        assert data.X_test.n_rows == len(data.y_test) == ledger["rows_test"]
+        assert data.X_train.column_names == data.X_test.column_names
+        assert ledger["class_counts_train"]["1"] == int(data.y_train.sum())
+        assert ledger["class_counts_test"]["0"] == int((data.y_test == 0).sum())
+        assert set(data.encoders) == {e.column for e in cfg.encoders}
+
+    def test_prepare_feeds_run_experiment(self, data_csv):
+        cfg = parse_config(json.dumps(base_config(data_csv)))
+        data = prepare(cfg)
+        meta = run_experiment(cfg).metadata
+        assert {k: meta[k] for k in data.ledger} == data.ledger
+        fingerprints = {c: enc.fingerprint() for c, enc in data.encoders.items()}
+        assert meta["encoder_fingerprints"] == fingerprints
+
+    def test_stage_wraps_other_errors_once(self):
+        with pytest.raises(PipelineError) as exc:
+            with _stage("outer"):
+                with _stage("inner"):
+                    raise ValueError("boom")
+        assert exc.value.stage == "inner"
+        assert isinstance(exc.value.cause, ValueError)
+
+    def test_stage_passes_interrupts_through(self):
+        with pytest.raises(KeyboardInterrupt):
+            with _stage("load"):
+                raise KeyboardInterrupt
+
+
 class TestEmitReport:
     def test_txt_only(self, data_csv, tmp_path):
         cfg = parse_config(json.dumps(base_config(data_csv)))
@@ -261,3 +296,26 @@ class TestCli:
         cfg_path.write_text(json.dumps(base_config(data, output=str(tmp_path / "out"))))
         argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "res")]
         assert main(argv) == EXIT_DATA
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        doc = base_config("d.csv", output="ö")
+        cfg_path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+
+    def test_resample_missing_dataset_is_a_load_stage_data_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config("/nonexistent.csv")))
+        argv = ["resample", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == EXIT_DATA
+        assert "stage 'load'" in capsys.readouterr().err
+
+    def test_resample_stage_error_is_a_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_csv(generate_dataset(100, seed=3), data)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(data, resampler={"strategy": "smote", "k": 90})))
+        argv = ["resample", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == EXIT_RUNTIME
+        assert "stage 'resample'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
