@@ -36,19 +36,19 @@ from .encoding import (
     merge_rare_categories,
     one_hot_encode,
 )
-from .errors import (
-    ParseError,
-    PipelineError,
-    StrategyUnknown,
-    ValidationError,
-)
+from .errors import ParseError, PipelineError, ValidationError
 from .metrics import compute_metrics, confusion_matrix, format_report_table, reports_to_json
 from .models import ModelConfig, classify, fit_model
-from .resampling import STRATEGIES, BALANCE, ResampleConfig, rebalance
+from .resampling import BALANCE, SMOTE_MODES, STRATEGIES, ResampleConfig, rebalance
 
 ENCODER_METHODS = ("onehot", "impact")
+ENCODER_MODES = ("lenient", "strict")
 REPORT_FORMATS = ("json", "txt")
 
+_CONFIG_KEYS = frozenset(
+    ("dataset", "schema", "target", "split", "encoders", "resampler", "models", "output", "formats")
+)
+_SPLIT_KEYS = frozenset(f.name for f in fields(SplitSpec))
 _RESAMPLER_KEYS = frozenset(f.name for f in fields(ResampleConfig))
 
 _KIND_ALIASES = {"numeric": NUMERIC, "categorical": CATEGORICAL, "binary-target": TARGET, "target": TARGET}
@@ -61,6 +61,9 @@ class EncoderSpec:
     min_count: int = 0  # 0 disables rare-category merging
     grouping: dict = None
     mode: str = "lenient"
+
+
+_ENCODER_KEYS = frozenset(f.name for f in fields(EncoderSpec))
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,26 @@ def _require(doc, key, path):
     return doc[key]
 
 
+def _object(doc, path, allowed):
+    """`doc`, after checking that it is a JSON object whose keys are all in `allowed`."""
+    if not isinstance(doc, dict):
+        raise ValidationError(path, "must be an object")
+    for key in doc:
+        if key not in allowed:
+            field_path = f"{path}.{key}" if path else key
+            raise ValidationError(field_path, f"unknown key; allowed: {sorted(allowed)}")
+    return doc
+
+
+def _integer(value, path, minimum=None, alternative=""):
+    """`value` if it is a JSON integer >= minimum; booleans, floats and strings are rejected."""
+    too_small = minimum is not None and isinstance(value, int) and value < minimum
+    if isinstance(value, bool) or not isinstance(value, int) or too_small:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(path, f"must be an integer{bound}{alternative}")
+    return value
+
+
 def parse_config(text):
     """Validate a JSON experiment config; failures carry the offending field path."""
     try:
@@ -96,6 +119,7 @@ def parse_config(text):
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("config root must be a JSON object")
+    _object(doc, "", _CONFIG_KEYS)
 
     dataset_path = _require(doc, "dataset", "")
     raw_schema = _require(doc, "schema", "")
@@ -122,72 +146,65 @@ def parse_config(text):
     if len(targets) != 1:
         raise ValidationError("schema", "exactly one binary-target column required")
 
-    split_doc = doc.get("split", {})
-    try:
-        split = SplitSpec(
-            test_fraction=float(split_doc.get("test_fraction", 0.2)),
-            seed=int(split_doc.get("seed", 0)),
-            stratified=bool(split_doc.get("stratified", False)),
-        )
-    except ValueError as exc:
-        raise ValidationError("split.test_fraction", str(exc)) from exc
+    split_doc = _object(doc.get("split", {}), "split", _SPLIT_KEYS)
+    fraction = split_doc.get("test_fraction", 0.2)
+    is_number = isinstance(fraction, (int, float)) and not isinstance(fraction, bool)
+    if not (is_number and 0 <= fraction <= 1):
+        raise ValidationError("split.test_fraction", "must be a number in [0, 1]")
+    stratified = split_doc.get("stratified", False)
+    if not isinstance(stratified, bool):
+        raise ValidationError("split.stratified", "must be true or false")
+    seed = _integer(split_doc.get("seed", 0), "split.seed")
+    split = SplitSpec(float(fraction), seed, stratified)
 
     encoders = []
     seen_cols = set()
     for i, enc in enumerate(doc.get("encoders", [])):
-        col = _require(enc, "column", f"encoders[{i}]")
+        path = f"encoders[{i}]"
+        col = _require(_object(enc, path, _ENCODER_KEYS), "column", path)
         if col not in by_name:
-            raise ValidationError(f"encoders[{i}].column", f"column {col!r} not in schema")
+            raise ValidationError(f"{path}.column", f"column {col!r} not in schema")
         if by_name[col].kind != CATEGORICAL:
-            raise ValidationError(f"encoders[{i}].column", f"column {col!r} is not categorical")
+            raise ValidationError(f"{path}.column", f"column {col!r} is not categorical")
         if col in seen_cols:
-            raise ValidationError(f"encoders[{i}].column", f"duplicate encoder for {col!r}")
+            raise ValidationError(f"{path}.column", f"duplicate encoder for {col!r}")
         seen_cols.add(col)
         method = enc.get("method", "onehot")
         if method not in ENCODER_METHODS:
-            raise ValidationError(f"encoders[{i}].method", f"allowed: {list(ENCODER_METHODS)}")
-        encoders.append(
-            EncoderSpec(
-                column=col,
-                method=method,
-                min_count=int(enc.get("min_count", 0)),
-                grouping=enc.get("grouping"),
-                mode=enc.get("mode", "lenient"),
-            )
-        )
+            raise ValidationError(f"{path}.method", f"allowed: {list(ENCODER_METHODS)}")
+        mode = enc.get("mode", "lenient")
+        if mode not in ENCODER_MODES:
+            raise ValidationError(f"{path}.mode", f"allowed: {list(ENCODER_MODES)}")
+        grouping = enc.get("grouping")
+        if "grouping" in enc and not (
+            isinstance(grouping, dict) and all(isinstance(g, str) for g in grouping.values())
+        ):
+            raise ValidationError(f"{path}.grouping", "must be an object of string to string")
+        min_count = _integer(enc.get("min_count", 0), f"{path}.min_count", minimum=0)
+        encoders.append(EncoderSpec(col, method, min_count, grouping, mode))
     # categorical columns without an explicit spec default to lenient one-hot
     for c in schema:
         if c.kind == CATEGORICAL and c.name not in seen_cols:
             encoders.append(EncoderSpec(column=c.name))
 
-    res_doc = doc.get("resampler", {})
-    if not isinstance(res_doc, dict):
-        raise ValidationError("resampler", "must be an object")
-    for key in res_doc:
-        if key not in _RESAMPLER_KEYS:
-            allowed = sorted(_RESAMPLER_KEYS)
-            raise ValidationError(f"resampler.{key}", f"unknown key; allowed: {allowed}")
-    k = res_doc.get("k", 5)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValidationError("resampler.k", "must be an integer >= 1")
+    res_doc = _object(doc.get("resampler", {}), "resampler", _RESAMPLER_KEYS)
+    strategy = res_doc.get("strategy", "none")
+    if strategy not in STRATEGIES:
+        raise ValidationError("resampler.strategy", f"allowed: {list(STRATEGIES)}")
     amount = res_doc.get("amount", BALANCE)
     if amount != BALANCE:
-        try:
-            amount = int(amount)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("resampler.amount", f"must be an integer or {BALANCE!r}") from exc
-    try:
-        resampler = ResampleConfig(
-            strategy=res_doc.get("strategy", "none"),
-            k=k,
-            amount=amount,
-            seed=int(res_doc.get("seed", 0)),
-            smote_mode=res_doc.get("smote_mode", "canonical"),
-        )
-    except StrategyUnknown:
-        raise ValidationError("resampler.strategy", f"allowed: {list(STRATEGIES)}")
-    except ValueError as exc:
-        raise ValidationError("resampler", str(exc)) from exc
+        _integer(amount, "resampler.amount", minimum=0, alternative=f" or {BALANCE!r}")
+    smote_mode = res_doc.get("smote_mode", "canonical")
+    if smote_mode not in SMOTE_MODES:
+        raise ValidationError("resampler.smote_mode", f"allowed: {list(SMOTE_MODES)}")
+    resampler = ResampleConfig(
+        strategy=strategy,
+        k=_integer(res_doc.get("k", 5), "resampler.k", minimum=1),
+        amount=amount,
+        # numpy's generators take only non-negative seeds
+        seed=_integer(res_doc.get("seed", 0), "resampler.seed", minimum=0),
+        smote_mode=smote_mode,
+    )
 
     raw_models = _require(doc, "models", "")
     if not isinstance(raw_models, list) or not raw_models:

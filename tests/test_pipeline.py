@@ -80,6 +80,88 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert exc.value.path == "resampler"
 
+    def assert_path(self, doc, path):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("mode", ["strcit", "Strict", None, 1])
+    def test_bad_encoder_mode_path(self, data_csv, mode):
+        doc = base_config(data_csv, encoders=[{"column": "gender", "mode": mode}])
+        self.assert_path(doc, "encoders[0].mode")
+
+    @pytest.mark.parametrize("grouping", [["male"], "male", None, {"male": 1}, {"male": None}])
+    def test_bad_encoder_grouping_path(self, data_csv, grouping):
+        doc = base_config(data_csv, encoders=[{"column": "gender", "grouping": grouping}])
+        self.assert_path(doc, "encoders[0].grouping")
+
+    @pytest.mark.parametrize("min_count", [-3, 2.5, 5.0, "5", True, None])
+    def test_bad_encoder_min_count_path(self, data_csv, min_count):
+        doc = base_config(data_csv, encoders=[{"column": "gender", "min_count": min_count}])
+        self.assert_path(doc, "encoders[0].min_count")
+
+    def test_encoder_fields_are_kept(self, data_csv):
+        enc = {"column": "gender", "method": "impact", "mode": "strict", "min_count": 0}
+        enc["grouping"] = {"male": "m", "female": "f"}
+        cfg = parse_config(json.dumps(base_config(data_csv, encoders=[enc])))
+        spec = next(e for e in cfg.encoders if e.column == "gender")
+        assert (spec.method, spec.mode, spec.min_count) == ("impact", "strict", 0)
+        assert spec.grouping == {"male": "m", "female": "f"}
+
+    def test_encoder_must_be_an_object(self, data_csv):
+        self.assert_path(base_config(data_csv, encoders=["gender"]), "encoders[0]")
+
+    def test_unknown_encoder_key_path(self, data_csv):
+        doc = base_config(data_csv, encoders=[{"column": "company_size", "methd": "impact"}])
+        self.assert_path(doc, "encoders[0].methd")
+
+    def test_unknown_split_key_path(self, data_csv):
+        doc = base_config(data_csv, split={"test_fraction": 0.2, "sed": 3})
+        self.assert_path(doc, "split.sed")
+
+    def test_unknown_top_level_key_path(self, data_csv):
+        self.assert_path(base_config(data_csv, resamplr={"strategy": "smote"}), "resamplr")
+
+    def test_split_must_be_an_object(self, data_csv):
+        self.assert_path(base_config(data_csv, split=0.2), "split")
+
+    @pytest.mark.parametrize("amount", [2.5, 2.0, "2", -1, True, None, "Balance"])
+    def test_bad_resampler_amount_path(self, data_csv, amount):
+        doc = base_config(data_csv, resampler={"strategy": "smote", "amount": amount})
+        self.assert_path(doc, "resampler.amount")
+
+    @pytest.mark.parametrize("seed", [3.9, 3.0, "3", -1, True, None])
+    def test_bad_resampler_seed_path(self, data_csv, seed):
+        doc = base_config(data_csv, resampler={"strategy": "smote", "seed": seed})
+        self.assert_path(doc, "resampler.seed")
+
+    def test_bad_smote_mode_path(self, data_csv):
+        doc = base_config(data_csv, resampler={"strategy": "smote", "smote_mode": "literal"})
+        self.assert_path(doc, "resampler.smote_mode")
+
+    @pytest.mark.parametrize("seed", [3.9, 3.0, "3", False, None])
+    def test_bad_split_seed_path(self, data_csv, seed):
+        self.assert_path(base_config(data_csv, split={"seed": seed}), "split.seed")
+
+    @pytest.mark.parametrize("stratified", ["false", "true", 0, 1, None])
+    def test_bad_split_stratified_path(self, data_csv, stratified):
+        self.assert_path(base_config(data_csv, split={"stratified": stratified}), "split.stratified")
+
+    @pytest.mark.parametrize("fraction", ["0.2", True, None, -0.1, 1.5])
+    def test_bad_split_test_fraction_path(self, data_csv, fraction):
+        doc = base_config(data_csv, split={"test_fraction": fraction})
+        self.assert_path(doc, "split.test_fraction")
+
+    def test_integer_fields_are_kept(self, data_csv):
+        doc = base_config(
+            data_csv,
+            split={"test_fraction": 1, "seed": -4, "stratified": True},
+            resampler={"strategy": "smote", "amount": 0, "seed": 0, "k": 1},
+        )
+        cfg = parse_config(json.dumps(doc))
+        assert (cfg.split.test_fraction, cfg.split.seed, cfg.split.stratified) == (1.0, -4, True)
+        assert (cfg.resampler.amount, cfg.resampler.seed, cfg.resampler.k) == (0, 0, 1)
+
     def test_duplicate_model_names(self, data_csv):
         doc = base_config(data_csv, models=[{"family": "lr", "name": "M"}, {"family": "dt", "name": "M"}])
         with pytest.raises(ValidationError):
