@@ -4,8 +4,7 @@
   imbtab generate-data --rows N [--positive-rate P] [--seed S] --out data.csv
   imbtab resample --config cfg.json --out resampled.csv
 
-`run` and `resample` share the pipeline's front half (`pipeline.prepare`) and
-its exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
+Exit codes, for run and resample alike: 0 success, 2 config error, 3 data error, 4 runtime error.
 """
 
 from __future__ import annotations

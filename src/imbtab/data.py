@@ -187,8 +187,7 @@ def drop_missing(d):
 
 
 def cast_columns(d, schema):
-    """Re-cast cells of the named columns per their schema kind; failures become MISSING.
-    For datasets built in memory: `load_csv` output is already cast this way."""
+    """Re-cast cells of a dataset built in memory per schema kind; failures become MISSING."""
     known = set(d.column_names)
     for col in schema:
         if col.name not in known:

@@ -264,8 +264,9 @@ class FittedColumnEncoder:
         train = self._prepare(train)
         if self.spec.min_count > 0:
             merged = merge_rare_categories(train, self.spec.column, self.spec.min_count)
-            pairs = zip(train.column(self.spec.column), merged.column(self.spec.column))
-            self.rare_mapping = {b: a for b, a in pairs if b != a}
+            before = train.column(self.spec.column)
+            after = merged.column(self.spec.column)
+            self.rare_mapping = {b: a for b, a in zip(before, after) if b != a}
             train = merged
         if self.spec.method == "onehot":
             self.categories = tuple(fit_categories(train, self.spec.column))
@@ -289,6 +290,11 @@ class FittedColumnEncoder:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _numeric_matrix(d, name):
+    vals = np.asarray(d.column(name), dtype=np.float64).reshape(-1, 1)
+    return FeatureMatrix((name,), vals)
+
+
 def build_features(d, schema, fitted_encoders):
     """Schema-ordered feature matrix: numeric passthrough + encoded categoricals."""
     parts = []
@@ -296,8 +302,7 @@ def build_features(d, schema, fitted_encoders):
         if col.kind == TARGET:
             continue
         if col.kind == NUMERIC:
-            values = np.asarray(d.column(col.name), dtype=np.float64).reshape(-1, 1)
-            parts.append(FeatureMatrix((col.name,), values))
+            parts.append(_numeric_matrix(d, col.name))
         else:
             parts.append(fitted_encoders[col.name].transform(d))
     return FeatureMatrix.hstack(parts)
@@ -321,7 +326,8 @@ class Prepared:
     X_test: FeatureMatrix
     y_test: np.ndarray
     encoders: dict  # column -> FittedColumnEncoder
-    ledger: dict  # the row and class counts run_meta.json records
+    rows_loaded: int
+    rows_after_clean: int
 
 
 def _label_counts(y):
@@ -336,22 +342,14 @@ def prepare(cfg):
         clean = drop_missing(raw)
     with _stage("split"):
         train, test = train_test_split(clean, cfg.split)
+
     with _stage("encode"):
         fitted = {spec.column: FittedColumnEncoder(spec).fit(train) for spec in cfg.encoders}
         X_train = build_features(train, cfg.schema, fitted)
         X_test = build_features(test, cfg.schema, fitted)
         y_train = np.asarray(train.column(cfg.target), dtype=int)
         y_test = np.asarray(test.column(cfg.target), dtype=int)
-
-    ledger = {
-        "rows_loaded": raw.row_count,
-        "rows_after_clean": clean.row_count,
-        "rows_train": train.row_count,
-        "rows_test": test.row_count,
-        "class_counts_train": _label_counts(y_train),
-        "class_counts_test": _label_counts(y_test),
-    }
-    return Prepared(X_train, y_train, X_test, y_test, fitted, ledger)
+    return Prepared(X_train, y_train, X_test, y_test, fitted, raw.row_count, clean.row_count)
 
 
 def run_experiment(cfg):
@@ -375,8 +373,13 @@ def run_experiment(cfg):
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "split_seed": cfg.split.seed,
         "resample_seed": cfg.resampler.seed,
-        **data.ledger,
-        "rows_train_resampled": int(len(resampled.labels)),
+        "rows_loaded": data.rows_loaded,
+        "rows_after_clean": data.rows_after_clean,
+        "rows_train": len(data.y_train),
+        "rows_test": len(data.y_test),
+        "rows_train_resampled": len(resampled.labels),
+        "class_counts_train": _label_counts(data.y_train),
+        "class_counts_test": _label_counts(data.y_test),
         "class_counts_train_resampled": _label_counts(resampled.labels),
         "encoder_fingerprints": {c: enc.fingerprint() for c, enc in data.encoders.items()},
     }

@@ -258,22 +258,21 @@ class TestRunExperiment:
 
 
 class TestPrepare:
-    def test_encoded_splits_match_the_ledger(self, data_csv):
+    def test_encoded_splits_match_run_meta(self, data_csv):
         cfg = parse_config(json.dumps(base_config(data_csv)))
         data = prepare(cfg)
-        ledger = data.ledger
-        assert data.X_train.n_rows == len(data.y_train) == ledger["rows_train"]
-        assert data.X_test.n_rows == len(data.y_test) == ledger["rows_test"]
+        assert data.X_train.n_rows == len(data.y_train)
+        assert data.X_test.n_rows == len(data.y_test)
         assert data.X_train.column_names == data.X_test.column_names
-        assert ledger["class_counts_train"]["1"] == int(data.y_train.sum())
-        assert ledger["class_counts_test"]["0"] == int((data.y_test == 0).sum())
         assert set(data.encoders) == {e.column for e in cfg.encoders}
-
-    def test_prepare_feeds_run_experiment(self, data_csv):
-        cfg = parse_config(json.dumps(base_config(data_csv)))
-        data = prepare(cfg)
         meta = run_experiment(cfg).metadata
-        assert {k: meta[k] for k in data.ledger} == data.ledger
+        assert (meta["rows_loaded"], meta["rows_after_clean"]) == (
+            data.rows_loaded,
+            data.rows_after_clean,
+        )
+        assert (meta["rows_train"], meta["rows_test"]) == (len(data.y_train), len(data.y_test))
+        assert meta["class_counts_train"]["1"] == int(data.y_train.sum())
+        assert meta["class_counts_test"]["0"] == int((data.y_test == 0).sum())
         fingerprints = {c: enc.fingerprint() for c, enc in data.encoders.items()}
         assert meta["encoder_fingerprints"] == fingerprints
 
