@@ -344,7 +344,9 @@ def prepare(cfg):
         train, test = train_test_split(clean, cfg.split)
 
     with _stage("encode"):
-        fitted = {spec.column: FittedColumnEncoder(spec).fit(train) for spec in cfg.encoders}
+        fitted = {
+            spec.column: FittedColumnEncoder(spec).fit(train) for spec in cfg.encoders
+        }
         X_train = build_features(train, cfg.schema, fitted)
         X_test = build_features(test, cfg.schema, fitted)
         y_train = np.asarray(train.column(cfg.target), dtype=int)
@@ -377,7 +379,7 @@ def run_experiment(cfg):
         "rows_after_clean": data.rows_after_clean,
         "rows_train": len(data.y_train),
         "rows_test": len(data.y_test),
-        "rows_train_resampled": len(resampled.labels),
+        "rows_train_resampled": int(len(resampled.labels)),
         "class_counts_train": _label_counts(data.y_train),
         "class_counts_test": _label_counts(data.y_test),
         "class_counts_train_resampled": _label_counts(resampled.labels),
