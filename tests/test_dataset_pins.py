@@ -1,0 +1,307 @@
+"""Behaviour of the data layer, pinned against a row-wise reference.
+
+Three kinds of check hold any rework of how a `Dataset` stores its cells to
+the same results:
+
+- golden digests of `prepare`'s encoded matrices, labels, column names and
+  encoder fingerprints on a CSV full of awkward cells, and of the bytes
+  `write_csv` writes for a seeded synthetic dataset;
+- a property test of `load_csv(...).rows` against `_reference_load`, a copy
+  of the row-at-a-time parser kept here as the reference, malformed-row
+  indices included;
+- round trips of `take`, `drop_missing` and `replace_column` through `.rows`.
+
+Cells are compared by type and repr, so `1`, `1.0` and `True`, or `0.0` and
+`-0.0`, count as different cells.
+"""
+
+import csv
+import hashlib
+import json
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from imbtab import (
+    CATEGORICAL,
+    MISSING,
+    NUMERIC,
+    TARGET,
+    ColumnSchema,
+    Dataset,
+    cast_columns,
+    drop_missing,
+    load_csv,
+    parse_config,
+)
+from imbtab.errors import MalformedRow
+from imbtab.pipeline import prepare
+from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
+
+# --- reference: the row-at-a-time parser --------------------------------------
+
+
+def _reference_cell(token, kind):
+    token = token.strip()
+    if token in ("", "NaN"):
+        return MISSING
+    if kind == NUMERIC:
+        try:
+            v = float(token)
+        except ValueError:
+            return MISSING
+        return v if math.isfinite(v) else MISSING
+    if kind == TARGET:
+        try:
+            v = float(token)
+        except ValueError:
+            return MISSING
+        return int(v) if v in (0.0, 1.0) else MISSING
+    return token
+
+
+def _reference_load(path, schema):
+    """Rows of `path` as tuples of parsed cells, schema order; MalformedRow(i) as before."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        order = [header.index(c.name) for c in schema]
+        rows = []
+        for i, raw in enumerate(reader):
+            if len(raw) != len(header):
+                raise MalformedRow(i, f"expected {len(header)} cells, got {len(raw)}")
+            rows.append(tuple(_reference_cell(raw[j], c.kind) for j, c in zip(order, schema)))
+    return tuple(rows)
+
+
+def typed(rows):
+    """Rows with each cell as (type, repr): tells 1 from 1.0 and 0.0 from -0.0."""
+    return [tuple((type(c).__name__, repr(c)) for c in row) for row in rows]
+
+
+# --- golden digests -----------------------------------------------------------
+
+AWKWARD_SCHEMA = [
+    {"name": "score", "kind": "numeric"},
+    {"name": "city", "kind": "categorical"},
+    {"name": "size", "kind": "categorical"},
+    {"name": "gender", "kind": "categorical"},
+    {"name": "years", "kind": "numeric"},
+    {"name": "edu", "kind": "categorical"},
+    {"name": "flag", "kind": "categorical"},
+    {"name": "target", "kind": "binary-target"},
+]
+
+NUMERIC_SPECIALS = ["NaN", "", "inf", "-inf", "1e400", "-0.0", "0.0", " 2.5 ", "abc", "1_0"]
+CITIES = ["Paris, FR", " Lyon ", "Nice", "St. Malo, FR", "Metz"]
+SIZES = ["<10", "10-49", "50-99", "100+", "1000+"]
+GENDERS = ["male", "female", "other", "x", "NaN"]
+RARE = {"size": ["tiny", "huge"], "gender": ["unknown"], "city": ["Brest"]}  # below min_count
+EDU = ["primary", "high_school", "graduate", "masters", " phd "]
+FLAGS = ["on", "off", "1", "1.0"]
+TARGETS = ["0", "1", " 1 ", "yes", "2", "1.0", "-0.0", "", "0.0"]
+
+
+def _quote(token, rng):
+    if "," in token or rng.random() < 0.1:
+        return '"' + token.replace('"', '""') + '"'
+    return token
+
+
+def _awkward_token(rng, name):
+    if name in ("score", "years"):
+        if rng.random() < 0.04:
+            return rng.choice(NUMERIC_SPECIALS)
+        return repr(round(rng.uniform(-5, 40), rng.choice((0, 1, 3))))
+    if name == "target":
+        return rng.choice(TARGETS) if rng.random() < 0.08 else rng.choice(["0", "0", "0", "1"])
+    pool = {"city": CITIES, "size": SIZES, "gender": GENDERS, "edu": EDU, "flag": FLAGS}[name]
+    u = rng.random()
+    if u < 0.01:
+        return rng.choice(["", "NaN", "  "])
+    if u < 0.02 and name in RARE:
+        return rng.choice(RARE[name])
+    return rng.choice(pool)
+
+
+def write_awkward_csv(path, rows=3000, seed=11):
+    rng = random.Random(seed)
+    names = [c["name"] for c in AWKWARD_SCHEMA]
+    header = list(reversed(names))  # header order differs from schema order
+    lines = [",".join(header)]
+    for _ in range(rows):
+        lines.append(",".join(_quote(_awkward_token(rng, n), rng) for n in header))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+AWKWARD_ENCODERS = [
+    {"column": "size", "method": "impact", "min_count": 30},
+    {"column": "gender", "method": "onehot", "min_count": 40},
+    {
+        "column": "edu",
+        "mode": "strict",
+        "grouping": {
+            "primary": "school",
+            "high_school": "school",
+            "graduate": "graduate",
+            "masters": "postgrad",
+            "phd": "postgrad",
+        },
+    },
+    {"column": "flag", "method": "onehot", "mode": "strict"},
+]
+
+GOLDEN_PREPARE = {
+    False: "13d86554c851359a6b1d6dbf85eee49df77c4eecc4aefa1b8a8e775476fece91",
+    True: "c5cb8ee82fab750d77e9287cc5e6af0cd6dd9de5f207f475a86f9b88b56bd5cf",
+}
+GOLDEN_SYNTH_CSV = "8b353a7ecd231fd40fc21d417ff8a7a29bccfa6ef1504f273a1cce7f6e2079e7"
+
+
+def _prepare_digest(data):
+    h = hashlib.sha256()
+    for part in (
+        data.X_train.values.tobytes(),
+        data.X_test.values.tobytes(),
+        np.asarray(data.y_train, dtype=np.int64).tobytes(),
+        np.asarray(data.y_test, dtype=np.int64).tobytes(),
+        json.dumps([data.X_train.column_names, data.X_test.column_names]).encode(),
+        json.dumps({c: e.fingerprint() for c, e in sorted(data.encoders.items())}).encode(),
+        json.dumps([data.rows_loaded, data.rows_after_clean]).encode(),
+    ):
+        h.update(hashlib.sha256(part).digest())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("stratified", [False, True])
+def test_prepare_digest_on_awkward_csv(tmp_path, stratified):
+    path = tmp_path / "awkward.csv"
+    write_awkward_csv(path)
+    doc = {
+        "dataset": str(path),
+        "schema": AWKWARD_SCHEMA,
+        "target": "target",
+        "split": {"test_fraction": 0.3, "seed": 5, "stratified": stratified},
+        "encoders": AWKWARD_ENCODERS,
+        "models": [{"family": "lr"}],
+    }
+    data = prepare(parse_config(json.dumps(doc)))
+    assert _prepare_digest(data) == GOLDEN_PREPARE[stratified]
+
+
+def test_write_csv_digest(tmp_path):
+    path = tmp_path / "synth.csv"
+    write_csv(generate_dataset(2000, seed=3, missing_rate=0.05), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SYNTH_CSV
+
+
+def test_awkward_csv_loads_like_the_reference(tmp_path):
+    path = tmp_path / "awkward.csv"
+    write_awkward_csv(path, rows=800, seed=3)
+    schema = [ColumnSchema(c["name"], c["kind"]) for c in AWKWARD_SCHEMA]
+    assert typed(load_csv(path, schema).rows) == typed(_reference_load(path, schema))
+
+
+def test_cast_of_a_loaded_dataset_changes_no_cell(tmp_path):
+    path = tmp_path / "synth.csv"
+    write_csv(generate_dataset(20_000, seed=8, missing_rate=0.02), path)
+    raw = load_csv(path, DEFAULT_SCHEMA)
+    cast = cast_columns(raw, DEFAULT_SCHEMA)
+    assert typed(cast.rows) == typed(raw.rows)
+
+
+# --- property test: load_csv against the reference ----------------------------
+
+PROP_SCHEMA = (
+    ColumnSchema("x", NUMERIC),
+    ColumnSchema("c", CATEGORICAL),
+    ColumnSchema("t", TARGET),
+)
+
+TOKENS = st.sampled_from(
+    ["", " ", "NaN", " NaN ", "nan", "inf", "-inf", "1e400", "-0.0", "0.0", "0", "1", "1.0",
+     " 1 ", "2", "yes", "a", " a", "a,b", 'say "hi"', "1e-3", "-7.25", "x y", "1_0", "0x1"]
+)
+
+
+def _csv_line(cells):
+    out = []
+    for c in cells:
+        needs = any(ch in c for ch in ',"') or c.strip() != c
+        out.append('"' + c.replace('"', '""') + '"' if needs else c)
+    return ",".join(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    header=st.permutations(["x", "c", "t"]),
+    rows=st.lists(
+        st.lists(TOKENS, min_size=2, max_size=4).map(tuple), min_size=0, max_size=25
+    ),
+    widths_ok=st.booleans(),
+)
+def test_load_csv_matches_the_reference_parser(tmp_path_factory, header, rows, widths_ok):
+    if widths_ok:
+        rows = [tuple((list(r) + ["0"] * 3)[:3]) for r in rows]
+    path = tmp_path_factory.mktemp("prop") / "d.csv"
+    path.write_text("\n".join([",".join(header)] + [_csv_line(r) for r in rows]) + "\n",
+                    encoding="utf-8")
+    try:
+        expected = _reference_load(path, PROP_SCHEMA)
+    except MalformedRow as exc:
+        with pytest.raises(MalformedRow) as got:
+            load_csv(path, PROP_SCHEMA)
+        assert got.value.row_index == exc.row_index
+        return
+    assert typed(load_csv(path, PROP_SCHEMA).rows) == typed(expected)
+
+
+# --- round trips through .rows --------------------------------------------------
+
+MIXED_SCHEMA = (
+    ColumnSchema("x", NUMERIC),
+    ColumnSchema("c", CATEGORICAL),
+    ColumnSchema("t", TARGET),
+)
+
+CELLS = st.sampled_from(
+    [MISSING, 0.0, -0.0, 1.0, 2.5, 1, 0, True, False, "a", "b", " a", "1", "1.0", "0", float("inf")]
+)
+ROWS = st.lists(st.tuples(CELLS, CELLS, CELLS), min_size=0, max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=ROWS)
+def test_rows_round_trip(rows):
+    assert typed(Dataset(MIXED_SCHEMA, rows).rows) == typed(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=ROWS, data=st.data())
+def test_take_round_trip(rows, data):
+    d = Dataset(MIXED_SCHEMA, rows)
+    idx = data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=40)) if rows else []
+    assert typed(d.take(idx).rows) == typed([rows[i] for i in idx])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=ROWS)
+def test_drop_missing_round_trip(rows):
+    kept = [r for r in rows if not any(c is MISSING for c in r)]
+    assert typed(drop_missing(Dataset(MIXED_SCHEMA, rows)).rows) == typed(kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=ROWS, data=st.data())
+def test_replace_column_round_trip(rows, data):
+    d = Dataset(MIXED_SCHEMA, rows)
+    j = data.draw(st.integers(0, 2))
+    values = data.draw(st.lists(CELLS, min_size=len(rows), max_size=len(rows)))
+    out = d.replace_column(MIXED_SCHEMA[j].name, values)
+    expected = [r[:j] + (v,) + r[j + 1 :] for r, v in zip(rows, values)]
+    assert typed(out.rows) == typed(expected)
+    assert typed(d.rows) == typed(rows)

@@ -1,7 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from imbtab.errors import DimensionMismatch, EmptyInput, ImbtabError, NonFiniteFeature
+from imbtab.errors import (
+    DimensionMismatch,
+    EmptyInput,
+    ImbtabError,
+    NonFiniteFeature,
+    NonFiniteLoss,
+)
 from imbtab.models import (
     ModelConfig,
     classify,
@@ -79,6 +87,42 @@ class TestLogistic:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             fit_logistic(np.empty((0, 2)), np.empty(0), lr_cfg())
+
+    @staticmethod
+    def _scaled_data():
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(800, 6)) * np.array([1, 5, 0.1, 2, 1, 30])
+        y = (X[:, 0] + 0.2 * X[:, 1] + rng.normal(size=800) > 0.8).astype(int)
+        return X, y
+
+    @pytest.mark.parametrize(
+        "overrides, columns, iterations, digest",
+        [
+            (dict(), 6, 500, "becd995090c12a1a5b14cebfa95ab4541de39e17a66ce8c55d4cf8a623b1d842"),
+            (
+                dict(iterations=50),
+                6,
+                50,
+                "beafc8d10243ab9850a15b4bade1d3e3899a582f50f98a1b7f20dc98ca11a27b",
+            ),
+            (
+                dict(iterations=5000, tolerance=1e-3, learning_rate=0.5),
+                1,
+                81,
+                "a6910a258eecfb553e9afa33034bdde83afd063f2161dbdcdd596873937b9a26",
+            ),
+        ],
+    )
+    def test_golden_model_digest(self, overrides, columns, iterations, digest):
+        X, y = self._scaled_data()
+        fitted = fit_model(X[:, :columns], y, lr_cfg(**overrides))
+        assert fitted.model.iterations == iterations
+        assert hashlib.sha256(model_to_json(fitted).encode()).hexdigest() == digest
+
+    def test_divergence_names_its_iteration(self):
+        X, y = self._scaled_data()
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss, match="iteration 52;"):
+            fit_logistic(X, y, lr_cfg(learning_rate=1e3, l2=1.0))
 
 
 class TestTree:
