@@ -23,41 +23,56 @@ class LinearModel:
     iterations: int
 
 
-def logistic_loss(X, y, w, b, l2):
-    """Mean log-loss plus (l2/2)*||w||^2; the bias is unregularized."""
-    p = np.clip(sigmoid(X @ w + b), _CLIP, 1.0 - _CLIP)
+def _loss(p, y, w, l2):
+    """logistic_loss from the probabilities p = sigmoid(X @ w + b)."""
+    p = np.clip(p, _CLIP, 1.0 - _CLIP)
     nll = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
     return float(nll + 0.5 * l2 * np.dot(w, w))
 
 
-def logistic_gradient(X, y, w, b, l2):
-    """(dL/dw, dL/db) of logistic_loss."""
-    p = sigmoid(X @ w + b)
+def _gradient(X, y, p, w, l2):
+    """logistic_gradient from the probabilities p = sigmoid(X @ w + b)."""
     resid = p - y
     gw = X.T @ resid / len(y) + l2 * w
     gb = float(np.mean(resid))
     return gw, gb
 
 
+def logistic_loss(X, y, w, b, l2):
+    """Mean log-loss plus (l2/2)*||w||^2; the bias is unregularized."""
+    return _loss(sigmoid(X @ w + b), y, w, l2)
+
+
+def logistic_gradient(X, y, w, b, l2):
+    """(dL/dw, dL/db) of logistic_loss."""
+    return _gradient(X, y, sigmoid(X @ w + b), w, l2)
+
+
 def fit_logistic(X, y, cfg):
     """Zero-initialized gradient descent; stops when the gradient inf-norm
-    drops below cfg.tolerance or cfg.iterations is exhausted."""
+    drops below cfg.tolerance or cfg.iterations is exhausted.
+
+    The probabilities behind each step's loss are reused for the next
+    step's gradient, so X @ w is computed once per iteration.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise EmptyInput("cannot fit logistic regression on zero rows")
     w = np.zeros(X.shape[1])
     b = 0.0
-    loss = logistic_loss(X, y, w, b, cfg.l2)
+    p = sigmoid(X @ w + b)
+    loss = _loss(p, y, w, cfg.l2)
     it = 0
     for it in range(1, cfg.iterations + 1):
-        gw, gb = logistic_gradient(X, y, w, b, cfg.l2)
+        gw, gb = _gradient(X, y, p, w, cfg.l2)
         if max(np.max(np.abs(gw), initial=0.0), abs(gb)) < cfg.tolerance:
             it -= 1
             break
         w -= cfg.learning_rate * gw
         b -= cfg.learning_rate * gb
-        loss = logistic_loss(X, y, w, b, cfg.l2)
+        p = sigmoid(X @ w + b)
+        loss = _loss(p, y, w, cfg.l2)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss diverged at iteration {it}; lower the learning rate")
     return LinearModel(weights=w, bias=b, final_loss=loss, iterations=it)
