@@ -38,7 +38,7 @@ from .encoding import (
 )
 from .errors import ParseError, PipelineError, ValidationError
 from .metrics import compute_metrics, confusion_matrix, format_report_table, reports_to_json
-from .models import ModelConfig, classify, fit_model
+from .models import FAMILIES, ModelConfig, classify, fit_model
 from .resampling import BALANCE, SMOTE_MODES, STRATEGIES, ResampleConfig, rebalance
 
 ENCODER_METHODS = ("onehot", "impact")
@@ -50,6 +50,20 @@ _CONFIG_KEYS = frozenset(
 )
 _SPLIT_KEYS = frozenset(f.name for f in fields(SplitSpec))
 _RESAMPLER_KEYS = frozenset(f.name for f in fields(ResampleConfig))
+_SCHEMA_KEYS = frozenset(f.name for f in fields(ColumnSchema))
+_MODEL_KEYS = frozenset(f.name for f in fields(ModelConfig))
+# integer ModelConfig fields -> smallest allowed value; max_depth and
+# feature_subset_size may also be null (unlimited depth, sqrt feature subsets)
+_MODEL_INTEGERS = {
+    "iterations": 0,
+    "rounds": 0,
+    "max_depth": 0,
+    "min_samples_leaf": 1,
+    "n_trees": 1,
+    "feature_subset_size": 1,
+    "seed": 0,  # numpy's seed sequences take only non-negative seeds
+}
+_MODEL_NULLABLE = frozenset(("max_depth", "feature_subset_size"))
 
 _KIND_ALIASES = {"numeric": NUMERIC, "categorical": CATEGORICAL, "binary-target": TARGET, "target": TARGET}
 
@@ -111,6 +125,41 @@ def _integer(value, path, minimum=None, alternative=""):
     return value
 
 
+def _number(value, path, minimum=None):
+    """`value` if it is a JSON number >= minimum; booleans and strings are rejected."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not is_number or (minimum is not None and not value >= minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(path, f"must be a number{bound}")
+    return value
+
+
+def _model_params(doc, path):
+    """The ModelConfig overrides of one `models` entry, each checked under its own path."""
+    params = {}
+    for key, value in doc.items():
+        field_path = f"{path}.{key}"
+        if key == "family":
+            continue
+        if key == "name":
+            if not isinstance(value, str):
+                raise ValidationError(field_path, "must be a string")
+        elif key == "bootstrap":
+            if not isinstance(value, bool):
+                raise ValidationError(field_path, "must be true or false")
+        elif key in _MODEL_INTEGERS:
+            if value is not None or key not in _MODEL_NULLABLE:
+                alternative = " or null" if key in _MODEL_NULLABLE else ""
+                _integer(value, field_path, _MODEL_INTEGERS[key], alternative)
+        elif key == "threshold":
+            if not 0 < _number(value, field_path) < 1:
+                raise ValidationError(field_path, "must be a number in (0, 1)")
+        else:
+            _number(value, field_path, minimum=0)
+        params[key] = value
+    return params
+
+
 def parse_config(text):
     """Validate a JSON experiment config; failures carry the offending field path."""
     try:
@@ -127,9 +176,11 @@ def parse_config(text):
         raise ValidationError("schema", "must be a non-empty list of {name, kind}")
     schema = []
     for i, col in enumerate(raw_schema):
-        name = _require(col, "name", f"schema[{i}]")
+        name = _require(_object(col, f"schema[{i}]", _SCHEMA_KEYS), "name", f"schema[{i}]")
+        if not isinstance(name, str):
+            raise ValidationError(f"schema[{i}].name", "must be a string")
         kind = _require(col, "kind", f"schema[{i}]")
-        if kind not in _KIND_ALIASES:
+        if not isinstance(kind, str) or kind not in _KIND_ALIASES:
             raise ValidationError(f"schema[{i}].kind", f"unknown kind {kind!r}")
         try:
             schema.append(ColumnSchema(name, _KIND_ALIASES[kind]))
@@ -212,13 +263,13 @@ def parse_config(text):
     models = []
     names = set()
     for i, m in enumerate(raw_models):
-        family = _require(m, "family", f"models[{i}]")
-        if family not in ("lr", "dt", "rf", "xgb"):
-            raise ValidationError(f"models[{i}].family", "allowed: ['lr', 'dt', 'rf', 'xgb']")
-        params = {k: v for k, v in m.items() if k != "family"}
+        family = _require(_object(m, f"models[{i}]", _MODEL_KEYS), "family", f"models[{i}]")
+        if family not in FAMILIES:
+            raise ValidationError(f"models[{i}].family", f"allowed: {list(FAMILIES)}")
+        params = _model_params(m, f"models[{i}]")
         try:
             cfg = ModelConfig.for_family(family, **params)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"models[{i}]", str(exc)) from exc
         if cfg.name in names:
             raise ValidationError(f"models[{i}].name", f"duplicate model name {cfg.name!r}")

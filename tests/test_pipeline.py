@@ -162,6 +162,81 @@ class TestParseConfig:
         assert (cfg.split.test_fraction, cfg.split.seed, cfg.split.stratified) == (1.0, -4, True)
         assert (cfg.resampler.amount, cfg.resampler.seed, cfg.resampler.k) == (0, 0, 1)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("iterations", 2.5),
+            ("iterations", "3"),
+            ("iterations", True),
+            ("iterations", -1),
+            ("iterations", None),
+            ("rounds", 1.0),
+            ("max_depth", -1),
+            ("max_depth", "4"),
+            ("min_samples_leaf", 0),
+            ("n_trees", 0),
+            ("n_trees", 2.0),
+            ("feature_subset_size", 0),
+            ("seed", "3"),
+            ("seed", -1),
+            ("seed", 3.0),
+        ],
+    )
+    def test_bad_model_integer_path(self, data_csv, key, value):
+        doc = base_config(data_csv, models=[{"family": "rf", key: value}])
+        self.assert_path(doc, f"models[0].{key}")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("learning_rate", "0.1"),
+            ("learning_rate", True),
+            ("learning_rate", -0.1),
+            ("l2", None),
+            ("tolerance", "1e-6"),
+            ("threshold", 0),
+            ("threshold", 1.0),
+            ("threshold", "0.5"),
+            ("threshold", False),
+        ],
+    )
+    def test_bad_model_number_path(self, data_csv, key, value):
+        doc = base_config(data_csv, models=[{"family": "lr", key: value}])
+        self.assert_path(doc, f"models[0].{key}")
+
+    @pytest.mark.parametrize("key, value", [("bootstrap", "true"), ("bootstrap", 1), ("name", 3)])
+    def test_bad_model_flag_and_name_path(self, data_csv, key, value):
+        doc = base_config(data_csv, models=[{"family": "rf", key: value}])
+        self.assert_path(doc, f"models[0].{key}")
+
+    def test_unknown_model_key_path(self, data_csv):
+        doc = base_config(data_csv, models=[{"family": "lr"}, {"family": "lr", "iteratons": 5}])
+        self.assert_path(doc, "models[1].iteratons")
+
+    def test_model_must_be_an_object(self, data_csv):
+        self.assert_path(base_config(data_csv, models=["lr"]), "models[0]")
+
+    def test_model_fields_are_kept(self, data_csv):
+        model = {"family": "rf", "name": "F", "max_depth": None, "feature_subset_size": None}
+        model.update(seed=0, bootstrap=False, learning_rate=1, l2=0, threshold=0.3, n_trees=2)
+        cfg = parse_config(json.dumps(base_config(data_csv, models=[model]))).models[0]
+        assert (cfg.name, cfg.max_depth, cfg.feature_subset_size, cfg.seed) == ("F", None, None, 0)
+        assert (cfg.bootstrap, cfg.learning_rate, cfg.l2, cfg.threshold) == (False, 1, 0, 0.3)
+
+    @pytest.mark.parametrize(
+        "entry, path",
+        [
+            ({"name": "gender", "kind": "categorical", "knd": "x"}, "schema[1].knd"),
+            ("gender", "schema[1]"),
+            ({"name": 3, "kind": "categorical"}, "schema[1].name"),
+            ({"name": "gender", "kind": ["categorical"]}, "schema[1].kind"),
+        ],
+    )
+    def test_bad_schema_entry_path(self, data_csv, entry, path):
+        schema = schema_doc()
+        schema[1] = entry
+        self.assert_path(base_config(data_csv, schema=schema), path)
+
     def test_duplicate_model_names(self, data_csv):
         doc = base_config(data_csv, models=[{"family": "lr", "name": "M"}, {"family": "dt", "name": "M"}])
         with pytest.raises(ValidationError):
