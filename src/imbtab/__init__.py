@@ -11,6 +11,7 @@ from .data import (
     MISSING,
     NUMERIC,
     TARGET,
+    Column,
     ColumnSchema,
     Dataset,
     SplitSpec,

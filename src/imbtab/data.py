@@ -1,16 +1,24 @@
 """Tabular data model: schema-typed datasets, CSV ingestion, cleaning, splitting.
 
-Cells are plain Python values: float for numeric columns, str for categorical
-columns, int 0/1 for the target column, or the MISSING sentinel. Datasets are
-treated as immutable; every operation returns a new Dataset.
+A Dataset stores one array per column (a `Column`): float64 with NaN for
+MISSING in numeric columns, int32 codes into a vocabulary of distinct cells
+with -1 for MISSING in categorical columns, and int8 labels with -1 for
+MISSING in the target column. A column built in memory whose cells do not fit
+its kind (uncast strings, say) is kept as codes into a vocabulary of the raw
+cells. `column()` and `rows` give the cells back as Python values, with the
+MISSING sentinel. Datasets are treated as immutable; every operation returns
+a new Dataset.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     EmptyDataset,
@@ -49,6 +57,15 @@ MISSING = _Missing()
 # CSV tokens read as MISSING
 _MISSING_TOKENS = {"", "NaN"}
 
+# Vocabulary of a cast target column, whose codes are therefore the labels.
+LABELS = (0, 1)
+
+# Rows load_csv parses per block. Blocks bound the raw cell strings held at
+# once; small ones stay in cache (32k-row blocks loaded 200k rows 2x slower).
+_CHUNK_ROWS = 1 << 10
+# Distinct tokens a column's parse memo keeps before it starts over.
+_MEMO_TOKENS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ColumnSchema:
@@ -72,22 +89,151 @@ def validate_schema(schema):
         raise ValueError(f"schema must have exactly one {TARGET} column, got {targets}")
 
 
-@dataclass(frozen=True)
-class Dataset:
-    schema: tuple
-    rows: tuple  # tuple of row tuples, one cell per schema column
+def _key(cell):
+    """Vocabulary key: cells that differ (1, 1.0, True; 0.0, -0.0) get different keys."""
+    return (type(cell), repr(cell)) if isinstance(cell, float) else (type(cell), cell)
 
-    def __post_init__(self):
-        object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        validate_schema(self.schema)
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.schema):
-                raise MalformedRow(i, f"expected {len(self.schema)} cells, got {len(row)}")
+
+def _encode(cells):
+    """(codes, vocab) of a sequence of cells: vocab holds each distinct cell once,
+    in order of first appearance, and MISSING gets code -1."""
+    index, vocab, codes = {}, [], []
+    for cell in cells:
+        if cell is MISSING:
+            codes.append(-1)
+            continue
+        key = _key(cell)
+        code = index.get(key)
+        if code is None:
+            code = index[key] = len(vocab)
+            vocab.append(cell)
+        codes.append(code)
+    return np.array(codes, dtype=np.int32), tuple(vocab)
+
+
+class Column:
+    """One column's cells.
+
+    When `vocab` is None, `values` is float64 with NaN for MISSING (a numeric
+    column; its cells are finite floats). Otherwise `values` holds integer
+    codes into the tuple `vocab`, -1 for MISSING; a cast target column has
+    int8 codes and the vocabulary LABELS.
+    """
+
+    __slots__ = ("values", "vocab")
+
+    def __init__(self, values, vocab=None):
+        self.values = values
+        self.vocab = vocab
+
+    @staticmethod
+    def from_codes(codes, vocab, kind):
+        """The Column of `kind` whose cell i is vocab[codes[i]] (code -1: MISSING).
+
+        `vocab` may repeat cells or contain MISSING. Numeric cells that are all
+        finite floats become float64 values, target cells that are all the ints
+        0 and 1 become int8 labels; other cells stay codes into a vocabulary
+        holding each distinct cell once.
+        """
+        entries = tuple(vocab) + (MISSING,)
+        if kind == NUMERIC and all(
+            v is MISSING or (type(v) is float and math.isfinite(v)) for v in entries
+        ):
+            table = np.array([math.nan if v is MISSING else v for v in entries], dtype=np.float64)
+            return Column(table[codes])
+        if kind == TARGET and all(v is MISSING or (type(v) is int and v in LABELS) for v in entries):
+            table = np.array([-1 if v is MISSING else v for v in entries], dtype=np.int8)
+            return Column(table[codes], LABELS)
+        remap, distinct = _encode(entries)
+        if len(distinct) == len(entries) - 1:  # no repeats, no MISSING: codes stand
+            return Column(np.asarray(codes), distinct)
+        return Column(remap[codes], distinct)
+
+    @staticmethod
+    def from_cells(cells, kind):
+        return Column.from_codes(*_encode(cells), kind)
+
+    def __len__(self):
+        return len(self.values)
+
+    def missing(self):
+        """Boolean mask of the MISSING cells."""
+        return np.isnan(self.values) if self.vocab is None else self.values < 0
+
+    def take(self, index):
+        """The cells at a numpy index (integer array or boolean mask)."""
+        return Column(self.values[index], self.vocab)
+
+    def coded(self):
+        """(codes, cells) with cell i equal to cells[codes[i]]: code -1 picks the
+        trailing MISSING entry of `cells`. Numeric columns are coded on the fly."""
+        if self.vocab is None:
+            codes, vocab = _encode(self.cells())
+            return codes, vocab + (MISSING,)
+        return self.values, self.vocab + (MISSING,)
+
+    def cells(self, missing=MISSING):
+        """The cells as a list of Python values, with `missing` for MISSING."""
+        if self.vocab is None:
+            out = self.values.tolist()
+            for i in np.flatnonzero(np.isnan(self.values)).tolist():
+                out[i] = missing
+            return out
+        lookup = self.vocab + (missing,)
+        return list(map(lookup.__getitem__, self.values.tolist()))
+
+    def cell(self, i):
+        if self.vocab is None:
+            v = float(self.values[i])
+            return MISSING if math.isnan(v) else v
+        code = int(self.values[i])
+        return self.vocab[code] if code >= 0 else MISSING
+
+
+class Dataset:
+    """Rows of cells under a schema, stored column by column.
+
+    `Dataset(schema, rows)` builds the columns from row tuples; `from_columns`
+    takes them ready-made. `rows` and `column()` rebuild Python cells on demand.
+    """
+
+    __slots__ = ("schema", "_columns")
+
+    def __init__(self, schema, rows):
+        schema = tuple(schema)
+        validate_schema(schema)
+        rows = [tuple(r) for r in rows]
+        for i, row in enumerate(rows):
+            if len(row) != len(schema):
+                raise MalformedRow(i, f"expected {len(schema)} cells, got {len(row)}")
+        cells = list(zip(*rows)) if rows else [()] * len(schema)
+        self.schema = schema
+        self._columns = tuple(Column.from_cells(c, col.kind) for c, col in zip(cells, schema))
+
+    @classmethod
+    def from_columns(cls, schema, columns):
+        """Dataset over one Column per schema column, used as they are."""
+        d = cls.__new__(cls)
+        d.schema = tuple(schema)
+        validate_schema(d.schema)
+        d._columns = tuple(columns)
+        if len(d._columns) != len(d.schema):
+            raise ValueError(f"expected {len(d.schema)} columns, got {len(d._columns)}")
+        if len({len(c) for c in d._columns}) != 1:
+            raise ValueError("columns differ in length")
+        return d
+
+    def __repr__(self):
+        return f"Dataset({self.row_count} rows, columns={self.column_names})"
+
+    @property
+    def rows(self):
+        """Tuple of row tuples, one cell per schema column (built on each access)."""
+        return tuple(zip(*(c.cells() for c in self._columns)))
 
     @property
     def row_count(self):
-        return len(self.rows)
+        return len(self._columns[0])
 
     @property
     def column_names(self):
@@ -107,19 +253,34 @@ class Dataset:
         return self.schema[self.column_index(name)].kind
 
     def column(self, name):
-        j = self.column_index(name)
-        return [row[j] for row in self.rows]
+        return self._columns[self.column_index(name)].cells()
+
+    def column_data(self, name):
+        """The stored Column of `name`."""
+        return self._columns[self.column_index(name)]
 
     def replace_column(self, name, values):
-        """New Dataset with one column's cells replaced (same schema)."""
+        """New Dataset with one column's cells replaced (same schema).
+
+        `values` is a sequence of cells, or a Column, which is used as it is.
+        """
         if len(values) != self.row_count:
             raise ValueError("replacement column has wrong length")
         j = self.column_index(name)
-        rows = tuple(row[:j] + (v,) + row[j + 1 :] for row, v in zip(self.rows, values))
-        return Dataset(self.schema, rows)
+        if not isinstance(values, Column):
+            values = Column.from_cells(values, self.schema[j].kind)
+        return Dataset.from_columns(self.schema, self._columns[:j] + (values,) + self._columns[j + 1 :])
 
     def take(self, indices):
-        return Dataset(self.schema, tuple(self.rows[i] for i in indices))
+        """Rows at `indices`, in that order (repeats allowed)."""
+        if isinstance(indices, np.ndarray):
+            index = indices.astype(np.intp, copy=False)
+        else:
+            index = np.fromiter(indices, dtype=np.intp)
+        return self._select(index)
+
+    def _select(self, index):
+        return Dataset.from_columns(self.schema, [c.take(index) for c in self._columns])
 
 
 @dataclass(frozen=True)
@@ -152,11 +313,52 @@ def _parse_cell(token, kind):
     return token
 
 
+class _ColumnParser(dict):
+    """Raw token -> stored value of one column: each distinct token is parsed once.
+
+    Stored values are float64 (NaN for MISSING) for numeric columns, int8
+    labels and int32 vocabulary codes (-1 for MISSING) for the others.
+    """
+
+    _DTYPES = {NUMERIC: np.float64, TARGET: np.int8, CATEGORICAL: np.int32}
+
+    def __init__(self, kind):
+        super().__init__()
+        self.kind = kind
+        self.vocab = {}  # categorical cell -> code
+        self.parts = []
+
+    def __missing__(self, token):
+        cell = _parse_cell(token, self.kind)
+        if cell is MISSING:
+            value = math.nan if self.kind == NUMERIC else -1
+        elif self.kind == CATEGORICAL:
+            value = self.vocab.setdefault(cell, len(self.vocab))
+        else:
+            value = cell
+        self[token] = value
+        return value
+
+    def add(self, tokens):
+        dtype = self._DTYPES[self.kind]
+        self.parts.append(np.fromiter(map(self.__getitem__, tokens), dtype, len(tokens)))
+        if len(self) > _MEMO_TOKENS:
+            self.clear()
+
+    def column(self):
+        dtype = self._DTYPES[self.kind]
+        values = np.concatenate(self.parts) if self.parts else np.empty(0, dtype)
+        if self.kind == NUMERIC:
+            return Column(values)
+        return Column(values, LABELS if self.kind == TARGET else tuple(self.vocab))
+
+
 def load_csv(path, schema):
     """Read an RFC-4180-style CSV into a Dataset, parsing cells per column kind.
 
     The header must contain exactly the schema's column names (any order).
-    Unparseable or empty cells become MISSING.
+    Unparseable or empty cells become MISSING. Rows are read in blocks of
+    _CHUNK_ROWS and each block is parsed column by column.
     """
     schema = tuple(schema)
     validate_schema(schema)
@@ -172,38 +374,48 @@ def load_csv(path, schema):
         if wanted != got:
             raise HeaderMismatch(missing=wanted - got, extra=got - wanted)
         order = [header.index(c.name) for c in schema]
-        rows = []
-        for i, raw in enumerate(reader):
-            if len(raw) != len(header):
-                raise MalformedRow(i, f"expected {len(header)} cells, got {len(raw)}")
-            rows.append(tuple(_parse_cell(raw[j], c.kind) for j, c in zip(order, schema)))
-    return Dataset(schema, tuple(rows))
+        parsers = [_ColumnParser(c.kind) for c in schema]
+        start = 0
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            if set(map(len, chunk)) != {len(header)}:
+                i = next(k for k, raw in enumerate(chunk) if len(raw) != len(header))
+                raise MalformedRow(start + i, f"expected {len(header)} cells, got {len(chunk[i])}")
+            tokens = list(zip(*chunk))
+            for parser, j in zip(parsers, order):
+                parser.add(tokens[j])
+            start += len(chunk)
+    return Dataset.from_columns(schema, [p.column() for p in parsers])
 
 
 def drop_missing(d):
     """Keep exactly the rows with no MISSING cell; order preserved. Idempotent."""
-    kept = tuple(row for row in d.rows if not any(cell is MISSING for cell in row))
-    return Dataset(d.schema, kept)
+    missing = np.zeros(d.row_count, dtype=bool)
+    for c in d._columns:
+        missing |= c.missing()
+    return d._select(~missing) if missing.any() else d
 
 
 def cast_columns(d, schema):
-    """Re-cast cells of a dataset built in memory per schema kind; failures become MISSING."""
+    """Re-cast cells of a dataset built in memory per schema kind; failures become MISSING.
+
+    A column already stored as the kind's array (float64 for numeric, int8
+    labels for the target) is returned unchanged, since each of its cells
+    parses back to itself; any other column is parsed once per distinct cell.
+    """
     known = set(d.column_names)
     for col in schema:
         if col.name not in known:
             raise UnknownColumn(col.name)
-    new_rows = []
-    casters = {c.name: c.kind for c in schema}
-    for row in d.rows:
-        cells = []
-        for cell, col in zip(row, d.schema):
-            kind = casters.get(col.name)
-            if kind is None or cell is MISSING:
-                cells.append(cell)
-            else:
-                cells.append(_parse_cell(str(cell), kind))
-        new_rows.append(tuple(cells))
-    return Dataset(d.schema, tuple(new_rows))
+    columns = list(d._columns)
+    for name, kind in {c.name: c.kind for c in schema}.items():
+        j = d.column_index(name)
+        column = columns[j]
+        if (column.vocab is None and kind == NUMERIC) or (column.vocab is LABELS and kind == TARGET):
+            continue
+        codes, cells = column.coded()
+        parsed = [_parse_cell(str(v), kind) for v in cells[:-1]]
+        columns[j] = Column.from_codes(codes, parsed, d.schema[j].kind)
+    return Dataset.from_columns(d.schema, columns)
 
 
 def _round_half_up(x):
@@ -216,6 +428,23 @@ def _fisher_yates(n, rng):
         j = rng.randint(0, i)
         idx[i], idx[j] = idx[j], idx[i]
     return idx
+
+
+def target_labels(d):
+    """The target column as int8 labels 0/1.
+
+    Raises UncastTarget naming the first cell, in row order, that is not 0 or 1.
+    """
+    column = d.column_data(d.target_name)
+    if column.vocab is LABELS:
+        labels = column.values
+    else:
+        codes, cells = column.coded()
+        labels = np.array([int(v) if v in LABELS else -1 for v in cells], dtype=np.int8)[codes]
+    bad = np.flatnonzero(labels < 0)
+    if bad.size:
+        raise UncastTarget(f"target cell {column.cell(bad[0])!r} is not in {{0, 1}}")
+    return labels
 
 
 def train_test_split(d, spec):
@@ -233,14 +462,10 @@ def train_test_split(d, spec):
 
     if not spec.stratified:
         shuffled = _fisher_yates(n, rng)
-        test_idx = sorted(shuffled[:n_test])
+        test_idx = np.sort(np.array(shuffled[:n_test], dtype=np.intp))
     else:
-        labels = d.column(d.target_name)
-        if any(v not in (0, 1) for v in labels):
-            raise UncastTarget("stratified split requires a cast {0,1} target")
-        groups = {0: [], 1: []}
-        for i, v in enumerate(labels):
-            groups[v].append(i)
+        labels = target_labels(d)
+        groups = {lab: np.flatnonzero(labels == lab) for lab in (0, 1)}
         # largest-remainder apportionment of n_test across labels
         quotas = {lab: spec.test_fraction * len(groups[lab]) for lab in (0, 1)}
         base = {lab: int(math.floor(quotas[lab])) for lab in (0, 1)}
@@ -248,25 +473,20 @@ def train_test_split(d, spec):
         by_remainder = sorted((0, 1), key=lambda lab: (-(quotas[lab] - base[lab]), lab))
         for lab in by_remainder[:leftover]:
             base[lab] += 1
-        test_idx = []
+        picked = []
         for lab in (0, 1):
             members = groups[lab]
             perm = _fisher_yates(len(members), rng)
-            test_idx.extend(members[p] for p in perm[: base[lab]])
-        test_idx = sorted(test_idx)
+            picked.append(members[np.array(perm[: base[lab]], dtype=np.intp)])
+        test_idx = np.sort(np.concatenate(picked))
 
-    test_set = set(test_idx)
-    train_idx = [i for i in range(n) if i not in test_set]
-    return d.take(train_idx), d.take(test_idx)
+    in_test = np.zeros(n, dtype=bool)
+    in_test[test_idx] = True
+    return d._select(~in_test), d._select(test_idx)
 
 
 def class_counts(d):
     """Label counts {0: ..., 1: ...}; requires a cast target column."""
-    counts = {0: 0, 1: 0}
-    if d.row_count == 0:
-        return counts
-    for v in d.column(d.target_name):
-        if v not in (0, 1):
-            raise UncastTarget(f"target cell {v!r} is not in {{0, 1}}")
-        counts[v] += 1
-    return counts
+    labels = target_labels(d)
+    ones = int(np.count_nonzero(labels))
+    return {0: len(labels) - ones, 1: ones}

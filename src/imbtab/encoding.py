@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, MISSING, Dataset
+from .data import CATEGORICAL, Column, target_labels
 from .errors import (
     EmptyCategoryList,
     EmptyDataset,
@@ -100,10 +100,17 @@ def _require_categorical(d, column):
         raise NotCategorical(f"column {column!r} has kind {d.column_kind(column)!r}")
 
 
+def _tally(codes, size, weights=None):
+    """Per-entry counts (or sums of `weights`) of codes into `size` entries; code -1 is the last."""
+    return np.bincount(np.where(codes < 0, size - 1, codes), weights, minlength=size)
+
+
 def fit_categories(d, column):
     """Sorted distinct category vocabulary of a column (MISSING excluded)."""
     _require_categorical(d, column)
-    return sorted({v for v in d.column(column) if v is not MISSING})
+    codes, cells = d.column_data(column).coded()
+    seen = _tally(codes, len(cells))
+    return sorted({v for v, n in zip(cells[:-1], seen) if n})
 
 
 def one_hot_encode(d, column, categories, mode="lenient"):
@@ -117,65 +124,75 @@ def one_hot_encode(d, column, categories, mode="lenient"):
     if len(set(categories)) != len(categories):
         raise ValueError(f"duplicate categories for {column!r}")
     pos = {c: j for j, c in enumerate(categories)}
-    cells = d.column(column)
-    out = np.zeros((len(cells), len(categories)))
-    for i, v in enumerate(cells):
-        j = pos.get(v)
-        if j is None:
-            if mode == "strict":
-                raise UnseenCategory(f"{column!r}: {v!r} not in fitted vocabulary")
-            continue
-        out[i, j] = 1.0
+    codes, cells = d.column_data(column).coded()
+    where = np.array([pos.get(v, -1) for v in cells], dtype=np.intp)[codes]
+    if mode == "strict":
+        unseen = np.flatnonzero(where < 0)
+        if unseen.size:
+            v = cells[codes[unseen[0]]]
+            raise UnseenCategory(f"{column!r}: {v!r} not in fitted vocabulary")
+    out = np.zeros((len(codes), len(categories)))
+    rows = np.flatnonzero(where >= 0)
+    out[rows, where[rows]] = 1.0
     names = tuple(f"{column}={c}" for c in categories)
     return FeatureMatrix(names, out)
 
 
 def category_counts(d, column):
     _require_categorical(d, column)
-    return Counter(v for v in d.column(column) if v is not MISSING)
+    codes, cells = d.column_data(column).coded()
+    counts = Counter()
+    for v, n in zip(cells[:-1], _tally(codes, len(cells)).tolist()):
+        if n:
+            counts[v] += n
+    return counts
+
+
+def rare_category_mapping(d, column, min_count):
+    """{category: __OTHER__} for each category observed fewer than min_count times."""
+    counts = category_counts(d, column)
+    if OTHER_TOKEN in counts:
+        raise ReservedCategory(f"{OTHER_TOKEN!r} occurs as a raw category in {column!r}")
+    return {c: OTHER_TOKEN for c, n in counts.items() if n < min_count}
 
 
 def merge_rare_categories(d, column, min_count):
     """Replace categories observed fewer than min_count times by __OTHER__."""
-    counts = category_counts(d, column)
-    if OTHER_TOKEN in counts:
-        raise ReservedCategory(f"{OTHER_TOKEN!r} occurs as a raw category in {column!r}")
-    rare = {c for c, n in counts.items() if n < min_count}
-    values = [OTHER_TOKEN if v in rare else v for v in d.column(column)]
-    return d.replace_column(column, values)
+    return group_categories(d, column, rare_category_mapping(d, column, min_count))
 
 
 def group_categories(d, column, mapping, mode="lenient"):
     """Replace mapped categories by their group token; unmapped pass through (lenient)."""
     _require_categorical(d, column)
-    values = []
-    for v in d.column(column):
-        if v is MISSING or v not in mapping:
-            if v is not MISSING and mode == "strict":
-                raise UnmappedCategory(f"{column!r}: {v!r} has no group")
-            values.append(v)
-        else:
-            values.append(mapping[v])
-    return d.replace_column(column, values)
+    codes, cells = d.column_data(column).coded()
+    vocab = cells[:-1]
+    if mode == "strict":
+        unmapped = np.array([v not in mapping for v in vocab] + [False])[codes]
+        if unmapped.any():
+            v = cells[codes[np.argmax(unmapped)]]
+            raise UnmappedCategory(f"{column!r}: {v!r} has no group")
+    grouped = [mapping[v] if v in mapping else v for v in vocab]
+    return d.replace_column(column, Column.from_codes(codes, grouped, CATEGORICAL))
 
 
 def impact_encode_fit(d, column):
     """Fit per-category impact values against the {0,1} target.
 
     impact(category) = mean(y | category) - mean(y). Unseen categories fall
-    back to impact 0, i.e. the global mean.
+    back to impact 0, i.e. the global mean. Counts and label sums come from
+    one bincount each, exact for 0/1 labels.
     """
     _require_categorical(d, column)
     if d.row_count == 0:
         raise EmptyDataset(f"cannot fit impact encoding for {column!r} on an empty dataset")
-    y = np.asarray(d.column(d.target_name), dtype=np.float64)
-    cells = d.column(column)
+    y = target_labels(d).astype(np.float64)
+    codes, cells = d.column_data(column).coded()
     global_mean = float(y.mean())
-    sums = {}
-    counts = Counter()
-    for v, yi in zip(cells, y):
-        counts[v] += 1
-        sums[v] = sums.get(v, 0.0) + yi
+    counts, sums = {}, {}
+    for v, n, total in zip(cells, _tally(codes, len(cells)), _tally(codes, len(cells), y)):
+        if n:
+            counts[v] = counts.get(v, 0) + int(n)
+            sums[v] = sums.get(v, 0.0) + total
     per = OrderedDict()
     for cat in sorted(counts):
         cond = sums[cat] / counts[cat]
@@ -185,5 +202,6 @@ def impact_encode_fit(d, column):
 
 def impact_encode_apply(d, cmap):
     """Single numeric column of impact values (fallback for unseen categories)."""
-    values = np.array([cmap.impact(v) for v in d.column(cmap.column)], dtype=np.float64)
-    return FeatureMatrix((f"{cmap.column}~impact",), values.reshape(-1, 1))
+    codes, cells = d.column_data(cmap.column).coded()
+    table = np.array([cmap.impact(v) for v in cells], dtype=np.float64)
+    return FeatureMatrix((f"{cmap.column}~impact",), table[codes].reshape(-1, 1))

@@ -25,6 +25,7 @@ from .data import (
     SplitSpec,
     drop_missing,
     load_csv,
+    target_labels,
     train_test_split,
 )
 from .encoding import (
@@ -33,8 +34,8 @@ from .encoding import (
     group_categories,
     impact_encode_apply,
     impact_encode_fit,
-    merge_rare_categories,
     one_hot_encode,
+    rare_category_mapping,
 )
 from .errors import ParseError, PipelineError, ValidationError
 from .metrics import compute_metrics, confusion_matrix, format_report_table, reports_to_json
@@ -314,11 +315,8 @@ class FittedColumnEncoder:
         self.rare_mapping = {}
         train = self._prepare(train)
         if self.spec.min_count > 0:
-            merged = merge_rare_categories(train, self.spec.column, self.spec.min_count)
-            before = train.column(self.spec.column)
-            after = merged.column(self.spec.column)
-            self.rare_mapping = {b: a for b, a in zip(before, after) if b != a}
-            train = merged
+            self.rare_mapping = rare_category_mapping(train, self.spec.column, self.spec.min_count)
+            train = group_categories(train, self.spec.column, self.rare_mapping)
         if self.spec.method == "onehot":
             self.categories = tuple(fit_categories(train, self.spec.column))
         else:
@@ -342,8 +340,9 @@ class FittedColumnEncoder:
 
 
 def _numeric_matrix(d, name):
-    vals = np.asarray(d.column(name), dtype=np.float64).reshape(-1, 1)
-    return FeatureMatrix((name,), vals)
+    column = d.column_data(name)
+    vals = column.values if column.vocab is None else np.asarray(column.cells(), dtype=np.float64)
+    return FeatureMatrix((name,), vals.reshape(-1, 1))
 
 
 def build_features(d, schema, fitted_encoders):
@@ -400,8 +399,8 @@ def prepare(cfg):
         }
         X_train = build_features(train, cfg.schema, fitted)
         X_test = build_features(test, cfg.schema, fitted)
-        y_train = np.asarray(train.column(cfg.target), dtype=int)
-        y_test = np.asarray(test.column(cfg.target), dtype=int)
+        y_train = target_labels(train).astype(int)
+        y_test = target_labels(test).astype(int)
     return Prepared(X_train, y_train, X_test, y_test, fitted, raw.row_count, clean.row_count)
 
 

@@ -12,7 +12,7 @@ import csv
 
 import numpy as np
 
-from .data import CATEGORICAL, MISSING, NUMERIC, TARGET, ColumnSchema, Dataset
+from .data import CATEGORICAL, LABELS, NUMERIC, TARGET, Column, ColumnSchema, Dataset
 
 DEFAULT_SCHEMA = (
     ColumnSchema("city_development_index", NUMERIC),
@@ -81,49 +81,38 @@ def generate_dataset(rows, positive_rate=0.156, seed=0, missing_rate=0.0):
 
     city_dev = np.round(rng.beta(5, 2, size=rows), 3)
     experience = np.round(rng.gamma(2.2, 4.0, size=rows), 1)
-    columns = {"city_development_index": city_dev, "experience_years": experience}
+    columns = {
+        "city_development_index": Column(city_dev),
+        "experience_years": Column(experience),
+    }
 
     score = -3.5 * (city_dev - city_dev.mean()) - 0.06 * (experience - experience.mean())
-    cat_values = {}
     for name, (values, probs, effects) in _CATEGORIES.items():
         draw = rng.choice(len(values), size=rows, p=np.asarray(probs) / np.sum(probs))
-        cat_values[name] = [values[i] for i in draw]
+        columns[name] = Column(draw.astype(np.int32), tuple(values))
         score = score + np.asarray(effects)[draw]
     score = score + rng.normal(0.0, 0.35, size=rows)
 
     b = _calibrate_intercept(score, positive_rate)
     p = 1.0 / (1.0 + np.exp(-(score + b)))
-    labels = (rng.random(rows) < p).astype(int)
-
-    data_rows = []
-    for i in range(rows):
-        row = []
-        for col in DEFAULT_SCHEMA:
-            if col.kind == NUMERIC:
-                row.append(float(columns[col.name][i]))
-            elif col.kind == CATEGORICAL:
-                row.append(cat_values[col.name][i])
-            else:
-                row.append(int(labels[i]))
-        data_rows.append(tuple(row))
+    labels = rng.random(rows) < p
+    columns["target"] = Column(labels.astype(np.int8), LABELS)
 
     if missing_rate > 0.0:
         n_feat = len(DEFAULT_SCHEMA) - 1  # never blank the target
         blank = rng.random((rows, n_feat)) < missing_rate
-        data_rows = [
-            tuple(
-                MISSING if j < n_feat and blank[i, j] else cell
-                for j, cell in enumerate(row)
-            )
-            for i, row in enumerate(data_rows)
-        ]
+        for j, col in enumerate(DEFAULT_SCHEMA[:n_feat]):
+            column = columns[col.name]
+            values = column.values.copy()
+            values[blank[:, j]] = np.nan if column.vocab is None else -1
+            columns[col.name] = Column(values, column.vocab)
 
-    return Dataset(DEFAULT_SCHEMA, tuple(data_rows))
+    return Dataset.from_columns(DEFAULT_SCHEMA, [columns[c.name] for c in DEFAULT_SCHEMA])
 
 
 def write_csv(dataset, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.column_names)
-        for row in dataset.rows:
-            writer.writerow(["" if cell is MISSING else cell for cell in row])
+        cells = [dataset.column_data(name).cells(missing="") for name in dataset.column_names]
+        writer.writerows(zip(*cells))
