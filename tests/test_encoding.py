@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from imbtab import (
     CATEGORICAL,
+    MISSING,
     NUMERIC,
     TARGET,
     CategoryMap,
@@ -53,6 +54,13 @@ class TestOneHot:
     def test_strict_unseen_raises(self):
         with pytest.raises(UnseenCategory):
             one_hot_encode(ds(["c"]), "cat", ["a", "b"], mode="strict")
+
+    def test_strict_names_the_first_unseen_value_in_row_order(self):
+        d = ds(["d", "c", "a", "c"]).take([1, 0, 2])  # vocabulary order d, c, a; rows c, d, a
+        with pytest.raises(UnseenCategory, match="'c'"):
+            one_hot_encode(d, "cat", ["a"], mode="strict")
+        with pytest.raises(UnseenCategory, match="MISSING"):
+            one_hot_encode(ds([MISSING, "z"]), "cat", ["a"], mode="strict")
 
     def test_empty_category_list(self):
         with pytest.raises(EmptyCategoryList):
@@ -104,6 +112,16 @@ class TestGroupCategories:
     def test_strict_unmapped_raises(self):
         with pytest.raises(UnmappedCategory):
             group_categories(ds(["d3"]), "cat", {"d1": "north"}, mode="strict")
+
+    def test_strict_names_the_first_unmapped_value_in_row_order(self):
+        d = ds(["d", "c", MISSING, "a"]).take([2, 1, 0, 3])  # rows MISSING, c, d, a
+        with pytest.raises(UnmappedCategory, match="'c'"):
+            group_categories(d, "cat", {"a": "g"}, mode="strict")
+
+    def test_groups_merge_in_the_vocabulary(self):
+        out = group_categories(ds(["a", "b", MISSING, "c"]), "cat", {"a": "c", "b": "c"})
+        assert out.column("cat") == ["c", "c", MISSING, "c"]
+        assert out.column_data("cat").vocab == ("c",)
 
     def test_injective_identity_roundtrip(self):
         d = ds(["a", "b", "c"])

@@ -333,6 +333,22 @@ class TestRunExperiment:
 
 
 class TestPrepare:
+    def test_no_row_tuples_on_the_experiment_path(self, data_csv, monkeypatch):
+        from imbtab.data import Dataset
+
+        def refuse(*_):
+            raise AssertionError("cells rebuilt as Python values")
+
+        monkeypatch.setattr(Dataset, "rows", property(refuse))
+        monkeypatch.setattr(Dataset, "column", refuse)
+        doc = base_config(data_csv, encoders=[
+            {"column": "company_size", "method": "impact", "min_count": 50},
+            {"column": "gender", "mode": "strict", "min_count": 5},
+            {"column": "education_level", "grouping": {"phd": "postgrad", "masters": "postgrad"}},
+        ])
+        doc["split"] = {"test_fraction": 0.25, "seed": 3, "stratified": True}
+        assert run_experiment(parse_config(json.dumps(doc))).reports
+
     def test_encoded_splits_match_run_meta(self, data_csv):
         cfg = parse_config(json.dumps(base_config(data_csv)))
         data = prepare(cfg)
