@@ -146,7 +146,7 @@ class Column:
             return Column(table[codes], LABELS)
         remap, distinct = _encode(entries)
         if len(distinct) == len(entries) - 1:  # no repeats, no MISSING: codes stand
-            return Column(np.asarray(codes), distinct)
+            return Column(codes, distinct)
         return Column(remap[codes], distinct)
 
     @staticmethod
@@ -181,13 +181,6 @@ class Column:
             return out
         lookup = self.vocab + (missing,)
         return list(map(lookup.__getitem__, self.values.tolist()))
-
-    def cell(self, i):
-        if self.vocab is None:
-            v = float(self.values[i])
-            return MISSING if math.isnan(v) else v
-        code = int(self.values[i])
-        return self.vocab[code] if code >= 0 else MISSING
 
 
 class Dataset:
@@ -436,14 +429,14 @@ def target_labels(d):
     Raises UncastTarget naming the first cell, in row order, that is not 0 or 1.
     """
     column = d.column_data(d.target_name)
+    codes, cells = column.coded()
     if column.vocab is LABELS:
-        labels = column.values
+        labels = codes
     else:
-        codes, cells = column.coded()
         labels = np.array([int(v) if v in LABELS else -1 for v in cells], dtype=np.int8)[codes]
     bad = np.flatnonzero(labels < 0)
     if bad.size:
-        raise UncastTarget(f"target cell {column.cell(bad[0])!r} is not in {{0, 1}}")
+        raise UncastTarget(f"target cell {cells[codes[bad[0]]]!r} is not in {{0, 1}}")
     return labels
 
 
