@@ -266,11 +266,7 @@ class Dataset:
 
     def take(self, indices):
         """Rows at `indices`, in that order (repeats allowed)."""
-        if isinstance(indices, np.ndarray):
-            index = indices.astype(np.intp, copy=False)
-        else:
-            index = np.fromiter(indices, dtype=np.intp)
-        return self._select(index)
+        return self._select(np.fromiter(indices, dtype=np.intp))
 
     def _select(self, index):
         return Dataset.from_columns(self.schema, [c.take(index) for c in self._columns])
