@@ -40,7 +40,7 @@ from .metrics import (
     f1_from_precision_recall,
     format_report_table,
 )
-from .models import FittedModel, ModelConfig, classify, fit_model
+from .models import FittedModel, ModelConfig, classify, fit_model, fit_models
 from .pipeline import (
     ExperimentConfig,
     RunResult,

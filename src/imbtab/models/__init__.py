@@ -9,6 +9,7 @@ from .common import (
     model_from_json,
     model_to_json,
 )
+from .fanout import fit_models
 from .forest import ForestModel, fit_forest, forest_predict_proba
 from .logistic import (
     LinearModel,
@@ -34,6 +35,7 @@ __all__ = [
     "fit_gbt",
     "fit_logistic",
     "fit_model",
+    "fit_models",
     "fit_tree",
     "forest_predict_proba",
     "gbt_predict_proba",

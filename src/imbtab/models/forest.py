@@ -4,6 +4,9 @@ Each tree gets its own RNG stream spawned from the forest seed, a bootstrap
 resample (when enabled), and a fresh sqrt-sized feature subset at every split.
 The features are rank-coded once per forest; a bootstrap sample is an array
 of row indices into X, not a copy of the rows.
+
+`plan_forest` does the per-forest work and `grow_tree` grows one tree from
+it, so a caller can grow the trees of one plan in any order or process.
 """
 
 from __future__ import annotations
@@ -25,9 +28,18 @@ class ForestModel:
     seed: int
 
 
-def fit_forest(X, y, cfg):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+@dataclass
+class ForestPlan:
+    """What every tree of one forest shares: the rank codes, the subset size
+    and one spawned seed stream per tree."""
+
+    codes: np.ndarray
+    feature_subset_size: int
+    streams: list
+
+
+def plan_forest(X, y, cfg):
+    """The ForestPlan of fitting cfg's forest on float64 arrays X, y."""
     if len(y) == 0:
         raise EmptyInput("cannot fit a forest on zero rows")
     subset = cfg.feature_subset_size
@@ -35,15 +47,35 @@ def fit_forest(X, y, cfg):
         subset = max(1, math.ceil(math.sqrt(X.shape[1])))
     codes = rank_codes(X)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
-    trees = []
-    for ss in streams:
-        rng = np.random.default_rng(ss)
-        if cfg.bootstrap:
-            rows = rng.integers(len(y), size=len(y))
-        else:
-            rows = np.arange(len(y))
-        trees.append(grow_cart(X, codes, y, rows, 0, cfg, rng, subset))
-    return ForestModel(trees=trees, feature_subset_size=subset, bootstrap=cfg.bootstrap, seed=cfg.seed)
+    return ForestPlan(codes=codes, feature_subset_size=subset, streams=streams)
+
+
+def grow_tree(X, y, cfg, plan, i):
+    """Tree i of the forest: stream i draws the bootstrap rows, then every
+    split's feature subset."""
+    rng = np.random.default_rng(plan.streams[i])
+    if cfg.bootstrap:
+        rows = rng.integers(len(y), size=len(y))
+    else:
+        rows = np.arange(len(y))
+    return grow_cart(X, plan.codes, y, rows, 0, cfg, rng, plan.feature_subset_size)
+
+
+def forest_model(cfg, plan, trees):
+    """The ForestModel holding trees, which are in tree index order."""
+    return ForestModel(
+        trees=list(trees),
+        feature_subset_size=plan.feature_subset_size,
+        bootstrap=cfg.bootstrap,
+        seed=cfg.seed,
+    )
+
+
+def fit_forest(X, y, cfg):
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    plan = plan_forest(X, y, cfg)
+    return forest_model(cfg, plan, [grow_tree(X, y, cfg, plan, i) for i in range(cfg.n_trees)])
 
 
 def forest_predict_proba(model, X):

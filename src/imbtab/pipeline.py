@@ -39,7 +39,7 @@ from .encoding import (
 )
 from .errors import ParseError, PipelineError, ValidationError
 from .metrics import compute_metrics, confusion_matrix, format_report_table, reports_to_json
-from .models import FAMILIES, ModelConfig, classify, fit_model
+from .models import FAMILIES, ModelConfig, classify, fit_model, fit_models
 from .resampling import BALANCE, SMOTE_MODES, STRATEGIES, ResampleConfig, rebalance
 
 ENCODER_METHODS = ("onehot", "impact")
@@ -411,10 +411,12 @@ def run_experiment(cfg):
     with _stage("resample"):
         resampled = rebalance(data.X_train, data.y_train, cfg.resampler)
 
+    X_fit, y_fit = resampled.features.values, resampled.labels
     reports = []
-    for mcfg in cfg.models:
+    for mcfg, model in zip(cfg.models, fit_models(X_fit, y_fit, cfg.models)):
         with _stage(f"fit:{mcfg.name}"):
-            model = fit_model(resampled.features.values, resampled.labels, mcfg)
+            if model is None:  # its fit raised: raise the error again, in config order
+                model = fit_model(X_fit, y_fit, mcfg)
         with _stage(f"evaluate:{mcfg.name}"):
             probs = model.predict_proba(data.X_test.values)
             preds = classify(probs, mcfg.threshold)
