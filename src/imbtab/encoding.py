@@ -51,14 +51,6 @@ class FeatureMatrix:
     def n_cols(self):
         return self.values.shape[1]
 
-    @staticmethod
-    def hstack(parts):
-        names = tuple(n for p in parts for n in p.column_names)
-        if not parts:
-            return FeatureMatrix((), np.zeros((0, 0)))
-        vals = np.hstack([p.values for p in parts])
-        return FeatureMatrix(names, vals)
-
 
 @dataclass(frozen=True)
 class CategoryMap:
@@ -113,11 +105,14 @@ def fit_categories(d, column):
     return sorted({v for v, n in zip(cells[:-1], seen) if n})
 
 
-def one_hot_encode(d, column, categories, mode="lenient"):
-    """K indicator columns named ``column=category``.
+def one_hot_names(column, categories):
+    """Names of the indicator columns of one_hot_encode: ``column=category``."""
+    return tuple(f"{column}={c}" for c in categories)
 
-    Unseen values raise in strict mode; in lenient mode the row is all zeros.
-    """
+
+def one_hot_positions(d, column, categories, mode="lenient"):
+    """Per row, the index in categories of the row's value, or -1 for a value
+    the lenient mode lets through as all zeros; one_hot_encode's checks apply."""
     categories = list(categories)
     if not categories:
         raise EmptyCategoryList(column)
@@ -131,11 +126,25 @@ def one_hot_encode(d, column, categories, mode="lenient"):
         if unseen.size:
             v = cells[codes[unseen[0]]]
             raise UnseenCategory(f"{column!r}: {v!r} not in fitted vocabulary")
-    out = np.zeros((len(codes), len(categories)))
+    return where
+
+
+def one_hot_encode(d, column, categories, mode="lenient"):
+    """K indicator columns named ``column=category``.
+
+    Unseen values raise in strict mode; in lenient mode the row is all zeros.
+    """
+    categories = list(categories)
+    where = one_hot_positions(d, column, categories, mode)
+    out = np.zeros((len(where), len(categories)))
     rows = np.flatnonzero(where >= 0)
     out[rows, where[rows]] = 1.0
-    names = tuple(f"{column}={c}" for c in categories)
-    return FeatureMatrix(names, out)
+    return FeatureMatrix(one_hot_names(column, categories), out)
+
+
+def impact_name(column):
+    """Name of the column of impact_encode_apply."""
+    return f"{column}~impact"
 
 
 def category_counts(d, column):
@@ -204,4 +213,4 @@ def impact_encode_apply(d, cmap):
     """Single numeric column of impact values (fallback for unseen categories)."""
     codes, cells = d.column_data(cmap.column).coded()
     table = np.array([cmap.impact(v) for v in cells], dtype=np.float64)
-    return FeatureMatrix((f"{cmap.column}~impact",), table[codes].reshape(-1, 1))
+    return FeatureMatrix((impact_name(cmap.column),), table[codes].reshape(-1, 1))

@@ -111,7 +111,7 @@ def fit_gbt(X, y, cfg):
 
 
 def gbt_raw_score(model, X):
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)  # converted once, not per tree
     raw = np.full(len(X), model.base_score)
     for tree in model.trees:
         raw = raw + model.learning_rate * tree_predict(tree, X)

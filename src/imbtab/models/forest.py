@@ -79,5 +79,6 @@ def fit_forest(X, y, cfg):
 
 
 def forest_predict_proba(model, X):
+    X = np.ascontiguousarray(X, dtype=np.float64)  # converted once, not per tree
     preds = np.stack([tree_predict(t, X) for t in model.trees])
     return preds.mean(axis=0)

@@ -20,9 +20,10 @@ Fitting is exact greedy split finding (Algorithm 1 of Chen & Guestrin 2016):
 - A split sends a row left iff its value is <= the threshold, in fitting and
   in prediction alike.
 
-Prediction has one routine, `tree_predict`: it flattens a tree's preorder into
-arrays and moves all rows down one level at a time. Forests and boosted
-models call it once per tree.
+Prediction has one routine, `tree_predict`: it flattens a tree breadth-first
+into arrays, with a node's two children adjacent, and moves all rows down one
+level at a time for as many levels as the tree has. Forests and boosted models
+call it once per tree.
 """
 
 from __future__ import annotations
@@ -201,28 +202,48 @@ def fit_tree(X, y, cfg, rng=None, feature_subset_size=None):
 
 
 def _flatten(root):
-    """Preorder arrays (feature, threshold, left, right, score); left is -1 at a
-    leaf, and a node's left child is the next node in preorder."""
-    nodes = list(root.walk())
-    index = {id(node): i for i, node in enumerate(nodes)}
-    feature = np.array([node.feature for node in nodes], dtype=np.intp)
-    threshold = np.array([node.threshold for node in nodes], dtype=np.float64)
-    left = np.array([-1 if n.is_leaf else i + 1 for i, n in enumerate(nodes)], dtype=np.intp)
-    right = np.array([-1 if n.is_leaf else index[id(n.right)] for n in nodes], dtype=np.intp)
-    score = np.array([node.score for node in nodes], dtype=np.float64)
-    return feature, threshold, left, right, score
+    """Breadth-first arrays (feature, threshold, child, score) and the depth.
+
+    The children of an internal node i are adjacent: child[i] on the left and
+    child[i] + 1 on the right. A leaf points at a pair of copies of itself
+    appended after the tree, whose children are that same pair, so a row that
+    reaches a leaf keeps its score for the rest of the walk."""
+    nodes, depth, level = [root], 0, [root]
+    while True:
+        level = [c for n in level if not n.is_leaf for c in (n.left, n.right)]
+        if not level:
+            break
+        nodes.extend(level)
+        depth += 1
+    leaves = [i for i, n in enumerate(nodes) if n.is_leaf]
+    size = len(nodes) + 2 * len(leaves)
+    feature = np.zeros(size, dtype=np.intp)
+    threshold = np.zeros(size, dtype=np.float64)
+    child = np.empty(size, dtype=np.intp)
+    score = np.empty(size, dtype=np.float64)
+    first = 1  # the next free position for a pair of children
+    for i, node in enumerate(nodes):
+        score[i] = node.score
+        if not node.is_leaf:
+            feature[i], threshold[i], child[i] = node.feature, node.threshold, first
+            first += 2
+    sinks = np.arange(len(nodes), size, 2)
+    child[leaves] = sinks
+    child[sinks] = child[sinks + 1] = sinks
+    score[sinks] = score[sinks + 1] = score[leaves]
+    return feature, threshold, child, score, depth
 
 
 def tree_predict(node, X):
     """Leaf score of every row of X. A row goes left iff X[row, feature] <=
-    threshold, so a NaN value goes right."""
-    X = np.asarray(X, dtype=np.float64)
-    feature, threshold, left, right, score = _flatten(node)
+    threshold, so a NaN value goes right. Every row takes one step per level
+    of the tree, gathering its feature value from X's row-major buffer."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    feature, threshold, child, score, depth = _flatten(node)
+    cells = X.ravel()
+    row_start = np.arange(len(X)) * X.shape[1]
     at = np.zeros(len(X), dtype=np.intp)
-    live = np.flatnonzero(left[at] >= 0)  # rows still at an internal node
-    while len(live):
-        cur = at[live]
-        nxt = np.where(X[live, feature[cur]] <= threshold[cur], left[cur], right[cur])
-        at[live] = nxt
-        live = live[left[nxt] >= 0]
+    for _ in range(depth):
+        go_right = ~(cells[row_start + feature[at]] <= threshold[at])
+        at = child[at] + go_right
     return score[at]

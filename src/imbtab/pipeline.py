@@ -4,6 +4,13 @@ resample -> fit -> evaluate -> report. The CLI `resample` command shares `prepar
 Encoders and the resampler only ever see training rows; the test split is
 encoded with the fitted artifacts and otherwise untouched. All randomness is
 seeded through the config, so a config fully determines the report.
+
+The models are fitted together by `fit_models`, which spreads them (and each
+forest's trees) over the CPUs the process may use; the reports do not depend
+on how many that is. Evaluation then walks the models in config order in this
+process. A model whose fit failed is fitted again here under its `fit:<name>`
+stage, so errors surface in the order and with the stage of a serial loop:
+`fit:A`, `evaluate:A`, `fit:B`, ...
 """
 
 from __future__ import annotations
@@ -34,7 +41,9 @@ from .encoding import (
     group_categories,
     impact_encode_apply,
     impact_encode_fit,
-    one_hot_encode,
+    impact_name,
+    one_hot_names,
+    one_hot_positions,
     rare_category_mapping,
 )
 from .errors import ParseError, PipelineError, ValidationError
@@ -323,11 +332,23 @@ class FittedColumnEncoder:
             self.category_map = impact_encode_fit(train, self.spec.column)
         return self
 
-    def transform(self, d):
+    @property
+    def column_names(self):
+        """Names of the feature columns that `write` fills."""
+        if self.spec.method == "onehot":
+            return one_hot_names(self.spec.column, self.categories)
+        return (impact_name(self.spec.column),)
+
+    def write(self, d, out, start):
+        """Encode d's column into out[:, start : start + len(column_names)];
+        out is a zeroed row-major matrix with one row per row of d."""
         d = self._prepare(d)
         if self.spec.method == "onehot":
-            return one_hot_encode(d, self.spec.column, self.categories, self.spec.mode)
-        return impact_encode_apply(d, self.category_map)
+            where = one_hot_positions(d, self.spec.column, self.categories, self.spec.mode)
+            rows = np.flatnonzero(where >= 0)
+            out.reshape(-1)[rows * out.shape[1] + start + where[rows]] = 1.0
+        else:
+            out[:, start] = impact_encode_apply(d, self.category_map).values[:, 0]
 
     def fingerprint(self):
         """Stable digest of every fitted parameter (leakage audits)."""
@@ -346,16 +367,22 @@ def _numeric_matrix(d, name):
 
 
 def build_features(d, schema, fitted_encoders):
-    """Schema-ordered feature matrix: numeric passthrough + encoded categoricals."""
-    parts = []
-    for col in schema:
-        if col.kind == TARGET:
-            continue
+    """Schema-ordered feature matrix: numeric passthrough + encoded categoricals,
+    each written into its own block of one preallocated matrix."""
+    columns = [col for col in schema if col.kind != TARGET]
+    names = [
+        (col.name,) if col.kind == NUMERIC else fitted_encoders[col.name].column_names
+        for col in columns
+    ]
+    out = np.zeros((d.row_count, sum(map(len, names))))
+    start = 0
+    for col, block_names in zip(columns, names):
         if col.kind == NUMERIC:
-            parts.append(_numeric_matrix(d, col.name))
+            out[:, start] = _numeric_matrix(d, col.name).values[:, 0]
         else:
-            parts.append(fitted_encoders[col.name].transform(d))
-    return FeatureMatrix.hstack(parts)
+            fitted_encoders[col.name].write(d, out, start)
+        start += len(block_names)
+    return FeatureMatrix(tuple(n for block_names in names for n in block_names), out)
 
 
 @contextlib.contextmanager

@@ -1,7 +1,11 @@
 import hashlib
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
+from test_tree_engine import GOLDEN, _tied_data
 
 from imbtab.errors import (
     DimensionMismatch,
@@ -17,6 +21,7 @@ from imbtab.models import (
     fit_gbt,
     fit_logistic,
     fit_model,
+    fit_models,
     fit_tree,
     forest_predict_proba,
     linear_predict_proba,
@@ -27,6 +32,24 @@ from imbtab.models import (
     sigmoid,
     tree_predict,
 )
+from imbtab.models import fanout
+
+
+LR_GOLDEN = [
+    (dict(), 6, 500, "becd995090c12a1a5b14cebfa95ab4541de39e17a66ce8c55d4cf8a623b1d842"),
+    (
+        dict(iterations=50),
+        6,
+        50,
+        "beafc8d10243ab9850a15b4bade1d3e3899a582f50f98a1b7f20dc98ca11a27b",
+    ),
+    (
+        dict(iterations=5000, tolerance=1e-3, learning_rate=0.5),
+        1,
+        81,
+        "a6910a258eecfb553e9afa33034bdde83afd063f2161dbdcdd596873937b9a26",
+    ),
+]
 
 
 def lr_cfg(**kw):
@@ -95,24 +118,7 @@ class TestLogistic:
         y = (X[:, 0] + 0.2 * X[:, 1] + rng.normal(size=800) > 0.8).astype(int)
         return X, y
 
-    @pytest.mark.parametrize(
-        "overrides, columns, iterations, digest",
-        [
-            (dict(), 6, 500, "becd995090c12a1a5b14cebfa95ab4541de39e17a66ce8c55d4cf8a623b1d842"),
-            (
-                dict(iterations=50),
-                6,
-                50,
-                "beafc8d10243ab9850a15b4bade1d3e3899a582f50f98a1b7f20dc98ca11a27b",
-            ),
-            (
-                dict(iterations=5000, tolerance=1e-3, learning_rate=0.5),
-                1,
-                81,
-                "a6910a258eecfb553e9afa33034bdde83afd063f2161dbdcdd596873937b9a26",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("overrides, columns, iterations, digest", LR_GOLDEN)
     def test_golden_model_digest(self, overrides, columns, iterations, digest):
         X, y = self._scaled_data()
         fitted = fit_model(X[:, :columns], y, lr_cfg(**overrides))
@@ -324,3 +330,87 @@ class TestContract:
         m = fit_model(X, y, ModelConfig.for_family(family, **overrides))
         back = model_from_json(model_to_json(m))
         assert np.array_equal(back.predict_proba(X), m.predict_proba(X))
+
+
+class TestFitModels:
+    """fit_models gives what fit_model gives, whether it forks or not."""
+
+    @staticmethod
+    def _digests(fitted):
+        return [hashlib.sha256(model_to_json(f).encode()).hexdigest() for f in fitted]
+
+    def test_tree_goldens(self, fit_cpus):
+        X, y = _tied_data()
+        names = sorted(GOLDEN)
+        fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN[n][0]) for n in names])
+        assert self._digests(fitted) == [GOLDEN[n][1] for n in names]
+
+    def test_lr_goldens(self, fit_cpus):
+        X, y = TestLogistic._scaled_data()
+        cases = [c for c in LR_GOLDEN if c[1] == X.shape[1]]
+        fitted = fit_models(X, y, [lr_cfg(**overrides) for overrides, *_ in cases])
+        assert self._digests(fitted) == [digest for *_, digest in cases]
+
+    def test_killed_child_is_replaced_by_the_parent(self, child_first, monkeypatch):
+        monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
+        started = child_first(on_child=lambda cfg: os.kill(os.getpid(), signal.SIGKILL))
+        X, y = _tied_data()
+        names = sorted(GOLDEN)
+        fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN[n][0]) for n in names])
+        assert started.exists()
+        assert self._digests(fitted) == [GOLDEN[n][1] for n in names]
+
+    def test_failed_fits_are_none_wherever_they_failed(self, fit_cpus):
+        # the forest fails in rank_codes before any fork, DT and XGB in their units
+        X, y = _tied_data()
+        X[3, 2] = np.nan
+        cfgs = [ModelConfig.for_family(f) for f in ("dt", "rf", "xgb")]
+        assert fit_models(X, y, cfgs) == [None, None, None]
+        for cfg in cfgs:
+            with pytest.raises(NonFiniteFeature):
+                fit_model(X, y, cfg)
+
+    @pytest.mark.parametrize("case", ["one unit", "one cpu", "no affinity", "threads"])
+    def test_in_process_cases_never_fork(self, case, monkeypatch):
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(fanout.os, "fork", refuse)
+        if case == "no affinity":
+            monkeypatch.delattr(fanout.os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(fanout, "allowed_cpus", lambda: 1 if case == "one cpu" else 2)
+        X, y = _tied_data()
+        cfgs = [ModelConfig.for_family("dt"), ModelConfig.for_family("xgb", rounds=2)]
+        if case == "one unit":
+            cfgs = cfgs[:1]
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        if case == "threads":
+            waiter.start()
+        try:
+            fitted = fit_models(X, y, cfgs)
+        finally:
+            release.set()
+            if case == "threads":
+                waiter.join(timeout=10)
+        assert self._digests(fitted) == self._digests([fit_model(X, y, c) for c in cfgs])
+
+    def test_refused_fork_fits_in_process(self, monkeypatch):
+        def refuse():
+            raise BlockingIOError("no more processes")
+
+        monkeypatch.setattr(fanout.os, "fork", refuse)
+        monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
+        X, y = _tied_data()
+        fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN["rf-bootstrap"][0])])
+        assert self._digests(fitted) == [GOLDEN["rf-bootstrap"][1]]
+
+    def test_more_units_than_queue_slots(self, monkeypatch):
+        # a 16-byte pipe holds two queue items, so each item carries several units
+        monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
+        monkeypatch.setattr(fanout.fcntl, "fcntl", lambda fd, op: 16)
+        X, y = _tied_data()
+        names = sorted(GOLDEN)
+        fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN[n][0]) for n in names])
+        assert self._digests(fitted) == [GOLDEN[n][1] for n in names]

@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
-from imbtab import parse_config, run_experiment, emit_report
+from imbtab import parse_config, pipeline, run_experiment, emit_report
 from imbtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from imbtab.errors import ParseError, PipelineError, ValidationError
+from imbtab.models import fanout, forest
 from imbtab.pipeline import _stage, prepare
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
 
@@ -332,6 +334,59 @@ class TestRunExperiment:
         assert meta_a["encoder_fingerprints"] == meta_b["encoder_fingerprints"]
 
 
+MIXED_MODELS = [
+    {"family": "lr", "name": "LR", "iterations": 50},
+    {"family": "dt", "name": "DT"},
+    {"family": "rf", "name": "RF", "n_trees": 6, "seed": 2},
+    {"family": "xgb", "name": "XGB", "rounds": 5},
+]
+# report.json of MIXED_MODELS on data_csv, as written by the serial per-model loop
+MIXED_REPORT_SHA256 = "599e1dc1a7528b0119da6747ac4bbbc69e57087ad10787d93efbb681bcc00cc3"
+
+
+class TestFitFanOut:
+    def test_outputs_do_not_depend_on_the_cpu_count(self, data_csv, tmp_path, monkeypatch):
+        cfg = parse_config(json.dumps(base_config(data_csv, models=MIXED_MODELS)))
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(fanout, "allowed_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            emit_report(run_experiment(cfg), ["json"], out)
+            meta = json.loads((out / "run_meta.json").read_text())
+            del meta["started"], meta["finished"]
+            outputs.append(((out / "report.json").read_bytes(), meta))
+        assert outputs[0] == outputs[1]
+        assert hashlib.sha256(outputs[0][0]).hexdigest() == MIXED_REPORT_SHA256
+
+    @pytest.mark.parametrize("failing", ["fit:B", "evaluate:A"])
+    def test_errors_keep_the_serial_order(self, data_csv, monkeypatch, child_first, failing):
+        # B's trees raise wherever they grow, and the parent waits until a
+        # child has grown one; evaluate:A, when it fails, still comes first
+        def no_tree(*args):
+            raise ValueError("no tree")
+
+        def no_labels(*args):
+            raise ValueError("no labels")
+
+        models = [{"family": "lr", "name": "A", "iterations": 50}, {"family": "rf", "name": "B"}]
+        cfg = parse_config(json.dumps(base_config(data_csv, models=models)))
+        monkeypatch.setattr(forest, "grow_tree", no_tree)
+        monkeypatch.setattr(fanout, "grow_tree", no_tree)
+        if failing == "evaluate:A":
+            monkeypatch.setattr(pipeline, "classify", no_labels)
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(fanout, "allowed_cpus", lambda: cpus)
+            if cpus == 2:
+                started = child_first("B")
+            with pytest.raises(PipelineError) as exc:
+                run_experiment(cfg)
+            errors.append((exc.value.stage, str(exc.value)))
+        assert started.exists()
+        cause = "no tree" if failing == "fit:B" else "no labels"
+        assert errors == [(failing, f"stage '{failing}': {cause}")] * 2
+
+
 class TestPrepare:
     def test_no_row_tuples_on_the_experiment_path(self, data_csv, monkeypatch):
         from imbtab.data import Dataset
@@ -366,6 +421,15 @@ class TestPrepare:
         assert meta["class_counts_test"]["0"] == int((data.y_test == 0).sum())
         fingerprints = {c: enc.fingerprint() for c, enc in data.encoders.items()}
         assert meta["encoder_fingerprints"] == fingerprints
+
+    def test_no_feature_columns_keep_one_row_per_row(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("target\n" + "0\n1\n" * 10)
+        doc = {"dataset": str(path), "schema": [{"name": "target", "kind": "binary-target"}]}
+        doc.update(target="target", models=[{"family": "lr", "iterations": 5}])
+        data = prepare(parse_config(json.dumps(doc)))
+        assert data.X_train.values.shape == (len(data.y_train), 0)
+        assert data.X_test.values.shape == (len(data.y_test), 0)
 
     def test_stage_wraps_other_errors_once(self):
         with pytest.raises(PipelineError) as exc:
