@@ -2,6 +2,7 @@ import hashlib
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -359,6 +360,28 @@ class TestFitModels:
         fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN[n][0]) for n in names])
         assert started.exists()
         assert self._digests(fitted) == [GOLDEN[n][1] for n in names]
+
+    def test_interrupt_kills_and_reaps_a_busy_child(self, child_first, monkeypatch):
+        # the child sleeps in its unit; the parent is interrupted in its own
+        def interrupt(cfg):
+            time.sleep(60)
+
+        monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
+        started = child_first(on_child=interrupt)
+        real_grow = fanout.grow_tree
+
+        def grow(X, y, cfg, plan, i):
+            tree = real_grow(X, y, cfg, plan, i)
+            if started.exists():
+                raise KeyboardInterrupt
+            return tree
+
+        monkeypatch.setattr(fanout, "grow_tree", grow)
+        X, y = _tied_data()
+        begun = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            fit_models(X, y, [ModelConfig.for_family("rf", n_trees=8)])
+        assert time.monotonic() - begun < 30
 
     def test_failed_fits_are_none_wherever_they_failed(self, fit_cpus):
         # the forest fails in rank_codes before any fork, DT and XGB in their units
