@@ -6,15 +6,17 @@ order, and forest trees last: the trees are many and small, so they fill the
 gaps. A forest's rank codes and seed streams are computed once, before any
 unit runs.
 
-The calling process is one worker. It forks one child per further CPU in its
-affinity mask, capped by the number of units. All workers pull unit ranges
-from one pipe, written in full and closed before the fork, so a worker that
-finishes early takes the next unit. A child keeps its results until the pipe
-is empty, pickles them back through a pipe of its own and ends with
-`os._exit`. The units of a child that died, or that returned nothing, are
-run by the parent. The fit runs in-process when there is one unit, when one
-CPU is allowed, when another thread is running (forking a threaded process
-is unsafe), or where `os.sched_getaffinity` does not exist.
+The calling process forks one child per CPU in its affinity mask, capped by
+the number of units, and fits nothing while they run: which units a worker
+gets depends on timing, so a calling process that fitted some of them would
+end with a peak memory that changed from one run to the next. The children
+pull unit ranges from one pipe, written in full and closed before the fork,
+so a child that finishes early takes the next unit. A child keeps its
+results until the pipe is empty, pickles them back through a pipe of its own
+and ends with `os._exit`. The units of a child that died, or that returned
+nothing, are run by the parent. The fit runs in-process when there is one
+unit, when one CPU is allowed, when another thread is running (forking a
+threaded process is unsafe), or where `os.sched_getaffinity` does not exist.
 
 Every unit runs the same code on the same arrays as `fit_model`, so the
 models are bit-identical whatever the number of workers. The children's
@@ -113,7 +115,8 @@ def _pulled(fd):
 
 
 def _fan_out(n_units, workers, run):
-    """_work over all units, by this process and up to workers - 1 forked children."""
+    """_work over all units by up to `workers` forked children; this process
+    runs only the units that no child returned."""
     try:
         queue_r, queue_w = os.pipe()
     except OSError:
@@ -127,10 +130,10 @@ def _fan_out(n_units, workers, run):
         os.write(queue_w, b"".join(items))
         os.close(queue_w)
         queue_w = None
-        for _ in range(workers - 1):
+        for _ in range(workers):
             if not _fork_child(queue_r, run, children):
                 break
-        results, failed = _work(_pulled(queue_r), run)
+        results, failed = {}, set()
         for pid, fh in list(children.items()):
             payload = fh.read()
             fh.close()

@@ -1,5 +1,4 @@
 import os
-import time
 
 import pytest
 
@@ -16,31 +15,26 @@ def no_leaked_children():
 
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
 def fit_cpus(request, monkeypatch):
-    """The number of CPUs the fit fan-out sees: 1 fits in-process, 2 forks a child."""
+    """The number of CPUs the fit fan-out sees: 1 fits in-process, 2 forks two children."""
     monkeypatch.setattr(fanout, "allowed_cpus", lambda: request.param)
     return request.param
 
 
 @pytest.fixture
-def child_first(monkeypatch, tmp_path):
-    """child_first(name, on_child): the fan-out's parent waits at each unit
-    until a forked child has started a unit of the model called name (of any
-    model when name is None). In the child, on_child(cfg) runs first.
-    Returns the marker path, which exists once a child has started such a unit."""
+def on_child_unit(monkeypatch, tmp_path):
+    """on_child_unit(name, on_child): in a forked child, each unit of the model
+    called name (of any model when name is None) first touches a marker file
+    and then runs on_child(cfg). Returns the marker path, which exists once a
+    child has started such a unit."""
     parent = os.getpid()
     marker = tmp_path / "child-started"
 
     def install(name=None, on_child=lambda cfg: None):
         def wrap(unit):
             def wrapped(X, y, cfg, *rest):
-                if os.getpid() != parent:
-                    if name in (None, cfg.name):
-                        marker.touch()
+                if os.getpid() != parent and name in (None, cfg.name):
+                    marker.touch()
                     on_child(cfg)
-                else:
-                    deadline = time.monotonic() + 30.0
-                    while not marker.exists() and time.monotonic() < deadline:
-                        time.sleep(0.005)
                 return unit(X, y, cfg, *rest)
 
             return wrapped

@@ -352,35 +352,58 @@ class TestFitModels:
         fitted = fit_models(X, y, [lr_cfg(**overrides) for overrides, *_ in cases])
         assert self._digests(fitted) == [digest for *_, digest in cases]
 
-    def test_killed_child_is_replaced_by_the_parent(self, child_first, monkeypatch):
+    def test_killed_child_is_replaced_by_the_parent(self, on_child_unit, monkeypatch):
         monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
-        started = child_first(on_child=lambda cfg: os.kill(os.getpid(), signal.SIGKILL))
+        started = on_child_unit(on_child=lambda cfg: os.kill(os.getpid(), signal.SIGKILL))
         X, y = _tied_data()
         names = sorted(GOLDEN)
         fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN[n][0]) for n in names])
         assert started.exists()
         assert self._digests(fitted) == [GOLDEN[n][1] for n in names]
 
-    def test_interrupt_kills_and_reaps_a_busy_child(self, child_first, monkeypatch):
-        # the child sleeps in its unit; the parent is interrupted in its own
+    def test_the_parent_fits_no_unit_its_children_return(self, monkeypatch):
+        # which units a worker gets depends on timing; the parent takes none,
+        # so its peak memory does not change from one run to the next
+        parent, in_parent = os.getpid(), []
+
+        def wrap(unit):
+            def wrapped(*args):
+                if os.getpid() == parent:
+                    in_parent.append(args[2].family)
+                return unit(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
+        monkeypatch.setattr(fanout, "fit_model", wrap(fanout.fit_model))
+        monkeypatch.setattr(fanout, "grow_tree", wrap(fanout.grow_tree))
+        X, y = _tied_data()
+        names = sorted(GOLDEN)
+        fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN[n][0]) for n in names])
+        assert in_parent == []
+        assert self._digests(fitted) == [GOLDEN[n][1] for n in names]
+
+    def test_interrupt_kills_and_reaps_a_busy_child(self, on_child_unit, monkeypatch, tmp_path):
+        # the children sleep in their units; the first to start one interrupts
+        # the parent, which is waiting for their results
+        interrupted = tmp_path / "interrupted"
+
         def interrupt(cfg):
+            try:
+                interrupted.touch(exist_ok=False)
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getppid(), signal.SIGINT)
             time.sleep(60)
 
         monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
-        started = child_first(on_child=interrupt)
-        real_grow = fanout.grow_tree
-
-        def grow(X, y, cfg, plan, i):
-            tree = real_grow(X, y, cfg, plan, i)
-            if started.exists():
-                raise KeyboardInterrupt
-            return tree
-
-        monkeypatch.setattr(fanout, "grow_tree", grow)
+        on_child_unit(on_child=interrupt)
         X, y = _tied_data()
         begun = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             fit_models(X, y, [ModelConfig.for_family("rf", n_trees=8)])
+        assert interrupted.exists()
         assert time.monotonic() - begun < 30
 
     def test_failed_fits_are_none_wherever_they_failed(self, fit_cpus):

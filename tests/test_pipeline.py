@@ -359,9 +359,9 @@ class TestFitFanOut:
         assert hashlib.sha256(outputs[0][0]).hexdigest() == MIXED_REPORT_SHA256
 
     @pytest.mark.parametrize("failing", ["fit:B", "evaluate:A"])
-    def test_errors_keep_the_serial_order(self, data_csv, monkeypatch, child_first, failing):
-        # B's trees raise wherever they grow, and the parent waits until a
-        # child has grown one; evaluate:A, when it fails, still comes first
+    def test_errors_keep_the_serial_order(self, data_csv, monkeypatch, on_child_unit, failing):
+        # B's trees raise wherever they grow, and a child tries at least one;
+        # evaluate:A, when it fails, still comes first
         def no_tree(*args):
             raise ValueError("no tree")
 
@@ -378,7 +378,7 @@ class TestFitFanOut:
         for cpus in (1, 2):
             monkeypatch.setattr(fanout, "allowed_cpus", lambda: cpus)
             if cpus == 2:
-                started = child_first("B")
+                started = on_child_unit("B")
             with pytest.raises(PipelineError) as exc:
                 run_experiment(cfg)
             errors.append((exc.value.stage, str(exc.value)))
