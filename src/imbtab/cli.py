@@ -48,7 +48,7 @@ def _cmd_run(args):
     cfg = _load_config(args.config)
     if args.out:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
-    if args.format:
+    if args.format is not None:
         cfg = dataclasses.replace(cfg, formats=tuple(args.format.split(",")))
     result = run_experiment(cfg)
     written = emit_report(result, cfg.formats, cfg.output_dir)

@@ -26,6 +26,11 @@ from .errors import (
     MalformedRow,
     UncastTarget,
     UnknownColumn,
+    ValidationError,
+    check_choice,
+    check_flag,
+    check_integer,
+    check_number,
 )
 
 NUMERIC = "numeric"
@@ -73,20 +78,19 @@ class ColumnSchema:
     kind: str
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("column name must be non-empty")
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown column kind {self.kind!r}, expected one of {_KINDS}")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError("name", "must be a non-empty string")
+        check_choice(self.kind, "kind", _KINDS)
 
 
 def validate_schema(schema):
     """Check uniqueness and that exactly one column is the binary target."""
     names = [c.name for c in schema]
     if len(set(names)) != len(names):
-        raise ValueError(f"duplicate column names in schema: {names}")
+        raise ValidationError("schema", f"duplicate column names: {names}")
     targets = [c.name for c in schema if c.kind == TARGET]
     if len(targets) != 1:
-        raise ValueError(f"schema must have exactly one {TARGET} column, got {targets}")
+        raise ValidationError("schema", f"exactly one {TARGET} column required, got {targets}")
 
 
 def _key(cell):
@@ -274,13 +278,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    test_fraction: float
+    test_fraction: float = 0.2
     seed: int = 0
     stratified: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.test_fraction <= 1.0:
-            raise ValueError(f"test_fraction must be in [0,1], got {self.test_fraction}")
+        check_number(self.test_fraction, "test_fraction", 0, 1)
+        check_integer(self.seed, "seed")
+        check_flag(self.stratified, "stratified")
 
 
 def _parse_cell(token, kind):
@@ -447,7 +452,7 @@ def train_test_split(d, spec):
     if n == 0:
         raise EmptyDataset("cannot split an empty dataset")
     n_test = _round_half_up(spec.test_fraction * n)
-    rng = random.Random(spec.seed)
+    rng = random.Random(int(spec.seed))  # a numpy integer is not a valid seed
 
     if not spec.stratified:
         shuffled = _fisher_yates(n, rng)

@@ -8,7 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from ..errors import (
+    DimensionMismatch,
+    ValidationError,
+    check_choice,
+    check_flag,
+    check_integer,
+    check_number,
+)
 from .boosting import BoostedModel, fit_gbt, gbt_predict_proba
 from .forest import ForestModel, fit_forest, forest_predict_proba
 from .logistic import LinearModel, fit_logistic, linear_predict_proba
@@ -25,6 +32,19 @@ _DEFAULTS = {
     "rf": dict(n_trees=100, max_depth=8, min_samples_leaf=5, bootstrap=True),
     "xgb": dict(rounds=100, learning_rate=0.1, max_depth=4, l2=1.0, min_samples_leaf=1),
 }
+
+# integer ModelConfig fields -> smallest allowed value; max_depth and
+# feature_subset_size may also be None (unlimited depth, sqrt feature subsets)
+_INTEGERS = {
+    "iterations": 0,
+    "rounds": 0,
+    "max_depth": 0,
+    "min_samples_leaf": 1,
+    "n_trees": 1,
+    "feature_subset_size": 1,
+    "seed": 0,  # numpy's seed sequences take only non-negative seeds
+}
+_NULLABLE = ("max_depth", "feature_subset_size")
 
 
 @dataclass
@@ -45,26 +65,24 @@ class ModelConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        check_choice(self.family, "family", FAMILIES)
+        if not isinstance(self.name, str):
+            raise ValidationError("name", "must be a string")
         if not self.name:
             self.name = self.family.upper()
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must be in (0,1)")
-        for attr in ("n_trees", "min_samples_leaf"):
-            if getattr(self, attr) < 1:
-                raise ValueError(f"{attr} must be >= 1")
-        for attr in ("iterations", "rounds"):
-            if getattr(self, attr) < 0:
-                raise ValueError(f"{attr} must be >= 0")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        for attr, minimum in _INTEGERS.items():
+            value = getattr(self, attr)
+            if value is not None or attr not in _NULLABLE:
+                check_integer(value, attr, minimum, " or null" if attr in _NULLABLE else "")
+        for attr in ("learning_rate", "l2", "tolerance"):
+            check_number(getattr(self, attr), attr, minimum=0)
+        check_number(self.threshold, "threshold", 0, 1, exclusive=True)
+        check_flag(self.bootstrap, "bootstrap")
 
     @staticmethod
     def for_family(family, **overrides):
-        params = dict(_DEFAULTS[family])
+        # an unknown family gets no defaults; __post_init__ rejects it
+        params = dict(_DEFAULTS[family]) if family in FAMILIES else {}
         params.update(overrides)
         return ModelConfig(family=family, **params)
 

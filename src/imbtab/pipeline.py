@@ -1,6 +1,12 @@
 """Experiment runner: JSON config -> `prepare` (load, clean, split, encode) ->
 resample -> fit -> evaluate -> report. The CLI `resample` command shares `prepare`.
 
+Each config dataclass (`ColumnSchema`, `SplitSpec`, `EncoderSpec`,
+`ResampleConfig`, `ModelConfig`, `ExperimentConfig`) checks its own fields
+and raises ValidationError naming the bare field. `parse_config` checks only
+the JSON's shape and the rules that span fields, and puts the object's path
+in front of a constructor's error (`k` becomes `resampler.k`).
+
 Encoders and the resampler only ever see training rows; the test split is
 encoded with the fitted artifacts and otherwise untouched. All randomness is
 seeded through the config, so a config fully determines the report.
@@ -20,7 +26,7 @@ import datetime
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from .data import (
     load_csv,
     target_labels,
     train_test_split,
+    validate_schema,
 )
 from .encoding import (
     FeatureMatrix,
@@ -46,10 +53,10 @@ from .encoding import (
     one_hot_positions,
     rare_category_mapping,
 )
-from .errors import ParseError, PipelineError, ValidationError
+from .errors import ParseError, PipelineError, ValidationError, check_choice, check_integer
 from .metrics import compute_metrics, confusion_matrix, format_report_table, reports_to_json
-from .models import FAMILIES, ModelConfig, classify, fit_model, fit_models
-from .resampling import BALANCE, SMOTE_MODES, STRATEGIES, ResampleConfig, rebalance
+from .models import ModelConfig, classify, fit_model, fit_models
+from .resampling import ResampleConfig, rebalance
 
 ENCODER_METHODS = ("onehot", "impact")
 ENCODER_MODES = ("lenient", "strict")
@@ -58,24 +65,6 @@ REPORT_FORMATS = ("json", "txt")
 _CONFIG_KEYS = frozenset(
     ("dataset", "schema", "target", "split", "encoders", "resampler", "models", "output", "formats")
 )
-_SPLIT_KEYS = frozenset(f.name for f in fields(SplitSpec))
-_RESAMPLER_KEYS = frozenset(f.name for f in fields(ResampleConfig))
-_SCHEMA_KEYS = frozenset(f.name for f in fields(ColumnSchema))
-_MODEL_KEYS = frozenset(f.name for f in fields(ModelConfig))
-# integer ModelConfig fields -> smallest allowed value; max_depth and
-# feature_subset_size may also be null (unlimited depth, sqrt feature subsets)
-_MODEL_INTEGERS = {
-    "iterations": 0,
-    "rounds": 0,
-    "max_depth": 0,
-    "min_samples_leaf": 1,
-    "n_trees": 1,
-    "feature_subset_size": 1,
-    "seed": 0,  # numpy's seed sequences take only non-negative seeds
-}
-_MODEL_NULLABLE = frozenset(("max_depth", "feature_subset_size"))
-
-_KIND_ALIASES = {"numeric": NUMERIC, "categorical": CATEGORICAL, "binary-target": TARGET, "target": TARGET}
 
 
 @dataclass(frozen=True)
@@ -83,11 +72,19 @@ class EncoderSpec:
     column: str
     method: str = "onehot"
     min_count: int = 0  # 0 disables rare-category merging
-    grouping: dict = None
+    grouping: dict = field(default_factory=dict)  # category -> group
     mode: str = "lenient"
 
-
-_ENCODER_KEYS = frozenset(f.name for f in fields(EncoderSpec))
+    def __post_init__(self):
+        if not isinstance(self.column, str):
+            raise ValidationError("column", "must be a string")
+        check_choice(self.method, "method", ENCODER_METHODS)
+        check_integer(self.min_count, "min_count", minimum=0)
+        if not isinstance(self.grouping, dict) or not all(
+            isinstance(s, str) for pair in self.grouping.items() for s in pair
+        ):
+            raise ValidationError("grouping", "must be an object of string to string")
+        check_choice(self.mode, "mode", ENCODER_MODES)
 
 
 @dataclass(frozen=True)
@@ -102,17 +99,20 @@ class ExperimentConfig:
     output_dir: str = "out"
     formats: tuple = ("json", "txt")
 
+    def __post_init__(self):
+        # the paths are the config keys: dataset, output, formats
+        if not isinstance(self.dataset_path, str):
+            raise ValidationError("dataset", "must be a string")
+        if not isinstance(self.output_dir, str):
+            raise ValidationError("output", "must be a string")
+        for f in self.formats:
+            check_choice(f, "formats", REPORT_FORMATS)
+
 
 @dataclass
 class RunResult:
     reports: list
     metadata: dict  # seeds, timestamps, row-count ledger, encoder digest
-
-
-def _require(doc, key, path):
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValidationError(f"{path}.{key}" if path else key, "required field is missing")
-    return doc[key]
 
 
 def _object(doc, path, allowed):
@@ -126,181 +126,101 @@ def _object(doc, path, allowed):
     return doc
 
 
-def _integer(value, path, minimum=None, alternative=""):
-    """`value` if it is a JSON integer >= minimum; booleans, floats and strings are rejected."""
-    too_small = minimum is not None and isinstance(value, int) and value < minimum
-    if isinstance(value, bool) or not isinstance(value, int) or too_small:
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValidationError(path, f"must be an integer{bound}{alternative}")
-    return value
+def _list(doc, path, non_empty=False):
+    """`doc`, after checking that it is a JSON list (with an entry, if `non_empty`)."""
+    if not isinstance(doc, list) or (non_empty and not doc):
+        raise ValidationError(path, "must be a non-empty list" if non_empty else "must be a list")
+    return doc
 
 
-def _number(value, path, minimum=None):
-    """`value` if it is a JSON number >= minimum; booleans and strings are rejected."""
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not is_number or (minimum is not None and not value >= minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValidationError(path, f"must be a number{bound}")
-    return value
+def _build(cls, doc, path, make=None):
+    """`make(**doc)` (default `cls(**doc)`) for the JSON object `doc` at `path`.
+
+    Every key must be a field of the dataclass `cls`, and every field without a
+    default must be there. The constructor checks the values; its
+    ValidationError, which names the bare field, is raised again under `path`.
+    """
+    _object(doc, path, {f.name for f in fields(cls)})
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in doc:
+            raise ValidationError(f"{path}.{f.name}", "required field is missing")
+    try:
+        return (make or cls)(**doc)
+    except ValidationError as exc:
+        raise exc.under(path) from None
 
 
-def _model_params(doc, path):
-    """The ModelConfig overrides of one `models` entry, each checked under its own path."""
-    params = {}
-    for key, value in doc.items():
-        field_path = f"{path}.{key}"
-        if key == "family":
-            continue
-        if key == "name":
-            if not isinstance(value, str):
-                raise ValidationError(field_path, "must be a string")
-        elif key == "bootstrap":
-            if not isinstance(value, bool):
-                raise ValidationError(field_path, "must be true or false")
-        elif key in _MODEL_INTEGERS:
-            if value is not None or key not in _MODEL_NULLABLE:
-                alternative = " or null" if key in _MODEL_NULLABLE else ""
-                _integer(value, field_path, _MODEL_INTEGERS[key], alternative)
-        elif key == "threshold":
-            if not 0 < _number(value, field_path) < 1:
-                raise ValidationError(field_path, "must be a number in (0, 1)")
-        else:
-            _number(value, field_path, minimum=0)
-        params[key] = value
-    return params
+def _column_schema(name, kind):
+    return ColumnSchema(name, TARGET if kind == "target" else kind)  # "target" is an alias
 
 
 def parse_config(text):
-    """Validate a JSON experiment config; failures carry the offending field path."""
+    """Build an ExperimentConfig from JSON text; failures carry the offending field path.
+
+    This checks the JSON's shape (objects, lists, required and unknown keys) and
+    the rules that span fields: the target is the schema's binary-target column,
+    an encoder names a categorical column that no other encoder names, and model
+    names are unique. Each config dataclass checks its own fields' values.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("config root must be a JSON object")
     _object(doc, "", _CONFIG_KEYS)
+    for key in ("dataset", "schema", "target", "models"):
+        if key not in doc:
+            raise ValidationError(key, "required field is missing")
 
-    dataset_path = _require(doc, "dataset", "")
-    raw_schema = _require(doc, "schema", "")
-    if not isinstance(raw_schema, list) or not raw_schema:
-        raise ValidationError("schema", "must be a non-empty list of {name, kind}")
-    schema = []
-    for i, col in enumerate(raw_schema):
-        name = _require(_object(col, f"schema[{i}]", _SCHEMA_KEYS), "name", f"schema[{i}]")
-        if not isinstance(name, str):
-            raise ValidationError(f"schema[{i}].name", "must be a string")
-        kind = _require(col, "kind", f"schema[{i}]")
-        if not isinstance(kind, str) or kind not in _KIND_ALIASES:
-            raise ValidationError(f"schema[{i}].kind", f"unknown kind {kind!r}")
-        try:
-            schema.append(ColumnSchema(name, _KIND_ALIASES[kind]))
-        except ValueError as exc:
-            raise ValidationError(f"schema[{i}]", str(exc)) from exc
-
-    target = _require(doc, "target", "")
-    by_name = {c.name: c for c in schema}
-    if target not in by_name:
+    schema = tuple(
+        _build(ColumnSchema, col, f"schema[{i}]", _column_schema)
+        for i, col in enumerate(_list(doc["schema"], "schema", non_empty=True))
+    )
+    target = doc["target"]
+    column = next((c for c in schema if c.name == target), None)
+    if column is None:
         raise ValidationError("target", f"column {target!r} not in schema")
-    if by_name[target].kind != TARGET:
-        raise ValidationError("target", f"column {target!r} must have kind binary-target")
-    targets = [c for c in schema if c.kind == TARGET]
-    if len(targets) != 1:
-        raise ValidationError("schema", "exactly one binary-target column required")
+    if column.kind != TARGET:
+        raise ValidationError("target", f"column {target!r} must have kind {TARGET}")
+    validate_schema(schema)
+    kinds = {c.name: c.kind for c in schema}
 
-    split_doc = _object(doc.get("split", {}), "split", _SPLIT_KEYS)
-    fraction = split_doc.get("test_fraction", 0.2)
-    is_number = isinstance(fraction, (int, float)) and not isinstance(fraction, bool)
-    if not (is_number and 0 <= fraction <= 1):
-        raise ValidationError("split.test_fraction", "must be a number in [0, 1]")
-    stratified = split_doc.get("stratified", False)
-    if not isinstance(stratified, bool):
-        raise ValidationError("split.stratified", "must be true or false")
-    seed = _integer(split_doc.get("seed", 0), "split.seed")
-    split = SplitSpec(float(fraction), seed, stratified)
+    split = _build(SplitSpec, doc.get("split", {}), "split")
 
     encoders = []
-    seen_cols = set()
-    for i, enc in enumerate(doc.get("encoders", [])):
-        path = f"encoders[{i}]"
-        col = _require(_object(enc, path, _ENCODER_KEYS), "column", path)
-        if col not in by_name:
-            raise ValidationError(f"{path}.column", f"column {col!r} not in schema")
-        if by_name[col].kind != CATEGORICAL:
-            raise ValidationError(f"{path}.column", f"column {col!r} is not categorical")
-        if col in seen_cols:
-            raise ValidationError(f"{path}.column", f"duplicate encoder for {col!r}")
-        seen_cols.add(col)
-        method = enc.get("method", "onehot")
-        if method not in ENCODER_METHODS:
-            raise ValidationError(f"{path}.method", f"allowed: {list(ENCODER_METHODS)}")
-        mode = enc.get("mode", "lenient")
-        if mode not in ENCODER_MODES:
-            raise ValidationError(f"{path}.mode", f"allowed: {list(ENCODER_MODES)}")
-        grouping = enc.get("grouping")
-        if "grouping" in enc and not (
-            isinstance(grouping, dict) and all(isinstance(g, str) for g in grouping.values())
-        ):
-            raise ValidationError(f"{path}.grouping", "must be an object of string to string")
-        min_count = _integer(enc.get("min_count", 0), f"{path}.min_count", minimum=0)
-        encoders.append(EncoderSpec(col, method, min_count, grouping, mode))
+    for i, enc in enumerate(_list(doc.get("encoders", []), "encoders")):
+        spec = _build(EncoderSpec, enc, f"encoders[{i}]")
+        if spec.column not in kinds:
+            raise ValidationError(f"encoders[{i}].column", f"column {spec.column!r} not in schema")
+        if kinds[spec.column] != CATEGORICAL:
+            raise ValidationError(f"encoders[{i}].column", f"column {spec.column!r} is not categorical")
+        if any(e.column == spec.column for e in encoders):
+            raise ValidationError(f"encoders[{i}].column", f"duplicate encoder for {spec.column!r}")
+        encoders.append(spec)
     # categorical columns without an explicit spec default to lenient one-hot
-    for c in schema:
-        if c.kind == CATEGORICAL and c.name not in seen_cols:
-            encoders.append(EncoderSpec(column=c.name))
+    named = {e.column for e in encoders}
+    encoders += [EncoderSpec(c.name) for c in schema if c.kind == CATEGORICAL and c.name not in named]
 
-    res_doc = _object(doc.get("resampler", {}), "resampler", _RESAMPLER_KEYS)
-    strategy = res_doc.get("strategy", "none")
-    if strategy not in STRATEGIES:
-        raise ValidationError("resampler.strategy", f"allowed: {list(STRATEGIES)}")
-    amount = res_doc.get("amount", BALANCE)
-    if amount != BALANCE:
-        _integer(amount, "resampler.amount", minimum=0, alternative=f" or {BALANCE!r}")
-    smote_mode = res_doc.get("smote_mode", "canonical")
-    if smote_mode not in SMOTE_MODES:
-        raise ValidationError("resampler.smote_mode", f"allowed: {list(SMOTE_MODES)}")
-    resampler = ResampleConfig(
-        strategy=strategy,
-        k=_integer(res_doc.get("k", 5), "resampler.k", minimum=1),
-        amount=amount,
-        # numpy's generators take only non-negative seeds
-        seed=_integer(res_doc.get("seed", 0), "resampler.seed", minimum=0),
-        smote_mode=smote_mode,
-    )
+    resampler = _build(ResampleConfig, doc.get("resampler", {}), "resampler")
 
-    raw_models = _require(doc, "models", "")
-    if not isinstance(raw_models, list) or not raw_models:
-        raise ValidationError("models", "must be a non-empty list")
     models = []
-    names = set()
-    for i, m in enumerate(raw_models):
-        family = _require(_object(m, f"models[{i}]", _MODEL_KEYS), "family", f"models[{i}]")
-        if family not in FAMILIES:
-            raise ValidationError(f"models[{i}].family", f"allowed: {list(FAMILIES)}")
-        params = _model_params(m, f"models[{i}]")
-        try:
-            cfg = ModelConfig.for_family(family, **params)
-        except ValueError as exc:
-            raise ValidationError(f"models[{i}]", str(exc)) from exc
-        if cfg.name in names:
+    for i, m in enumerate(_list(doc["models"], "models", non_empty=True)):
+        cfg = _build(ModelConfig, m, f"models[{i}]", ModelConfig.for_family)
+        if any(other.name == cfg.name for other in models):
             raise ValidationError(f"models[{i}].name", f"duplicate model name {cfg.name!r}")
-        names.add(cfg.name)
         models.append(cfg)
 
-    formats = tuple(doc.get("formats", ["json", "txt"]))
-    for f in formats:
-        if f not in REPORT_FORMATS:
-            raise ValidationError("formats", f"allowed: {list(REPORT_FORMATS)}")
-
     return ExperimentConfig(
-        dataset_path=dataset_path,
-        schema=tuple(schema),
+        dataset_path=doc["dataset"],
+        schema=schema,
         target=target,
         split=split,
         encoders=tuple(encoders),
         resampler=resampler,
         models=tuple(models),
         output_dir=doc.get("output", "out"),
-        formats=formats,
+        formats=tuple(_list(doc.get("formats", ["json", "txt"]), "formats")),
     )
 
 

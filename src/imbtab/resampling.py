@@ -25,6 +25,8 @@ from .errors import (
     NonFiniteFeature,
     StrategyUnknown,
     TooFewMinoritySamples,
+    check_choice,
+    check_integer,
 )
 
 STRATEGIES = ("none", "smote", "nearmiss1", "nearmiss2", "nearmiss3", "random_over", "random_under")
@@ -49,14 +51,12 @@ class ResampleConfig:
     smote_mode: str = "canonical"
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise StrategyUnknown(f"{self.strategy!r}; allowed: {list(STRATEGIES)}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.amount != BALANCE and int(self.amount) < 0:
-            raise ValueError("amount must be >= 0")
-        if self.smote_mode not in SMOTE_MODES:
-            raise ValueError(f"smote_mode must be one of {SMOTE_MODES}")
+        check_choice(self.strategy, "strategy", STRATEGIES, StrategyUnknown)
+        check_integer(self.k, "k", minimum=1)
+        if self.amount != BALANCE:
+            check_integer(self.amount, "amount", minimum=0, alternative=f" or {BALANCE!r}")
+        check_integer(self.seed, "seed", minimum=0)  # numpy's generators take no negative seeds
+        check_choice(self.smote_mode, "smote_mode", SMOTE_MODES)
 
 
 @dataclass(frozen=True)
@@ -304,13 +304,11 @@ def rebalance(features, labels, config):
         target = min(target, len(maj_idx))
         rng = np.random.default_rng(config.seed)
         kept_maj = np.sort(rng.choice(maj_idx, size=target, replace=False))
-    elif config.strategy in ("nearmiss1", "nearmiss2", "nearmiss3"):
+    else:  # nearmiss1, nearmiss2 or nearmiss3
         variant = int(config.strategy[-1])
         target = len(min_idx) if config.amount == BALANCE else int(config.amount)
         kept = nearmiss(X[maj_idx], X[min_idx], variant, config.k, n=target)
         kept_maj = maj_idx[np.asarray(kept, dtype=int)]
-    else:
-        raise StrategyUnknown(config.strategy)
 
     kept_rows = np.sort(np.concatenate([min_idx, kept_maj]))
     out = X[kept_rows]

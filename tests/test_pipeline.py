@@ -1,13 +1,22 @@
+import copy
+import dataclasses
+import functools
 import hashlib
 import json
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbtab import parse_config, pipeline, run_experiment, emit_report
 from imbtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
-from imbtab.errors import ParseError, PipelineError, ValidationError
-from imbtab.models import fanout, forest
-from imbtab.pipeline import _stage, prepare
+from imbtab.data import ColumnSchema, SplitSpec, train_test_split
+from imbtab.errors import ParseError, PipelineError, StrategyUnknown, ValidationError
+from imbtab.models import ModelConfig, fanout, fit_model, forest
+from imbtab.pipeline import EncoderSpec, _stage, prepare
+from imbtab.resampling import ResampleConfig
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
 
 
@@ -26,6 +35,13 @@ def base_config(csv_path, **overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def assert_field(make, field, **kwargs):
+    """make(**kwargs) raises a ValidationError whose path is the bare field."""
+    with pytest.raises(ValidationError) as exc:
+        make(**kwargs)
+    assert exc.value.path == field
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +78,8 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert exc.value.path == "resampler.strategy"
         assert "smote" in str(exc.value)
+        assert isinstance(exc.value, StrategyUnknown)
+        assert_field(ResampleConfig, "strategy", strategy="smoteX")
 
     def test_unknown_resampler_key_path(self, data_csv):
         doc = base_config(data_csv, resampler={"strategy": "smote", "neighbours": 3})
@@ -75,6 +93,7 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(json.dumps(doc))
         assert exc.value.path == "resampler.k"
+        assert_field(ResampleConfig, "k", strategy="smote", k=k)
 
     def test_resampler_must_be_an_object(self, data_csv):
         doc = base_config(data_csv, resampler=["smote"])
@@ -91,16 +110,19 @@ class TestParseConfig:
     def test_bad_encoder_mode_path(self, data_csv, mode):
         doc = base_config(data_csv, encoders=[{"column": "gender", "mode": mode}])
         self.assert_path(doc, "encoders[0].mode")
+        assert_field(EncoderSpec, "mode", column="gender", mode=mode)
 
     @pytest.mark.parametrize("grouping", [["male"], "male", None, {"male": 1}, {"male": None}])
     def test_bad_encoder_grouping_path(self, data_csv, grouping):
         doc = base_config(data_csv, encoders=[{"column": "gender", "grouping": grouping}])
         self.assert_path(doc, "encoders[0].grouping")
+        assert_field(EncoderSpec, "grouping", column="gender", grouping=grouping)
 
     @pytest.mark.parametrize("min_count", [-3, 2.5, 5.0, "5", True, None])
     def test_bad_encoder_min_count_path(self, data_csv, min_count):
         doc = base_config(data_csv, encoders=[{"column": "gender", "min_count": min_count}])
         self.assert_path(doc, "encoders[0].min_count")
+        assert_field(EncoderSpec, "min_count", column="gender", min_count=min_count)
 
     def test_encoder_fields_are_kept(self, data_csv):
         enc = {"column": "gender", "method": "impact", "mode": "strict", "min_count": 0}
@@ -131,28 +153,34 @@ class TestParseConfig:
     def test_bad_resampler_amount_path(self, data_csv, amount):
         doc = base_config(data_csv, resampler={"strategy": "smote", "amount": amount})
         self.assert_path(doc, "resampler.amount")
+        assert_field(ResampleConfig, "amount", strategy="smote", amount=amount)
 
     @pytest.mark.parametrize("seed", [3.9, 3.0, "3", -1, True, None])
     def test_bad_resampler_seed_path(self, data_csv, seed):
         doc = base_config(data_csv, resampler={"strategy": "smote", "seed": seed})
         self.assert_path(doc, "resampler.seed")
+        assert_field(ResampleConfig, "seed", strategy="smote", seed=seed)
 
     def test_bad_smote_mode_path(self, data_csv):
         doc = base_config(data_csv, resampler={"strategy": "smote", "smote_mode": "literal"})
         self.assert_path(doc, "resampler.smote_mode")
+        assert_field(ResampleConfig, "smote_mode", strategy="smote", smote_mode="literal")
 
     @pytest.mark.parametrize("seed", [3.9, 3.0, "3", False, None])
     def test_bad_split_seed_path(self, data_csv, seed):
         self.assert_path(base_config(data_csv, split={"seed": seed}), "split.seed")
+        assert_field(SplitSpec, "seed", seed=seed)
 
     @pytest.mark.parametrize("stratified", ["false", "true", 0, 1, None])
     def test_bad_split_stratified_path(self, data_csv, stratified):
         self.assert_path(base_config(data_csv, split={"stratified": stratified}), "split.stratified")
+        assert_field(SplitSpec, "stratified", stratified=stratified)
 
     @pytest.mark.parametrize("fraction", ["0.2", True, None, -0.1, 1.5])
     def test_bad_split_test_fraction_path(self, data_csv, fraction):
         doc = base_config(data_csv, split={"test_fraction": fraction})
         self.assert_path(doc, "split.test_fraction")
+        assert_field(SplitSpec, "test_fraction", test_fraction=fraction)
 
     def test_integer_fields_are_kept(self, data_csv):
         doc = base_config(
@@ -187,6 +215,7 @@ class TestParseConfig:
     def test_bad_model_integer_path(self, data_csv, key, value):
         doc = base_config(data_csv, models=[{"family": "rf", key: value}])
         self.assert_path(doc, f"models[0].{key}")
+        assert_field(ModelConfig.for_family, key, family="rf", **{key: value})
 
     @pytest.mark.parametrize(
         "key, value",
@@ -205,11 +234,13 @@ class TestParseConfig:
     def test_bad_model_number_path(self, data_csv, key, value):
         doc = base_config(data_csv, models=[{"family": "lr", key: value}])
         self.assert_path(doc, f"models[0].{key}")
+        assert_field(ModelConfig.for_family, key, family="lr", **{key: value})
 
     @pytest.mark.parametrize("key, value", [("bootstrap", "true"), ("bootstrap", 1), ("name", 3)])
     def test_bad_model_flag_and_name_path(self, data_csv, key, value):
         doc = base_config(data_csv, models=[{"family": "rf", key: value}])
         self.assert_path(doc, f"models[0].{key}")
+        assert_field(ModelConfig.for_family, key, family="rf", **{key: value})
 
     def test_unknown_model_key_path(self, data_csv):
         doc = base_config(data_csv, models=[{"family": "lr"}, {"family": "lr", "iteratons": 5}])
@@ -238,6 +269,43 @@ class TestParseConfig:
         schema = schema_doc()
         schema[1] = entry
         self.assert_path(base_config(data_csv, schema=schema), path)
+        field = path.removeprefix("schema[1].")
+        if field in ("name", "kind"):  # the others are JSON-shape errors
+            assert_field(ColumnSchema, field, **entry)
+
+    @pytest.mark.parametrize(
+        "make, field, kwargs",
+        [
+            (SplitSpec, "stratified", dict(test_fraction=0.2, stratified="no")),
+            (SplitSpec, "seed", dict(test_fraction=0.2, seed=1.5)),
+            (ResampleConfig, "seed", dict(seed=-1)),
+            (ModelConfig, "iterations", dict(family="lr", iterations=2.5)),
+            (ModelConfig, "family", dict(family="svm")),
+            (ColumnSchema, "name", dict(name="", kind="numeric")),
+            (EncoderSpec, "column", dict(column=None)),
+        ],
+    )
+    def test_constructor_names_the_bare_field(self, make, field, kwargs):
+        assert_field(make, field, **kwargs)
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [({"formats": ("xml",)}, "formats"), ({"output_dir": 3}, "output"), ({"dataset_path": 0}, "dataset")],
+    )
+    def test_replace_checks_the_experiment_config(self, data_csv, changes, field):
+        cfg = parse_config(json.dumps(base_config(data_csv)))
+        assert_field(functools.partial(dataclasses.replace, cfg), field, **changes)
+
+    def test_numpy_integers_are_accepted(self):
+        resampler = ResampleConfig(strategy="smote", k=np.int64(3), seed=np.int64(2))
+        assert (resampler.k, resampler.seed) == (3, 2)
+        X = np.random.default_rng(0).normal(size=(40, 3))
+        y = np.arange(40) % 2
+        fit = lambda **kw: fit_model(X, y, ModelConfig.for_family("rf", **kw)).model.trees
+        assert fit(n_trees=np.int64(2), seed=np.int64(4)) == fit(n_trees=2, seed=4)
+        d = generate_dataset(50, seed=1)
+        split = lambda seed: [part.rows for part in train_test_split(d, SplitSpec(seed=seed))]
+        assert split(np.int64(5)) == split(5)
 
     def test_duplicate_model_names(self, data_csv):
         doc = base_config(data_csv, models=[{"family": "lr", "name": "M"}, {"family": "dt", "name": "M"}])
@@ -249,6 +317,93 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config(json.dumps(doc))
         assert "encoders[0].column" == exc.value.path
+
+
+# A valid config that sets every field; the property test below replaces one
+# field at a time. It names no file that must exist: parse_config reads none.
+FULL_CONFIG = {
+    "dataset": "hr.csv",
+    "schema": schema_doc(),
+    "target": "target",
+    "split": {"test_fraction": 0.2, "seed": 11, "stratified": False},
+    "encoders": [
+        {"column": "gender", "method": "onehot", "min_count": 2, "grouping": {"m": "x"}, "mode": "strict"}
+    ],
+    "resampler": {"strategy": "smote", "k": 5, "amount": "balance", "seed": 3, "smote_mode": "canonical"},
+    "models": [
+        {"family": "lr", "name": "LR"},
+        {
+            "family": "rf", "name": "RF", "learning_rate": 0.1, "iterations": 5, "rounds": 5,
+            "max_depth": None, "min_samples_leaf": 2, "n_trees": 3, "l2": 0.0, "tolerance": 1e-6,
+            "bootstrap": True, "feature_subset_size": None, "seed": 1, "threshold": 0.5,
+        },
+    ],
+    "output": "out",
+    "formats": ["json", "txt"],
+}
+# fields whose values are maps or lists of plain values, not config objects
+VALUE_FIELDS = ("grouping", "formats")
+
+
+def field_paths(doc, path="", keys=()):
+    """(path, keys) of every field under doc, config objects and list entries included."""
+    entries = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in entries:
+        sub = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+        yield sub, keys + (key,)
+        if isinstance(value, (dict, list)) and key not in VALUE_FIELDS:
+            yield from field_paths(value, sub, keys + (key,))
+
+
+FIELD_PATHS = sorted(field_paths(FULL_CONFIG))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def blames_field(field, error_path):
+    """True if a ValidationError at error_path can come from a bad value at field."""
+    if error_path == field or error_path.startswith((f"{field}.", f"{field}[")):
+        return True
+    # rules that span fields report at the field that completes the conflict
+    if field.startswith("schema"):  # one target, unique names, encoder columns
+        return error_path in ("schema", "target", "encoders[0].column")
+    if field.startswith("models"):  # unique model names
+        return re.fullmatch(r"models\[[01]\]\.name", error_path) is not None
+    return False
+
+
+def parse_with(field, value):
+    """parse_config(FULL_CONFIG with value at field): it returns or blames that field."""
+    path, keys = field
+    doc = copy.deepcopy(FULL_CONFIG)
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    try:
+        parse_config(json.dumps(doc))
+    except ValidationError as exc:
+        assert blames_field(path, exc.path), (path, value, str(exc))
+
+
+class TestParseConfigProperty:
+    def test_full_config_parses(self):
+        cfg = parse_config(json.dumps(FULL_CONFIG))
+        assert [m.name for m in cfg.models] == ["LR", "RF"]
+
+    def test_every_field_with_each_kind_of_value(self):
+        for field in FIELD_PATHS:
+            for value in (None, True, 0, -1, 2.5, float("nan"), "", "x", [], ["x"], {}, {"x": 1}):
+                parse_with(field, value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+    def test_any_value_parses_or_names_its_field(self, field, value):
+        parse_with(field, value)
 
 
 class TestRunExperiment:
@@ -496,6 +651,38 @@ class TestCli:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")
         assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"schema": schema_doc() + [{"name": "gender", "kind": "numeric"}]}, "schema"),
+            ({"target": ["target"]}, "target"),
+            ({"encoders": [{"column": ["gender"]}]}, "encoders[0].column"),
+            ({"output": 3}, "output"),
+            ({"dataset": 0}, "dataset"),
+            ({"encoders": {}}, "encoders"),
+            ({"formats": {"json": 1}}, "formats"),
+        ],
+        ids=["duplicate-name", "target-list", "column-list", "output", "dataset", "encoders", "formats"],
+    )
+    def test_bad_config_value_is_a_config_error(self, data_csv, tmp_path, capsys, overrides, path):
+        cfg_path = tmp_path / "cfg.json"
+        doc = base_config(data_csv, output=str(tmp_path / "out"))
+        doc.update(overrides)
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("formats", ["xml", "", "json,xml"])
+    def test_run_format_flag_is_checked(self, data_csv, tmp_path, capsys, formats):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(data_csv)))
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out), "--format", formats]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: formats: ")
+        assert not out.exists()
 
     def test_data_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
