@@ -46,7 +46,7 @@ def _load_config(path):
 
 def _cmd_run(args):
     cfg = _load_config(args.config)
-    if args.out:
+    if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     if args.format is not None:
         cfg = dataclasses.replace(cfg, formats=tuple(args.format.split(",")))

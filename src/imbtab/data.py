@@ -1,13 +1,14 @@
 """Tabular data model: schema-typed datasets, CSV ingestion, cleaning, splitting.
 
-A Dataset stores one array per column (a `Column`): float64 with NaN for
-MISSING in numeric columns, int32 codes into a vocabulary of distinct cells
+A Dataset stores one typed array per column (a `Column`): float64 with NaN
+for MISSING in numeric columns, int32 codes into a tuple of distinct strings
 with -1 for MISSING in categorical columns, and int8 labels with -1 for
-MISSING in the target column. A column built in memory whose cells do not fit
-its kind (uncast strings, say) is kept as codes into a vocabulary of the raw
-cells. `column()` and `rows` give the cells back as Python values, with the
-MISSING sentinel. Datasets are treated as immutable; every operation returns
-a new Dataset.
+MISSING in the target column. Cells become a Column one way only: they are
+parsed as CSV tokens by `_ColumnParser`, which `load_csv` feeds the file's
+tokens and a Dataset built in memory feeds `str(cell)` ("" for MISSING).
+`column()` and `rows` give the cells back as Python values, with the MISSING
+sentinel. Datasets are treated as immutable; every operation returns a new
+Dataset.
 """
 
 from __future__ import annotations
@@ -93,35 +94,13 @@ def validate_schema(schema):
         raise ValidationError("schema", f"exactly one {TARGET} column required, got {targets}")
 
 
-def _key(cell):
-    """Vocabulary key: cells that differ (1, 1.0, True; 0.0, -0.0) get different keys."""
-    return (type(cell), repr(cell)) if isinstance(cell, float) else (type(cell), cell)
-
-
-def _encode(cells):
-    """(codes, vocab) of a sequence of cells: vocab holds each distinct cell once,
-    in order of first appearance, and MISSING gets code -1."""
-    index, vocab, codes = {}, [], []
-    for cell in cells:
-        if cell is MISSING:
-            codes.append(-1)
-            continue
-        key = _key(cell)
-        code = index.get(key)
-        if code is None:
-            code = index[key] = len(vocab)
-            vocab.append(cell)
-        codes.append(code)
-    return np.array(codes, dtype=np.int32), tuple(vocab)
-
-
 class Column:
-    """One column's cells.
+    """One column's cells, in one of three typed layouts.
 
-    When `vocab` is None, `values` is float64 with NaN for MISSING (a numeric
-    column; its cells are finite floats). Otherwise `values` holds integer
-    codes into the tuple `vocab`, -1 for MISSING; a cast target column has
-    int8 codes and the vocabulary LABELS.
+    - numeric: `values` float64, NaN for MISSING, and `vocab` None;
+    - target: `values` int8 labels, -1 for MISSING, and `vocab` LABELS;
+    - categorical: `values` int32 codes, -1 for MISSING, into `vocab`, a
+      tuple of distinct strings.
     """
 
     __slots__ = ("values", "vocab")
@@ -131,31 +110,17 @@ class Column:
         self.vocab = vocab
 
     @staticmethod
-    def from_codes(codes, vocab, kind):
-        """The Column of `kind` whose cell i is vocab[codes[i]] (code -1: MISSING).
+    def from_codes(codes, vocab):
+        """The categorical Column whose cell i is vocab[codes[i]] (code -1: MISSING).
 
-        `vocab` may repeat cells or contain MISSING. Numeric cells that are all
-        finite floats become float64 values, target cells that are all the ints
-        0 and 1 become int8 labels; other cells stay codes into a vocabulary
-        holding each distinct cell once.
+        `vocab` may repeat cells; the Column's vocabulary holds each once, in
+        order of first appearance.
         """
-        entries = tuple(vocab) + (MISSING,)
-        if kind == NUMERIC and all(
-            v is MISSING or (type(v) is float and math.isfinite(v)) for v in entries
-        ):
-            table = np.array([math.nan if v is MISSING else v for v in entries], dtype=np.float64)
-            return Column(table[codes])
-        if kind == TARGET and all(v is MISSING or (type(v) is int and v in LABELS) for v in entries):
-            table = np.array([-1 if v is MISSING else v for v in entries], dtype=np.int8)
-            return Column(table[codes], LABELS)
-        remap, distinct = _encode(entries)
-        if len(distinct) == len(entries) - 1:  # no repeats, no MISSING: codes stand
-            return Column(codes, distinct)
-        return Column(remap[codes], distinct)
-
-    @staticmethod
-    def from_cells(cells, kind):
-        return Column.from_codes(*_encode(cells), kind)
+        index = {}
+        remap = np.array([index.setdefault(v, len(index)) for v in vocab] + [-1], dtype=np.int32)
+        if len(index) == len(vocab):  # no repeats: codes stand
+            return Column(codes, tuple(vocab))
+        return Column(remap[codes], tuple(index))
 
     def __len__(self):
         return len(self.values)
@@ -169,11 +134,8 @@ class Column:
         return Column(self.values[index], self.vocab)
 
     def coded(self):
-        """(codes, cells) with cell i equal to cells[codes[i]]: code -1 picks the
-        trailing MISSING entry of `cells`. Numeric columns are coded on the fly."""
-        if self.vocab is None:
-            codes, vocab = _encode(self.cells())
-            return codes, vocab + (MISSING,)
+        """(codes, cells) of a target or categorical column, with cell i equal to
+        cells[codes[i]]: code -1 picks the trailing MISSING entry of `cells`."""
         return self.values, self.vocab + (MISSING,)
 
     def cells(self, missing=MISSING):
@@ -190,8 +152,11 @@ class Column:
 class Dataset:
     """Rows of cells under a schema, stored column by column.
 
-    `Dataset(schema, rows)` builds the columns from row tuples; `from_columns`
-    takes them ready-made. `rows` and `column()` rebuild Python cells on demand.
+    `Dataset(schema, rows)` builds the columns from row tuples, parsing each
+    cell as the CSV token `str(cell)` ("" for MISSING), so `1` in a numeric
+    column is stored as 1.0 and `"yes"` in the target column as MISSING.
+    `from_columns` takes typed Columns ready-made. `rows` and `column()`
+    rebuild Python cells on demand.
     """
 
     __slots__ = ("schema", "_columns")
@@ -205,7 +170,7 @@ class Dataset:
                 raise MalformedRow(i, f"expected {len(schema)} cells, got {len(row)}")
         cells = list(zip(*rows)) if rows else [()] * len(schema)
         self.schema = schema
-        self._columns = tuple(Column.from_cells(c, col.kind) for c, col in zip(cells, schema))
+        self._columns = tuple(_parse_cells(c, col.kind) for c, col in zip(cells, schema))
 
     @classmethod
     def from_columns(cls, schema, columns):
@@ -259,13 +224,14 @@ class Dataset:
     def replace_column(self, name, values):
         """New Dataset with one column's cells replaced (same schema).
 
-        `values` is a sequence of cells, or a Column, which is used as it is.
+        `values` is a sequence of cells, parsed as `Dataset(schema, rows)` parses
+        them, or a Column, which is used as it is.
         """
         if len(values) != self.row_count:
             raise ValueError("replacement column has wrong length")
         j = self.column_index(name)
         if not isinstance(values, Column):
-            values = Column.from_cells(values, self.schema[j].kind)
+            values = _parse_cells(values, self.schema[j].kind)
         return Dataset.from_columns(self.schema, self._columns[:j] + (values,) + self._columns[j + 1 :])
 
     def take(self, indices):
@@ -347,6 +313,14 @@ class _ColumnParser(dict):
         return Column(values, LABELS if self.kind == TARGET else tuple(self.vocab))
 
 
+def _parse_cells(cells, kind):
+    """The Column of `kind` whose cells are `cells` parsed as the CSV tokens
+    `str(cell)`, with "" for MISSING."""
+    parser = _ColumnParser(kind)
+    parser.add(["" if c is MISSING else str(c) for c in cells])
+    return parser.column()
+
+
 def load_csv(path, schema):
     """Read an RFC-4180-style CSV into a Dataset, parsing cells per column kind.
 
@@ -390,26 +364,11 @@ def drop_missing(d):
 
 
 def cast_columns(d, schema):
-    """Re-cast cells of a dataset built in memory per schema kind; failures become MISSING.
-
-    A column already stored as the kind's array (float64 for numeric, int8
-    labels for the target) is returned unchanged, since each of its cells
-    parses back to itself; any other column is parsed once per distinct cell.
-    """
-    known = set(d.column_names)
+    """`d` itself, since every Column is stored typed; raises UnknownColumn for
+    a schema column that `d` lacks."""
     for col in schema:
-        if col.name not in known:
-            raise UnknownColumn(col.name)
-    columns = list(d._columns)
-    for name, kind in {c.name: c.kind for c in schema}.items():
-        j = d.column_index(name)
-        column = columns[j]
-        if (column.vocab is None and kind == NUMERIC) or (column.vocab is LABELS and kind == TARGET):
-            continue
-        codes, cells = column.coded()
-        parsed = [_parse_cell(str(v), kind) for v in cells[:-1]]
-        columns[j] = Column.from_codes(codes, parsed, d.schema[j].kind)
-    return Dataset.from_columns(d.schema, columns)
+        d.column_index(col.name)
+    return d
 
 
 def _round_half_up(x):
@@ -427,17 +386,12 @@ def _fisher_yates(n, rng):
 def target_labels(d):
     """The target column as int8 labels 0/1.
 
-    Raises UncastTarget naming the first cell, in row order, that is not 0 or 1.
+    Raises UncastTarget naming the first row whose target is MISSING.
     """
-    column = d.column_data(d.target_name)
-    codes, cells = column.coded()
-    if column.vocab is LABELS:
-        labels = codes
-    else:
-        labels = np.array([int(v) if v in LABELS else -1 for v in cells], dtype=np.int8)[codes]
+    labels = d.column_data(d.target_name).values
     bad = np.flatnonzero(labels < 0)
     if bad.size:
-        raise UncastTarget(f"target cell {cells[codes[bad[0]]]!r} is not in {{0, 1}}")
+        raise UncastTarget(f"target cell of row {bad[0]} is MISSING, not in {{0, 1}}")
     return labels
 
 

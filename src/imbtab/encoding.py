@@ -113,6 +113,7 @@ def one_hot_names(column, categories):
 def one_hot_positions(d, column, categories, mode="lenient"):
     """Per row, the index in categories of the row's value, or -1 for a value
     the lenient mode lets through as all zeros; one_hot_encode's checks apply."""
+    _require_categorical(d, column)
     categories = list(categories)
     if not categories:
         raise EmptyCategoryList(column)
@@ -181,7 +182,7 @@ def group_categories(d, column, mapping, mode="lenient"):
             v = cells[codes[np.argmax(unmapped)]]
             raise UnmappedCategory(f"{column!r}: {v!r} has no group")
     grouped = [mapping[v] if v in mapping else v for v in vocab]
-    return d.replace_column(column, Column.from_codes(codes, grouped, CATEGORICAL))
+    return d.replace_column(column, Column.from_codes(codes, grouped))
 
 
 def impact_encode_fit(d, column):
@@ -211,6 +212,7 @@ def impact_encode_fit(d, column):
 
 def impact_encode_apply(d, cmap):
     """Single numeric column of impact values (fallback for unseen categories)."""
+    _require_categorical(d, cmap.column)
     codes, cells = d.column_data(cmap.column).coded()
     table = np.array([cmap.impact(v) for v in cells], dtype=np.float64)
     return FeatureMatrix((impact_name(cmap.column),), table[codes].reshape(-1, 1))

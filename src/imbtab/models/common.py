@@ -47,7 +47,7 @@ _INTEGERS = {
 _NULLABLE = ("max_depth", "feature_subset_size")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     family: str
     name: str = ""
@@ -69,7 +69,7 @@ class ModelConfig:
         if not isinstance(self.name, str):
             raise ValidationError("name", "must be a string")
         if not self.name:
-            self.name = self.family.upper()
+            object.__setattr__(self, "name", self.family.upper())
         for attr, minimum in _INTEGERS.items():
             value = getattr(self, attr)
             if value is not None or attr not in _NULLABLE:

@@ -153,8 +153,9 @@ def _gini_loss(n):
 
 
 def grow_cart(X, codes, y, rows, depth, cfg, rng, feature_subset_size):
-    """Grow a CART subtree over X[rows] depth-first; the forest's per-split
-    feature draws from rng happen in preorder."""
+    """Grow a CART subtree over X[rows] depth-first. With a feature_subset_size,
+    each split searches that many features drawn from rng, in preorder; with
+    None it searches them all and rng is not used."""
     n = len(rows)
     y_node = y[rows]
     node_gini = gini_impurity(y_node)
@@ -189,16 +190,14 @@ def grow_cart(X, codes, y, rows, depth, cfg, rng, feature_subset_size):
     return node
 
 
-def fit_tree(X, y, cfg, rng=None, feature_subset_size=None):
-    """Grow a CART tree; leaf score is the positive-label fraction."""
+def fit_tree(X, y, cfg):
+    """Grow a CART tree over every feature; leaf score is the positive-label fraction."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise EmptyInput("cannot fit a tree on zero rows")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     rows = np.arange(len(y))
-    return grow_cart(X, rank_codes(X), y, rows, 0, cfg, rng, feature_subset_size)
+    return grow_cart(X, rank_codes(X), y, rows, 0, cfg, None, None)
 
 
 def _flatten(root):

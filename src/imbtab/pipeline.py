@@ -91,7 +91,6 @@ class EncoderSpec:
 class ExperimentConfig:
     dataset_path: str
     schema: tuple
-    target: str
     split: SplitSpec
     encoders: tuple
     resampler: ResampleConfig
@@ -100,13 +99,18 @@ class ExperimentConfig:
     formats: tuple = ("json", "txt")
 
     def __post_init__(self):
-        # the paths are the config keys: dataset, output, formats
-        if not isinstance(self.dataset_path, str):
-            raise ValidationError("dataset", "must be a string")
-        if not isinstance(self.output_dir, str):
-            raise ValidationError("output", "must be a string")
+        # the paths are the config keys: schema, dataset, output, formats
+        validate_schema(self.schema)
+        for path, value in (("dataset", self.dataset_path), ("output", self.output_dir)):
+            if not isinstance(value, str) or not value:
+                raise ValidationError(path, "must be a non-empty string")
         for f in self.formats:
             check_choice(f, "formats", REPORT_FORMATS)
+
+    @property
+    def target(self):
+        """Name of the schema's binary-target column (the config's "target" key)."""
+        return next(c.name for c in self.schema if c.kind == TARGET)
 
 
 @dataclass
@@ -183,7 +187,7 @@ def parse_config(text):
         raise ValidationError("target", f"column {target!r} not in schema")
     if column.kind != TARGET:
         raise ValidationError("target", f"column {target!r} must have kind {TARGET}")
-    validate_schema(schema)
+    validate_schema(schema)  # here too, before the encoders are checked against the schema
     kinds = {c.name: c.kind for c in schema}
 
     split = _build(SplitSpec, doc.get("split", {}), "split")
@@ -214,7 +218,6 @@ def parse_config(text):
     return ExperimentConfig(
         dataset_path=doc["dataset"],
         schema=schema,
-        target=target,
         split=split,
         encoders=tuple(encoders),
         resampler=resampler,
@@ -280,12 +283,6 @@ class FittedColumnEncoder:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _numeric_matrix(d, name):
-    column = d.column_data(name)
-    vals = column.values if column.vocab is None else np.asarray(column.cells(), dtype=np.float64)
-    return FeatureMatrix((name,), vals.reshape(-1, 1))
-
-
 def build_features(d, schema, fitted_encoders):
     """Schema-ordered feature matrix: numeric passthrough + encoded categoricals,
     each written into its own block of one preallocated matrix."""
@@ -298,7 +295,7 @@ def build_features(d, schema, fitted_encoders):
     start = 0
     for col, block_names in zip(columns, names):
         if col.kind == NUMERIC:
-            out[:, start] = _numeric_matrix(d, col.name).values[:, 0]
+            out[:, start] = d.column_data(col.name).values
         else:
             fitted_encoders[col.name].write(d, out, start)
         start += len(block_names)

@@ -9,7 +9,10 @@ the same results:
 - a property test of `load_csv(...).rows` against `_reference_load`, a copy
   of the row-at-a-time parser kept here as the reference, malformed-row
   indices included;
-- round trips of `take`, `drop_missing` and `replace_column` through `.rows`.
+- round trips of `take`, `drop_missing` and `replace_column` through `.rows`,
+  where a Dataset built in memory casts each cell as the reference parser casts
+  the token `str(cell)` ("" for MISSING), and a property test that every
+  such Column has one of the three typed layouts.
 
 Cells are compared by type and repr, so `1`, `1.0` and `True`, or `0.0` and
 `-0.0`, count as different cells.
@@ -35,9 +38,11 @@ from imbtab import (
     Dataset,
     cast_columns,
     drop_missing,
+    group_categories,
     load_csv,
     parse_config,
 )
+from imbtab.data import LABELS
 from imbtab.errors import MalformedRow
 from imbtab.pipeline import prepare
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
@@ -274,10 +279,36 @@ CELLS = st.sampled_from(
 ROWS = st.lists(st.tuples(CELLS, CELLS, CELLS), min_size=0, max_size=30)
 
 
+def _cast(cell, kind):
+    return _reference_cell("" if cell is MISSING else str(cell), kind)
+
+
+def cast(rows):
+    """Rows as a Dataset built in memory stores them: each cell parsed as a CSV token."""
+    return [tuple(_cast(c, col.kind) for c, col in zip(row, MIXED_SCHEMA)) for row in rows]
+
+
+def assert_typed(d):
+    """Every Column of `d` has the typed layout of its schema kind."""
+    for col in d.schema:
+        column = d.column_data(col.name)
+        if col.kind == NUMERIC:
+            assert column.values.dtype == np.float64 and column.vocab is None
+            assert np.all(np.isfinite(column.values) | np.isnan(column.values))
+        elif col.kind == TARGET:
+            assert column.values.dtype == np.int8 and column.vocab is LABELS
+            assert set(column.values.tolist()) <= {-1, 0, 1}
+        else:
+            assert column.values.dtype == np.int32 and isinstance(column.vocab, tuple)
+            assert all(type(v) is str for v in column.vocab)
+            assert len(set(column.vocab)) == len(column.vocab)
+            assert np.all((column.values >= -1) & (column.values < len(column.vocab)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(rows=ROWS)
 def test_rows_round_trip(rows):
-    assert typed(Dataset(MIXED_SCHEMA, rows).rows) == typed(rows)
+    assert typed(Dataset(MIXED_SCHEMA, rows).rows) == typed(cast(rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,13 +316,13 @@ def test_rows_round_trip(rows):
 def test_take_round_trip(rows, data):
     d = Dataset(MIXED_SCHEMA, rows)
     idx = data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=40)) if rows else []
-    assert typed(d.take(idx).rows) == typed([rows[i] for i in idx])
+    assert typed(d.take(idx).rows) == typed([cast(rows)[i] for i in idx])
 
 
 @settings(max_examples=150, deadline=None)
 @given(rows=ROWS)
 def test_drop_missing_round_trip(rows):
-    kept = [r for r in rows if not any(c is MISSING for c in r)]
+    kept = [r for r in cast(rows) if not any(c is MISSING for c in r)]
     assert typed(drop_missing(Dataset(MIXED_SCHEMA, rows)).rows) == typed(kept)
 
 
@@ -302,6 +333,21 @@ def test_replace_column_round_trip(rows, data):
     j = data.draw(st.integers(0, 2))
     values = data.draw(st.lists(CELLS, min_size=len(rows), max_size=len(rows)))
     out = d.replace_column(MIXED_SCHEMA[j].name, values)
-    expected = [r[:j] + (v,) + r[j + 1 :] for r, v in zip(rows, values)]
+    kind = MIXED_SCHEMA[j].kind
+    expected = [r[:j] + (_cast(v, kind),) + r[j + 1 :] for r, v in zip(cast(rows), values)]
     assert typed(out.rows) == typed(expected)
-    assert typed(d.rows) == typed(rows)
+    assert typed(d.rows) == typed(cast(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=ROWS, data=st.data())
+def test_every_column_built_in_memory_is_typed(rows, data):
+    d = Dataset(MIXED_SCHEMA, rows)
+    assert_typed(d)
+    assert_typed(drop_missing(d))
+    j = data.draw(st.integers(0, 2))
+    values = data.draw(st.lists(CELLS, min_size=len(rows), max_size=len(rows)))
+    assert_typed(d.replace_column(MIXED_SCHEMA[j].name, values))
+    groups = st.dictionaries(st.sampled_from(["a", "b", "1"]), st.sampled_from(["a", "g"]))
+    grouping = data.draw(groups)
+    assert_typed(group_categories(d, "c", grouping))

@@ -1,3 +1,5 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,6 +31,7 @@ from imbtab.errors import (
 )
 
 SCHEMA = (ColumnSchema("cat", CATEGORICAL), ColumnSchema("target", TARGET))
+NUMERIC_DS = Dataset((ColumnSchema("x", NUMERIC), ColumnSchema("target", TARGET)), [(1.0, 0)])
 
 
 def ds(cats, ys=None):
@@ -62,6 +65,10 @@ class TestOneHot:
         with pytest.raises(UnseenCategory, match="MISSING"):
             one_hot_encode(ds([MISSING, "z"]), "cat", ["a"], mode="strict")
 
+    def test_not_categorical(self):
+        with pytest.raises(NotCategorical):
+            one_hot_encode(NUMERIC_DS, "x", ["1.0"])
+
     def test_empty_category_list(self):
         with pytest.raises(EmptyCategoryList):
             one_hot_encode(ds(["a"]), "cat", [])
@@ -94,9 +101,8 @@ class TestMergeRare:
             assert len(set(out.column("cat"))) <= len(set(d.column("cat")))
 
     def test_not_categorical(self):
-        d = Dataset((ColumnSchema("x", NUMERIC), ColumnSchema("target", TARGET)), [(1.0, 0)])
         with pytest.raises(NotCategorical):
-            merge_rare_categories(d, "x", 1)
+            merge_rare_categories(NUMERIC_DS, "x", 1)
 
 
 class TestGroupCategories:
@@ -184,6 +190,10 @@ class TestImpactEncoding:
         cmap = impact_encode_fit(ds(["a", "b"], [1, 0]), "cat")
         fm = impact_encode_apply(Dataset(SCHEMA, []), cmap)
         assert fm.n_rows == 0
+
+    def test_apply_not_categorical(self):
+        with pytest.raises(NotCategorical):
+            impact_encode_apply(NUMERIC_DS, CategoryMap("x", 0.0, OrderedDict()))
 
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDataset):

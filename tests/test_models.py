@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import signal
@@ -300,6 +301,13 @@ class TestBoosting:
 
 
 class TestContract:
+    def test_model_config_is_frozen(self):
+        cfg = lr_cfg()
+        assert cfg.name == "LR"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.iterations = 2.5
+        assert cfg.iterations == 500
+
     def test_classify_rules(self):
         assert classify([0.4, 0.6], 0.5).tolist() == [0, 1]
         assert classify([0.5], 0.5).tolist() == [1]  # >= rule

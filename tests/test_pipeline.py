@@ -61,6 +61,12 @@ class TestParseConfig:
         encoded = {e.column for e in cfg.encoders}
         assert "gender" in encoded and "company_size" in encoded
 
+    def test_target_is_the_schemas_binary_target_column(self, data_csv):
+        schema = [dict(c, name="label") if c["kind"] == "binary-target" else c for c in schema_doc()]
+        cfg = parse_config(json.dumps(base_config(data_csv, schema=schema, target="label")))
+        assert cfg.target == "label"
+        assert "target" not in {f.name for f in dataclasses.fields(cfg)}
+
     def test_not_json(self):
         with pytest.raises(ParseError):
             parse_config("{nope")
@@ -290,7 +296,14 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "changes, field",
-        [({"formats": ("xml",)}, "formats"), ({"output_dir": 3}, "output"), ({"dataset_path": 0}, "dataset")],
+        [
+            ({"formats": ("xml",)}, "formats"),
+            ({"output_dir": 3}, "output"),
+            ({"dataset_path": 0}, "dataset"),
+            ({"output_dir": ""}, "output"),
+            ({"dataset_path": ""}, "dataset"),
+            ({"schema": DEFAULT_SCHEMA[:-1]}, "schema"),
+        ],
     )
     def test_replace_checks_the_experiment_config(self, data_csv, changes, field):
         cfg = parse_config(json.dumps(base_config(data_csv)))
@@ -660,10 +673,15 @@ class TestCli:
             ({"encoders": [{"column": ["gender"]}]}, "encoders[0].column"),
             ({"output": 3}, "output"),
             ({"dataset": 0}, "dataset"),
+            ({"output": ""}, "output"),
+            ({"dataset": ""}, "dataset"),
             ({"encoders": {}}, "encoders"),
             ({"formats": {"json": 1}}, "formats"),
         ],
-        ids=["duplicate-name", "target-list", "column-list", "output", "dataset", "encoders", "formats"],
+        ids=[
+            "duplicate-name", "target-list", "column-list", "output", "dataset",
+            "output-empty", "dataset-empty", "encoders", "formats",
+        ],
     )
     def test_bad_config_value_is_a_config_error(self, data_csv, tmp_path, capsys, overrides, path):
         cfg_path = tmp_path / "cfg.json"
@@ -673,6 +691,14 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {path}: ")
         assert not (tmp_path / "out").exists()
+
+    def test_run_out_flag_empty_is_a_config_error(self, data_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(data_csv, output=str(tmp_path / "out"))))
+        assert main(["run", "--config", str(cfg_path), "--out", ""]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: output: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("formats", ["xml", "", "json,xml"])
     def test_run_format_flag_is_checked(self, data_csv, tmp_path, capsys, formats):
