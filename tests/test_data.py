@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import imbtab.data
@@ -6,6 +7,7 @@ from imbtab import (
     MISSING,
     NUMERIC,
     TARGET,
+    Column,
     ColumnSchema,
     Dataset,
     SplitSpec,
@@ -15,6 +17,7 @@ from imbtab import (
     load_csv,
     train_test_split,
 )
+from imbtab.data import LABELS
 from imbtab.errors import EmptyDataset, HeaderMismatch, MalformedRow, UncastTarget, UnknownColumn
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
 
@@ -217,3 +220,35 @@ class TestClassCounts:
         assert d.column("target") == [1, MISSING]
         with pytest.raises(UncastTarget, match="row 1"):
             class_counts(d)
+
+
+class TestFromColumns:
+    def test_typed_columns_are_used_as_they_are(self):
+        x = Column(np.array([1.5, np.nan]))
+        gender = Column(np.array([1, -1], dtype=np.int32), ("f", "m"))
+        target = Column(np.array([0, 1], dtype=np.int8), LABELS)
+        d = Dataset.from_columns(SCHEMA3, [x, gender, target])
+        assert d.column_data("gender") is gender
+        assert d.rows == ((1.5, "m", 0), (MISSING, MISSING, 1))
+
+    @pytest.mark.parametrize(
+        "name, column",
+        [
+            ("target", Column(np.array([0, 1], dtype=np.int32), ("x", "y"))),
+            ("target", Column(np.array([0, 1], dtype=np.int8))),
+            ("x", Column(np.array([0, 1], dtype=np.int32), ("x", "y"))),
+            ("x", Column(np.array([0, 1]))),
+            ("gender", Column(np.array([0.0, 1.0]))),
+            ("gender", Column(np.array([0, 1], dtype=np.int8), LABELS)),
+            ("gender", Column(np.array([0, 1], dtype=np.int32), ["x", "y"])),
+        ],
+    )
+    def test_a_layout_that_does_not_fit_the_kind_is_rejected(self, name, column):
+        columns = {
+            "x": Column(np.array([1.0, 2.0])),
+            "gender": Column(np.array([0, 0], dtype=np.int32), ("f",)),
+            "target": Column(np.array([0, 1], dtype=np.int8), LABELS),
+            name: column,
+        }
+        with pytest.raises(ValueError, match=repr(name)):
+            Dataset.from_columns(SCHEMA3, [columns[c.name] for c in SCHEMA3])

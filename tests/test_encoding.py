@@ -129,6 +129,10 @@ class TestGroupCategories:
         assert out.column("cat") == ["c", "c", MISSING, "c"]
         assert out.column_data("cat").vocab == ("c",)
 
+    def test_non_string_group_raises_naming_the_category(self):
+        with pytest.raises(TypeError, match="'a'"):
+            group_categories(ds(["a", "b"]), "cat", {"a": 1})
+
     def test_injective_identity_roundtrip(self):
         d = ds(["a", "b", "c"])
         out = group_categories(d, "cat", {"a": "a", "b": "b", "c": "c"})
@@ -185,6 +189,15 @@ class TestImpactEncoding:
         cmap = impact_encode_fit(ds(["a", "b"], [1, 0]), "cat")
         fm = impact_encode_apply(ds(["c"]), cmap)
         assert fm.values[0, 0] == 0.0
+
+    def test_missing_cells_get_the_fallback(self):
+        d = ds(["a", MISSING, "b", "a"], [1, 0, 1, 0])
+        cmap = impact_encode_fit(d, "cat")
+        assert list(cmap.per_category) == ["a", "b"]
+        assert cmap.global_mean == 0.5
+        assert cmap.per_category["a"] == (2, 0.5, 0.0)
+        assert cmap.per_category["b"] == (1, 1.0, 0.5)
+        assert impact_encode_apply(d, cmap).values[:, 0].tolist() == [0.0, 0.0, 0.5, 0.0]
 
     def test_apply_empty(self):
         cmap = impact_encode_fit(ds(["a", "b"], [1, 0]), "cat")
