@@ -66,6 +66,9 @@ _MISSING_TOKENS = {"", "NaN"}
 # Vocabulary of a cast target column, whose codes are therefore the labels.
 LABELS = (0, 1)
 
+# dtype of a Column's values, per schema kind
+_DTYPES = {NUMERIC: np.float64, TARGET: np.int8, CATEGORICAL: np.int32}
+
 # Rows load_csv parses per block. Blocks bound the raw cell strings held at
 # once; on a 2-vCPU Xeon, 32k-row blocks loaded 200k rows about 2x slower.
 _CHUNK_ROWS = 1 << 10
@@ -133,10 +136,13 @@ class Column:
         """The cells at a numpy index (integer array or boolean mask)."""
         return Column(self.values[index], self.vocab)
 
-    def coded(self):
-        """(codes, cells) of a target or categorical column, with cell i equal to
-        cells[codes[i]]: code -1 picks the trailing MISSING entry of `cells`."""
-        return self.values, self.vocab + (MISSING,)
+    def fits(self, kind):
+        """Whether the Column has the layout of schema kind `kind`."""
+        if getattr(self.values, "dtype", None) != _DTYPES[kind]:
+            return False
+        if kind == NUMERIC:
+            return self.vocab is None
+        return self.vocab == LABELS if kind == TARGET else isinstance(self.vocab, tuple)
 
     def cells(self, missing=MISSING):
         """The cells as a list of Python values, with `missing` for MISSING."""
@@ -174,7 +180,7 @@ class Dataset:
 
     @classmethod
     def from_columns(cls, schema, columns):
-        """Dataset over one Column per schema column, used as they are."""
+        """Dataset over one Column per schema column, each of its kind's layout, used as it is."""
         d = cls.__new__(cls)
         d.schema = tuple(schema)
         validate_schema(d.schema)
@@ -183,6 +189,9 @@ class Dataset:
             raise ValueError(f"expected {len(d.schema)} columns, got {len(d._columns)}")
         if len({len(c) for c in d._columns}) != 1:
             raise ValueError("columns differ in length")
+        for col, column in zip(d.schema, d._columns):
+            if not column.fits(col.kind):
+                raise ValueError(f"column {col.name!r} does not have the layout of a {col.kind} column")
         return d
 
     def __repr__(self):
@@ -280,8 +289,6 @@ class _ColumnParser(dict):
     labels and int32 vocabulary codes (-1 for MISSING) for the others.
     """
 
-    _DTYPES = {NUMERIC: np.float64, TARGET: np.int8, CATEGORICAL: np.int32}
-
     def __init__(self, kind):
         super().__init__()
         self.kind = kind
@@ -300,13 +307,13 @@ class _ColumnParser(dict):
         return value
 
     def add(self, tokens):
-        dtype = self._DTYPES[self.kind]
+        dtype = _DTYPES[self.kind]
         self.parts.append(np.fromiter(map(self.__getitem__, tokens), dtype, len(tokens)))
         if len(self) > _MEMO_TOKENS:
             self.clear()
 
     def column(self):
-        dtype = self._DTYPES[self.kind]
+        dtype = _DTYPES[self.kind]
         values = np.concatenate(self.parts) if self.parts else np.empty(0, dtype)
         if self.kind == NUMERIC:
             return Column(values)

@@ -7,9 +7,11 @@ and raises ValidationError naming the bare field. `parse_config` checks only
 the JSON's shape and the rules that span fields, and puts the object's path
 in front of a constructor's error (`k` becomes `resampler.k`).
 
-Encoders and the resampler only ever see training rows; the test split is
-encoded with the fitted artifacts and otherwise untouched. All randomness is
-seeded through the config, so a config fully determines the report.
+The encode stage (`EncoderSpec`, `FittedColumnEncoder`, `build_features`)
+lives in `encoding`. Encoders and the resampler only ever see training rows;
+the test split is encoded with the fitted artifacts and otherwise untouched.
+All randomness is seeded through the config, so a config fully determines
+the report.
 
 The models are fitted together by `fit_models`, which spreads them (and each
 forest's trees) over the CPUs the process may use; the reports do not depend
@@ -23,16 +25,14 @@ from __future__ import annotations
 
 import contextlib
 import datetime
-import hashlib
 import json
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .data import (
     CATEGORICAL,
-    NUMERIC,
     TARGET,
     ColumnSchema,
     SplitSpec,
@@ -42,49 +42,17 @@ from .data import (
     train_test_split,
     validate_schema,
 )
-from .encoding import (
-    FeatureMatrix,
-    fit_categories,
-    group_categories,
-    impact_encode_apply,
-    impact_encode_fit,
-    impact_name,
-    one_hot_names,
-    one_hot_positions,
-    rare_category_mapping,
-)
-from .errors import ParseError, PipelineError, ValidationError, check_choice, check_integer
+from .encoding import EncoderSpec, FeatureMatrix, FittedColumnEncoder, build_features
+from .errors import ParseError, PipelineError, ValidationError, check_choice
 from .metrics import compute_metrics, confusion_matrix, format_report_table, reports_to_json
 from .models import ModelConfig, classify, fit_model, fit_models
 from .resampling import ResampleConfig, rebalance
 
-ENCODER_METHODS = ("onehot", "impact")
-ENCODER_MODES = ("lenient", "strict")
 REPORT_FORMATS = ("json", "txt")
 
 _CONFIG_KEYS = frozenset(
     ("dataset", "schema", "target", "split", "encoders", "resampler", "models", "output", "formats")
 )
-
-
-@dataclass(frozen=True)
-class EncoderSpec:
-    column: str
-    method: str = "onehot"
-    min_count: int = 0  # 0 disables rare-category merging
-    grouping: dict = field(default_factory=dict)  # category -> group
-    mode: str = "lenient"
-
-    def __post_init__(self):
-        if not isinstance(self.column, str):
-            raise ValidationError("column", "must be a string")
-        check_choice(self.method, "method", ENCODER_METHODS)
-        check_integer(self.min_count, "min_count", minimum=0)
-        if not isinstance(self.grouping, dict) or not all(
-            isinstance(s, str) for pair in self.grouping.items() for s in pair
-        ):
-            raise ValidationError("grouping", "must be an object of string to string")
-        check_choice(self.mode, "mode", ENCODER_MODES)
 
 
 @dataclass(frozen=True)
@@ -225,81 +193,6 @@ def parse_config(text):
         output_dir=doc.get("output", "out"),
         formats=tuple(_list(doc.get("formats", ["json", "txt"]), "formats")),
     )
-
-
-@dataclass
-class FittedColumnEncoder:
-    """Train-fitted transform for one categorical column."""
-
-    spec: EncoderSpec
-    rare_mapping: dict = field(default_factory=dict)  # rare category -> __OTHER__
-    categories: tuple = ()  # one-hot vocabulary
-    category_map: object = None  # impact CategoryMap
-
-    def _prepare(self, d):
-        if self.spec.grouping:
-            d = group_categories(d, self.spec.column, self.spec.grouping, self.spec.mode)
-        if self.rare_mapping:
-            d = group_categories(d, self.spec.column, self.rare_mapping)
-        return d
-
-    def fit(self, train):
-        self.rare_mapping = {}
-        train = self._prepare(train)
-        if self.spec.min_count > 0:
-            self.rare_mapping = rare_category_mapping(train, self.spec.column, self.spec.min_count)
-            train = group_categories(train, self.spec.column, self.rare_mapping)
-        if self.spec.method == "onehot":
-            self.categories = tuple(fit_categories(train, self.spec.column))
-        else:
-            self.category_map = impact_encode_fit(train, self.spec.column)
-        return self
-
-    @property
-    def column_names(self):
-        """Names of the feature columns that `write` fills."""
-        if self.spec.method == "onehot":
-            return one_hot_names(self.spec.column, self.categories)
-        return (impact_name(self.spec.column),)
-
-    def write(self, d, out, start):
-        """Encode d's column into out[:, start : start + len(column_names)];
-        out is a zeroed row-major matrix with one row per row of d."""
-        d = self._prepare(d)
-        if self.spec.method == "onehot":
-            where = one_hot_positions(d, self.spec.column, self.categories, self.spec.mode)
-            rows = np.flatnonzero(where >= 0)
-            out.reshape(-1)[rows * out.shape[1] + start + where[rows]] = 1.0
-        else:
-            out[:, start] = impact_encode_apply(d, self.category_map).values[:, 0]
-
-    def fingerprint(self):
-        """Stable digest of every fitted parameter (leakage audits)."""
-        if self.spec.method == "onehot":
-            payload = {"categories": list(self.categories), "rare": sorted(self.rare_mapping)}
-        else:
-            payload = {"map": self.category_map.to_json(), "rare": sorted(self.rare_mapping)}
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-
-def build_features(d, schema, fitted_encoders):
-    """Schema-ordered feature matrix: numeric passthrough + encoded categoricals,
-    each written into its own block of one preallocated matrix."""
-    columns = [col for col in schema if col.kind != TARGET]
-    names = [
-        (col.name,) if col.kind == NUMERIC else fitted_encoders[col.name].column_names
-        for col in columns
-    ]
-    out = np.zeros((d.row_count, sum(map(len, names))))
-    start = 0
-    for col, block_names in zip(columns, names):
-        if col.kind == NUMERIC:
-            out[:, start] = d.column_data(col.name).values
-        else:
-            fitted_encoders[col.name].write(d, out, start)
-        start += len(block_names)
-    return FeatureMatrix(tuple(n for block_names in names for n in block_names), out)
 
 
 @contextlib.contextmanager

@@ -2,7 +2,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbtab import (
@@ -13,6 +13,7 @@ from imbtab import (
     CategoryMap,
     ColumnSchema,
     Dataset,
+    drop_missing,
     fit_categories,
     group_categories,
     impact_encode_apply,
@@ -20,7 +21,7 @@ from imbtab import (
     merge_rare_categories,
     one_hot_encode,
 )
-from imbtab.encoding import OTHER_TOKEN
+from imbtab.encoding import ENCODER_METHODS, ENCODER_MODES, OTHER_TOKEN, rare_category_mapping
 from imbtab.errors import (
     EmptyCategoryList,
     EmptyDataset,
@@ -29,6 +30,8 @@ from imbtab.errors import (
     UnmappedCategory,
     UnseenCategory,
 )
+from imbtab.pipeline import EncoderSpec, FittedColumnEncoder, build_features
+from imbtab.synth import DEFAULT_SCHEMA, generate_dataset
 
 SCHEMA = (ColumnSchema("cat", CATEGORICAL), ColumnSchema("target", TARGET))
 NUMERIC_DS = Dataset((ColumnSchema("x", NUMERIC), ColumnSchema("target", TARGET)), [(1.0, 0)])
@@ -230,3 +233,84 @@ class TestImpactEncoding:
         cmap = impact_encode_fit(ds(cats, ys), "cat")
         total = sum(n * imp for n, _, imp in cmap.per_category.values())
         assert abs(total) < 1e-9
+
+
+# The perfbench workloads' encoders; strict grouping needs every level mapped.
+SCHOOL = {"primary": "school", "high_school": "school", "masters": "postgrad", "phd": "postgrad"}
+PERFBENCH_SPECS = [
+    EncoderSpec("company_size", method="impact"),
+    EncoderSpec("gender", min_count=5),
+    EncoderSpec("education_level", grouping=SCHOOL),
+    EncoderSpec("education_level", grouping={**SCHOOL, "graduate": "graduate"}, mode="strict"),
+    EncoderSpec("major_discipline"),
+]
+
+
+def outcome(encode):
+    """(column names, values) of the FeatureMatrix `encode()` returns, or the
+    type of the error it raises."""
+    try:
+        fm = encode()
+    except Exception as exc:
+        return type(exc)
+    return fm.column_names, fm.values.tolist()
+
+
+class TestFittedColumnEncoder:
+    @pytest.mark.parametrize("spec", PERFBENCH_SPECS, ids=lambda s: f"{s.column}-{s.mode}")
+    def test_fit_and_write_build_no_dataset(self, spec, monkeypatch):
+        data = drop_missing(generate_dataset(400, seed=3, missing_rate=0.02))
+        train, test = data.take(range(300)), data.take(range(300, data.row_count))
+        schema = [c for c in DEFAULT_SCHEMA if c.kind != CATEGORICAL or c.name == spec.column]
+        expected = [
+            build_features(d, schema, {spec.column: FittedColumnEncoder(spec).fit(train)})
+            for d in (train, test)
+        ]
+
+        def no_dataset(*args):
+            raise AssertionError("Dataset.from_columns called")
+
+        monkeypatch.setattr(Dataset, "from_columns", no_dataset)
+        fitted = {spec.column: FittedColumnEncoder(spec).fit(train)}
+        for d, fm in zip((train, test), expected):
+            out = build_features(d, schema, fitted)
+            assert out.column_names == fm.column_names
+            assert np.array_equal(out.values, fm.values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        train=st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c", "d", MISSING]), st.integers(0, 1)),
+            min_size=1,
+            max_size=30,
+        ),
+        test=st.lists(st.sampled_from(["a", "b", "c", "e", MISSING]), max_size=20),
+        method=st.sampled_from(ENCODER_METHODS),
+        mode=st.sampled_from(ENCODER_MODES),
+        min_count=st.integers(0, 3),
+        grouping=st.dictionaries(st.sampled_from("abcd"), st.sampled_from(["a", "g", OTHER_TOKEN])),
+    )
+    def test_block_is_the_public_functions_composed(
+        self, train, test, method, mode, min_count, grouping
+    ):
+        train_d = ds([c for c, _ in train], [y for _, y in train])
+        spec = EncoderSpec("cat", method, min_count, grouping, mode)
+
+        def grouped(d):
+            return group_categories(d, "cat", grouping, mode) if grouping else d
+
+        def composed(d):
+            fit_on, rare = grouped(train_d), {}
+            if min_count:
+                rare = rare_category_mapping(fit_on, "cat", min_count)
+                fit_on = merge_rare_categories(fit_on, "cat", min_count)
+            d = group_categories(grouped(d), "cat", rare)
+            if method == "onehot":
+                return one_hot_encode(d, "cat", fit_categories(fit_on, "cat"), mode)
+            return impact_encode_apply(d, impact_encode_fit(fit_on, "cat"))
+
+        def block(d):
+            return build_features(d, SCHEMA, {"cat": FittedColumnEncoder(spec).fit(train_d)})
+
+        for d in (train_d, ds(test)):
+            assert outcome(lambda: block(d)) == outcome(lambda: composed(d))
