@@ -191,7 +191,7 @@ class Dataset:
             raise ValueError("columns differ in length")
         for col, column in zip(d.schema, d._columns):
             if not column.fits(col.kind):
-                raise ValueError(f"column {col.name!r} does not have the layout of a {col.kind} column")
+                raise ValueError(f"column {col.name!r} lacks the layout of a {col.kind} column")
         return d
 
     def __repr__(self):
