@@ -55,6 +55,14 @@ class TestLoadCsv:
         assert exc.value.missing == ["target"]
         assert exc.value.extra == ["label"]
 
+    @pytest.mark.parametrize("body", ["1,2,0\n", '"1",2,0\n'], ids=["unquoted", "quoted"])
+    def test_a_repeated_header_name_raises(self, tmp_path, body):
+        path = write(tmp_path, "x,x,target\n" + body)
+        schema = (ColumnSchema("x", NUMERIC), ColumnSchema("target", TARGET))
+        with pytest.raises(HeaderMismatch, match="repeated") as exc:
+            load_csv(path, schema)
+        assert exc.value.repeated == ["x"]
+
     def test_empty_numeric_cell_is_missing(self, tmp_path):
         path = write(tmp_path, "x,gender,target\n,m,1\n0.92,f,0\n")
         d = load_csv(path, SCHEMA3)

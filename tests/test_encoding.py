@@ -29,6 +29,7 @@ from imbtab.errors import (
     ReservedCategory,
     UnmappedCategory,
     UnseenCategory,
+    ValidationError,
 )
 from imbtab.pipeline import EncoderSpec, FittedColumnEncoder, build_features
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset
@@ -126,6 +127,11 @@ class TestGroupCategories:
         d = ds(["d", "c", MISSING, "a"]).take([2, 1, 0, 3])  # rows MISSING, c, d, a
         with pytest.raises(UnmappedCategory, match="'c'"):
             group_categories(d, "cat", {"a": "g"}, mode="strict")
+
+    @pytest.mark.parametrize("mode", ["Strict", "", None])
+    def test_an_unknown_mode_raises(self, mode):
+        with pytest.raises(ValidationError, match="mode"):
+            group_categories(ds(["a", "b"]), "cat", {"a": "g"}, mode=mode)
 
     def test_groups_merge_in_the_vocabulary(self):
         out = group_categories(ds(["a", "b", MISSING, "c"]), "cat", {"a": "c", "b": "c"})
