@@ -9,11 +9,18 @@ tokens and a Dataset built in memory feeds `str(cell)` ("" for MISSING).
 `column()` and `rows` give the cells back as Python values, with the MISSING
 sentinel. Datasets are treated as immutable; every operation returns a new
 Dataset.
+
+`load_csv` reads the file in byte blocks cut at line ends. A block with no
+`"` byte and no CR outside CRLF is split into cells with numpy, and each
+distinct token of a column is decoded and parsed once per block; from the
+first block that has quoting in it, `csv.reader` reads the rest of the file,
+`_CHUNK_ROWS` rows at a time. Both give the cells `csv.reader` would.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import random
@@ -69,8 +76,14 @@ LABELS = (0, 1)
 # dtype of a Column's values, per schema kind
 _DTYPES = {NUMERIC: np.float64, TARGET: np.int8, CATEGORICAL: np.int32}
 
-# Rows load_csv parses per block. Blocks bound the raw cell strings held at
-# once; on a 2-vCPU Xeon, 32k-row blocks loaded 200k rows about 2x slower.
+# Bytes load_csv splits with numpy per block. Blocks bound the index arrays
+# held at once: loading a 200k-row, 12 MB CSV peaked at 19.0 MB of tracemalloc
+# with 1 MiB blocks (the csv.reader loop: 18.6 MB) and at 83.5 MB with 16 MiB
+# blocks; 64 KiB blocks loaded it about 40% slower (2-vCPU Xeon).
+_BLOCK_BYTES = 1 << 20
+# Rows csv.reader parses per block, from the first byte block with quoting in
+# it on. Blocks bound the raw cell strings held at once; on a 2-vCPU Xeon,
+# 32k-row blocks loaded 200k rows about 2x slower.
 _CHUNK_ROWS = 1 << 10
 # Distinct tokens a column's parse memo keeps before it starts over.
 _MEMO_TOKENS = 1 << 16
@@ -306,11 +319,15 @@ class _ColumnParser(dict):
         self[token] = value
         return value
 
-    def add(self, tokens):
-        dtype = _DTYPES[self.kind]
-        self.parts.append(np.fromiter(map(self.__getitem__, tokens), dtype, len(tokens)))
+    def lookup(self, tokens):
+        """The stored values of `tokens`, as an array."""
+        values = np.fromiter(map(self.__getitem__, tokens), _DTYPES[self.kind], len(tokens))
         if len(self) > _MEMO_TOKENS:
             self.clear()
+        return values
+
+    def add(self, tokens):
+        self.parts.append(self.lookup(tokens))
 
     def column(self):
         dtype = _DTYPES[self.kind]
@@ -328,29 +345,146 @@ def _parse_cells(cells, kind):
     return parser.column()
 
 
+def _line_blocks(fh, size):
+    """The rest of `fh` in blocks of about `size` bytes, each ending at a line
+    end; the last one gets a LF when the file lacks a final line end."""
+    rest = b""
+    while data := fh.read(size):
+        data = rest + data
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]
+        rest = data[cut:]
+    if rest:
+        yield rest + b"\n"
+
+
+# words[p] & _MASKS[n] keeps the n bytes of the little-endian word at byte p
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _first_seen(key):
+    """(first, ids): `ids` numbers the distinct values of `key` in order of
+    first appearance, and `first[i]` is the index where value i first appears."""
+    order = np.argsort(key)
+    ordered = key[order]
+    head = np.empty(len(key), dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    ids = np.empty(len(key), dtype=np.intp)
+    ids[order] = rank[np.cumsum(head) - 1]
+    return first[by_first], ids
+
+
+def _token_ids(words, starts, lengths):
+    """`_first_seen` of the tokens of `lengths` bytes at `starts`: equal ids
+    for equal bytes. A token is read as 8-byte words masked to its length;
+    with no NUL byte in the block, equal words mean equal lengths too. The
+    ids of the words combine one word at a time."""
+    first = ids = None
+    for k in range(0, max(int(lengths.max()), 1), 8):
+        # a word past the token's end reads at its end, which is in the block
+        word = words[starts + np.minimum(k, lengths)] & _MASKS[np.clip(lengths - k, 0, 8)]
+        word_first, word_ids = _first_seen(word)
+        if ids is None:
+            first, ids = word_first, word_ids
+        else:
+            first, ids = _first_seen(ids * len(word_first) + word_ids)
+    return first, ids
+
+
+def _block_cells(block, width, start):
+    """Start and length of each cell of `block`, a run of whole lines, as two
+    (rows, width) arrays; None if csv.reader must read it (it holds a `"`, a
+    NUL byte, a CR outside CRLF or a cell over csv's field limit). Raises
+    MalformedRow, whose row index counts the `start` rows before the block."""
+    a = np.frombuffer(block, dtype=np.uint8)
+    if (a == ord('"')).any() or not a.all():
+        return None
+    cr = np.flatnonzero(a == ord("\r"))
+    if (a[cr + 1] != ord("\n")).any():
+        return None
+    ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+    line_ends = np.flatnonzero(a[ends] == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ends[np.searchsorted(ends, cr + 1)] -= 1  # a CRLF line's last cell ends before the CR
+    lengths = ends - starts
+    if lengths.max() > csv.field_size_limit():
+        return None
+    widths = np.diff(line_ends, prepend=-1)
+    widths[(widths == 1) & (lengths[line_ends] == 0)] = 0  # csv.reader gives [] for a blank line
+    bad = np.flatnonzero(widths != width)
+    if bad.size:
+        i = int(bad[0])
+        raise MalformedRow(start + i, f"expected {width} cells, got {widths[i]}")
+    return starts.reshape(-1, width), lengths.reshape(-1, width)
+
+
+def _read_blocks(fh, width, parsers, order):
+    """Feed `parsers` the cells of `fh` from its current position, split with
+    numpy, up to the first block csv.reader must read; returns the row count
+    and the byte offset of that block, or None for the offset at the end."""
+    rows, offset = 0, fh.tell()
+    for block in _line_blocks(fh, _BLOCK_BYTES):
+        cells = _block_cells(block, width, rows)
+        if cells is None:
+            return rows, offset
+        words = np.ndarray(len(block), "<u8", block + bytes(7), 0, (1,))
+        for parser, j in zip(parsers, order):
+            starts, lengths = cells[0][:, j], cells[1][:, j]
+            first, ids = _token_ids(words, starts, lengths)
+            spans = zip(starts[first].tolist(), lengths[first].tolist())
+            tokens = [block[s : s + n].decode("utf-8") for s, n in spans]
+            parser.parts.append(parser.lookup(tokens)[ids])
+        rows += len(cells[0])
+        offset += len(block)
+    return rows, None
+
+
+def _header(line):
+    """The cells of a header line that csv.reader need not read, else None."""
+    if b'"' in line or b"\r" in line.removesuffix(b"\r\n"):
+        return None
+    text = line.decode("utf-8").removesuffix("\n").removesuffix("\r")
+    return text.split(",") if text else []
+
+
+def _csv_reader(fh, offset):
+    fh.seek(offset)
+    return csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+
+
 def load_csv(path, schema):
     """Read an RFC-4180-style CSV into a Dataset, parsing cells per column kind.
 
-    The header must contain exactly the schema's column names (any order).
-    Unparseable or empty cells become MISSING. Rows are read in blocks of
-    _CHUNK_ROWS and each block is parsed column by column.
+    The header must contain exactly the schema's column names (any order),
+    each once. Unparseable or empty cells become MISSING. The body is read in
+    blocks, each parsed column by column (see the module docstring), and the
+    cells are those csv.reader gives.
     """
     schema = tuple(schema)
     validate_schema(schema)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatch(missing=[c.name for c in schema], extra=[])
+    with open(path, "rb") as fh:
+        header, reader = _header(fh.readline()), None
+        if header is None:
+            reader = _csv_reader(fh, 0)
+            header = next(reader, [])
         header = [h.strip() for h in header]
         wanted = {c.name for c in schema}
         got = set(header)
-        if wanted != got:
-            raise HeaderMismatch(missing=wanted - got, extra=got - wanted)
+        repeated = {h for h in got if header.count(h) > 1}
+        if wanted != got or repeated:
+            raise HeaderMismatch(missing=wanted - got, extra=got - wanted, repeated=repeated)
         order = [header.index(c.name) for c in schema]
         parsers = [_ColumnParser(c.kind) for c in schema]
         start = 0
+        if reader is None:
+            start, offset = _read_blocks(fh, len(header), parsers, order)
+            reader = iter(()) if offset is None else _csv_reader(fh, offset)
         while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
             if set(map(len, chunk)) != {len(header)}:
                 i = next(k for k, raw in enumerate(chunk) if len(raw) != len(header))

@@ -294,6 +294,7 @@ def merge_rare_categories(d, column, min_count):
 
 def group_categories(d, column, mapping, mode="lenient"):
     """Replace mapped categories by their group token; unmapped pass through (lenient)."""
+    check_choice(mode, "mode", ENCODER_MODES)
     return d.replace_column(column, _regroup(_categorical(d, column), mapping, column, mode))
 
 

@@ -13,11 +13,13 @@ class ImbtabError(Exception):
 # --- data ---------------------------------------------------------------
 
 class HeaderMismatch(ImbtabError):
-    def __init__(self, missing, extra):
+    def __init__(self, missing, extra, repeated=()):
         self.missing = sorted(missing)
         self.extra = sorted(extra)
+        self.repeated = sorted(repeated)
         super().__init__(
-            f"CSV header does not match schema (missing={self.missing}, extra={self.extra})"
+            f"CSV header does not match schema (missing={self.missing}, extra={self.extra}"
+            + (f", repeated={self.repeated})" if self.repeated else ")")
         )
 
 

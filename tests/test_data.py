@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -83,26 +85,53 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv("/nonexistent/file.csv", SCHEMA2)
 
-    @pytest.mark.parametrize("chunk_rows", [1, 3, 4, 64])
-    def test_blocks_and_memo_resets_give_the_same_cells(self, tmp_path, monkeypatch, chunk_rows):
+    @pytest.mark.parametrize(
+        "setting,size",
+        [("_BLOCK_BYTES", 1), ("_BLOCK_BYTES", 16), ("_BLOCK_BYTES", 100)]
+        + [("_CHUNK_ROWS", n) for n in (1, 3, 4, 64)],
+    )
+    @pytest.mark.parametrize("quoted_row", [None, 0, 11])
+    def test_blocks_and_memo_resets_give_the_same_cells(
+        self, tmp_path, monkeypatch, setting, size, quoted_row
+    ):
+        """csv.reader reads from the block of `quoted_row` on, the numpy tokenizer before it."""
         lines = ["x,gender,target"]
-        lines += [f"{i % 7 * 0.5},{'abc'[i % 3]} ,{i % 2}" for i in range(23)]
+        for i in range(23):
+            gender = f'"{"abc"[i % 3]} "' if i == quoted_row else f"{'abc'[i % 3]} "
+            lines.append(f"{i % 7 * 0.5},{gender},{i % 2}")
         path = write(tmp_path, "\n".join(lines) + "\n")
         expected = load_csv(path, SCHEMA3).rows
-        monkeypatch.setattr(imbtab.data, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(imbtab.data, setting, size)
         monkeypatch.setattr(imbtab.data, "_MEMO_TOKENS", 2)
         d = load_csv(path, SCHEMA3)
         assert d.rows == expected
         assert d.column("gender")[:4] == ["a", "b", "c", "a"]
+        assert d.column("target")[9:12] == [1, 0, 1]
 
-    @pytest.mark.parametrize("chunk_rows", [1, 4, 1024])
-    def test_malformed_row_index_counts_across_blocks(self, tmp_path, monkeypatch, chunk_rows):
-        lines = ["gender,target"] + ["m,1"] * 9 + ["m,1,extra"] + ["m"]
+    @pytest.mark.parametrize(
+        "setting,size",
+        [("_BLOCK_BYTES", n) for n in (1, 8, 1 << 20)] + [("_CHUNK_ROWS", n) for n in (1, 4, 1024)],
+    )
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_malformed_row_index_counts_across_blocks(self, tmp_path, monkeypatch, setting, size, quoted):
+        lines = ["gender,target"] + ['"m",1' if quoted else "m,1"] * 9 + ["m,1,extra"] + ["m"]
         path = write(tmp_path, "\n".join(lines) + "\n")
-        monkeypatch.setattr(imbtab.data, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(imbtab.data, setting, size)
         with pytest.raises(MalformedRow) as exc:
             load_csv(path, SCHEMA2)
         assert exc.value.row_index == 9
+
+    def test_a_cell_over_the_csv_field_limit_raises_as_csv_reader_does(self, tmp_path):
+        path = write(tmp_path, "gender,target\n" + "m" * (csv.field_size_limit() + 1) + ",1\n")
+        with pytest.raises(csv.Error, match="field limit"):
+            load_csv(path, SCHEMA2)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_a_blank_line_is_a_malformed_row(self, tmp_path, eol):
+        path = write(tmp_path, eol.join(["target", "1", "0", "", "1"]) + eol)
+        with pytest.raises(MalformedRow, match="got 0") as exc:
+            load_csv(path, (ColumnSchema("target", TARGET),))
+        assert exc.value.row_index == 2
 
 
 class TestDropMissing:

@@ -23,12 +23,14 @@ import hashlib
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imbtab.data
 from imbtab import (
     CATEGORICAL,
     MISSING,
@@ -229,40 +231,109 @@ PROP_SCHEMA = (
 
 TOKENS = st.sampled_from(
     ["", " ", "NaN", " NaN ", "nan", "inf", "-inf", "1e400", "-0.0", "0.0", "0", "1", "1.0",
-     " 1 ", "2", "yes", "a", " a", "a,b", 'say "hi"', "1e-3", "-7.25", "x y", "1_0", "0x1"]
+     " 1 ", "2", "yes", "a", " a", "a,b", 'say "hi"', "1e-3", "-7.25", "x y", "1_0", "0x1",
+     # NUL bytes: csv.reader keeps them, so "a" and "a\0" are different tokens
+     "a\x00", "\x00", "1\x00", "abcdefgh\x00",
+     # non-ASCII, and lengths around the tokenizer's 8-byte words
+     "é", " naïve ", "日本語", "abcdefgh", "abcdefghi", "abcdefghijklmnop", "abcdefghijklmnopq",
+     "0.12345678901234567", "Zürich-Ünterstraß, 12", " 12345678.125 "]
 )
+EOLS = st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3)
 
 
-def _csv_line(cells):
+def _csv_line(cells, quote_all=False):
     out = []
     for c in cells:
-        needs = any(ch in c for ch in ',"') or c.strip() != c
+        needs = quote_all or any(ch in c for ch in ',"')
         out.append('"' + c.replace('"', '""') + '"' if needs else c)
     return ",".join(out)
 
 
-@settings(max_examples=150, deadline=None)
+def _unquoted(cells):
+    return [c.replace(",", ";").replace('"', "'") for c in cells]
+
+
+@settings(max_examples=400, deadline=None)
 @given(
     header=st.permutations(["x", "c", "t"]),
     rows=st.lists(
         st.lists(TOKENS, min_size=2, max_size=4).map(tuple), min_size=0, max_size=25
     ),
     widths_ok=st.booleans(),
+    quote_from=st.none() | st.integers(0, 25),
+    blank_at=st.none() | st.integers(0, 25),
+    eols=EOLS,
+    final_eol=st.booleans(),
+    block_bytes=st.sampled_from([1, 9, 64, 1 << 20]),
 )
-def test_load_csv_matches_the_reference_parser(tmp_path_factory, header, rows, widths_ok):
+def test_load_csv_matches_the_reference_parser(
+    tmp_path_factory, header, rows, widths_ok, quote_from, blank_at, eols, final_eol, block_bytes
+):
+    """Rows before `quote_from` have no `"` byte, so the numpy tokenizer reads
+    them; csv.reader reads from the block of the first quoted row on."""
     if widths_ok:
         rows = [tuple((list(r) + ["0"] * 3)[:3]) for r in rows]
+    lines = [
+        _csv_line(r, quote_all=i == quote_from)
+        if quote_from is not None and i >= quote_from
+        else ",".join(_unquoted(r))
+        for i, r in enumerate(rows)
+    ]
+    if blank_at is not None and blank_at <= len(lines):
+        lines.insert(blank_at, "")
+    lines.insert(0, ",".join(header))
+    text = "".join(line + eols[i % len(eols)] for i, line in enumerate(lines))
+    if not final_eol:
+        text = text.removesuffix(eols[(len(lines) - 1) % len(eols)])
     path = tmp_path_factory.mktemp("prop") / "d.csv"
-    path.write_text("\n".join([",".join(header)] + [_csv_line(r) for r in rows]) + "\n",
-                    encoding="utf-8")
-    try:
-        expected = _reference_load(path, PROP_SCHEMA)
-    except MalformedRow as exc:
-        with pytest.raises(MalformedRow) as got:
-            load_csv(path, PROP_SCHEMA)
-        assert got.value.row_index == exc.row_index
-        return
-    assert typed(load_csv(path, PROP_SCHEMA).rows) == typed(expected)
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(imbtab.data, "_BLOCK_BYTES", block_bytes):
+        try:
+            expected = _reference_load(path, PROP_SCHEMA)
+        except MalformedRow as exc:
+            with pytest.raises(MalformedRow) as got:
+                load_csv(path, PROP_SCHEMA)
+            assert got.value.row_index == exc.row_index
+            return
+        assert typed(load_csv(path, PROP_SCHEMA).rows) == typed(expected)
+
+
+@pytest.mark.parametrize("alphabet", ["abé ", "a\x00"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), block_bytes=st.sampled_from([32, 1 << 20]))
+def test_every_distinct_token_stays_distinct(tmp_path_factory, alphabet, data, block_bytes):
+    """Tokens that differ in any byte or only in length get different cells,
+    and equal tokens the same cell: "a" and "a\0" too, so a block with a NUL
+    byte must not go to the numpy tokenizer."""
+    cells = data.draw(st.lists(st.text(alphabet, max_size=23), min_size=1, max_size=40))
+    path = tmp_path_factory.mktemp("tokens") / "d.csv"
+    path.write_bytes("".join(["c,t\r\n"] + [f"{c},0\r\n" for c in cells]).encode("utf-8"))
+    schema = (ColumnSchema("c", CATEGORICAL), ColumnSchema("t", TARGET))
+    with mock.patch.object(imbtab.data, "_BLOCK_BYTES", block_bytes):
+        column = load_csv(path, schema).column_data("c")
+    assert column.cells() == [c.strip() or MISSING for c in cells]
+    assert column.vocab == tuple(dict.fromkeys(c.strip() for c in cells if c.strip()))
+
+
+def test_tokens_that_differ_in_one_byte_stay_distinct(tmp_path):
+    tokens = ["a" * n for n in range(1, 26)]
+    tokens += ["a" * i + "b" + "a" * (n - i - 1) for n in range(1, 26) for i in range(n)]
+    path = tmp_path / "d.csv"
+    path.write_text("".join(["c,t\n"] + [f"{c},0\n" for c in tokens + tokens[::-1]]))
+    schema = (ColumnSchema("c", CATEGORICAL), ColumnSchema("t", TARGET))
+    column = load_csv(path, schema).column_data("c")
+    assert column.vocab == tuple(tokens)
+    assert column.cells() == tokens + tokens[::-1]
+
+
+@pytest.mark.parametrize("block_bytes", [4096, 1 << 20])
+def test_a_write_csv_file_loads_like_the_reference(tmp_path, monkeypatch, block_bytes):
+    """`write_csv` ends lines with CRLF and quotes nothing: the benchmark's CSVs."""
+    path = tmp_path / "synth.csv"
+    write_csv(generate_dataset(3000, seed=4, missing_rate=0.05), path)
+    assert b'"' not in path.read_bytes() and path.read_bytes().count(b"\r\n") == 3001
+    monkeypatch.setattr(imbtab.data, "_BLOCK_BYTES", block_bytes)
+    assert typed(load_csv(path, DEFAULT_SCHEMA).rows) == typed(_reference_load(path, DEFAULT_SCHEMA))
 
 
 # --- round trips through .rows --------------------------------------------------
