@@ -10,11 +10,13 @@ tokens and a Dataset built in memory feeds `str(cell)` ("" for MISSING).
 sentinel. Datasets are treated as immutable; every operation returns a new
 Dataset.
 
-`load_csv` reads the file in byte blocks cut at line ends. A block with no
-`"` byte and no CR outside CRLF is split into cells with numpy, and each
-distinct token of a column is decoded and parsed once per block; from the
-first block that has quoting in it, `csv.reader` reads the rest of the file,
-`_CHUNK_ROWS` rows at a time. Both give the cells `csv.reader` would.
+`load_csv` reads the body in byte blocks cut at line ends. A block with no
+`"` byte, no NUL byte and no CR outside CRLF is split into cells with numpy,
+and each distinct token of a column is decoded and parsed once per block.
+From the first block with any of those in it, `csv.reader`, the only path
+that handles quoting, reads the rest of the file `_CHUNK_ROWS` rows at a
+time. Both paths give the cells, and the malformed-row index, that
+`csv.reader` gives.
 """
 
 from __future__ import annotations
@@ -447,7 +449,7 @@ def _read_blocks(fh, width, parsers, order):
 
 def _header(line):
     """The cells of a header line that csv.reader need not read, else None."""
-    if b'"' in line or b"\r" in line.removesuffix(b"\r\n"):
+    if b'"' in line or b"\0" in line or b"\r" in line.removesuffix(b"\r\n"):
         return None
     text = line.decode("utf-8").removesuffix("\n").removesuffix("\r")
     return text.split(",") if text else []
