@@ -86,11 +86,14 @@ class TestLoadCsv:
             load_csv("/nonexistent/file.csv", SCHEMA2)
 
     @pytest.mark.parametrize(
-        "setting,size",
-        [("_BLOCK_BYTES", 1), ("_BLOCK_BYTES", 16), ("_BLOCK_BYTES", 100)]
-        + [("_CHUNK_ROWS", n) for n in (1, 3, 4, 64)],
+        "setting,size,quoted_row",
+        [pytest.param("_CHUNK_ROWS", n, 0, id=str(n)) for n in (1, 3, 4, 64)]
+        + [
+            pytest.param("_BLOCK_BYTES", n, q, id=f"bytes{n}-quoted{q}")
+            for n in (1, 16, 100)
+            for q in (None, 11)
+        ],
     )
-    @pytest.mark.parametrize("quoted_row", [None, 0, 11])
     def test_blocks_and_memo_resets_give_the_same_cells(
         self, tmp_path, monkeypatch, setting, size, quoted_row
     ):
@@ -109,10 +112,10 @@ class TestLoadCsv:
         assert d.column("target")[9:12] == [1, 0, 1]
 
     @pytest.mark.parametrize(
-        "setting,size",
-        [("_BLOCK_BYTES", n) for n in (1, 8, 1 << 20)] + [("_CHUNK_ROWS", n) for n in (1, 4, 1024)],
+        "setting,size,quoted",
+        [pytest.param("_CHUNK_ROWS", n, True, id=str(n)) for n in (1, 4, 1024)]
+        + [pytest.param("_BLOCK_BYTES", n, False, id=f"bytes{n}") for n in (1, 8, 1 << 20)],
     )
-    @pytest.mark.parametrize("quoted", [False, True])
     def test_malformed_row_index_counts_across_blocks(self, tmp_path, monkeypatch, setting, size, quoted):
         lines = ["gender,target"] + ['"m",1' if quoted else "m,1"] * 9 + ["m,1,extra"] + ["m"]
         path = write(tmp_path, "\n".join(lines) + "\n")
