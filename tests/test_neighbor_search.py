@@ -12,6 +12,11 @@ Two kinds of check:
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,8 +24,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbtab import FeatureMatrix, NeighborIndex, ResampleConfig, nearest_neighbors, rebalance
+from imbtab import (
+    FeatureMatrix,
+    NeighborIndex,
+    ResampleConfig,
+    generate_dataset,
+    nearest_neighbors,
+    parse_config,
+    rebalance,
+    write_csv,
+)
 from imbtab import resampling
+from imbtab.pipeline import prepare
+from imbtab.synth import DEFAULT_SCHEMA
 from imbtab.resampling import _distance_blocks, _k_nearest, _mean_knn_distance
 
 
@@ -92,6 +108,101 @@ def test_rebalance_matches_golden_digest(case, config):
     names = tuple(f"f{i}" for i in range(values.shape[1]))
     result = rebalance(FeatureMatrix(names, values), labels, CONFIGS[config])
     assert _digest(result) == GOLDEN[(case, config)]
+
+
+# --- golden digests at the benchmark's resample-10k shape --------------------
+#
+# The grid cases above tie on purpose. Real encoded features rarely tie: this
+# is the matrix the resample-10k benchmark workload rebalances (10k generated
+# rows, about 6.7k training rows by 26 columns, a minority of about 1k), so
+# these digests pin the search where almost every selection is decided by
+# distance alone.
+
+_WORKLOAD_ENCODERS = [
+    {"column": "company_size", "method": "impact"},
+    {"column": "gender", "method": "onehot", "min_count": 5},
+    {
+        "column": "education_level",
+        "method": "onehot",
+        "grouping": {
+            "primary": "school",
+            "high_school": "school",
+            "masters": "postgrad",
+            "phd": "postgrad",
+        },
+    },
+]
+
+GOLDEN_RESAMPLE_10K = {
+    "nearmiss1": "018cf92a9a1b9ed4f424e431a3a797ac60195abbbbe130f463fc13760f0abb5e",
+    "nearmiss2": "c9e2eb9831a7880dc6c04087ed8eda401a717b7ac06b298a9202f1450aa44fc1",
+    "nearmiss3": "70f51b417dd66d0a31cb8b8311341b480e8ea1ca9b046cd32cc4993dba13643e",
+    "smote": "e7ae900b8913439bc9ee42f5d3d6cff6d08a2a96091c1b3f6f3fd09745e5e174",
+}
+
+
+def resample_10k_digests(workdir):
+    """{strategy: digest} of `rebalance` (k 5, balance, seed 3) on the resample-10k matrix."""
+    csv_path = os.path.join(workdir, "hr.csv")
+    data = generate_dataset(10_000, positive_rate=0.156, seed=11, missing_rate=0.02)
+    write_csv(data, csv_path)
+    doc = {
+        "dataset": csv_path,
+        "schema": [{"name": c.name, "kind": c.kind} for c in DEFAULT_SCHEMA],
+        "target": "target",
+        "split": {"test_fraction": 0.2, "seed": 7},
+        "encoders": _WORKLOAD_ENCODERS,
+        "models": [{"family": "lr"}],
+    }
+    prepared = prepare(parse_config(json.dumps(doc)))
+    return {
+        strategy: _digest(
+            rebalance(
+                prepared.X_train,
+                prepared.y_train,
+                ResampleConfig(strategy=strategy, k=5, amount="balance", seed=3),
+            )
+        )
+        for strategy in sorted(GOLDEN_RESAMPLE_10K)
+    }
+
+
+@pytest.fixture(scope="module")
+def digests_10k(tmp_path_factory):
+    return resample_10k_digests(tmp_path_factory.mktemp("resample_10k"))
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_RESAMPLE_10K))
+def test_resample_10k_matches_golden_digest(digests_10k, strategy):
+    assert digests_10k[strategy] == GOLDEN_RESAMPLE_10K[strategy]
+
+
+def test_resample_10k_digests_do_not_depend_on_blas_threads(tmp_path):
+    # Matrix products may round differently with the BLAS thread count; no
+    # neighbour selection may depend on them. Each thread count needs a fresh
+    # process, since BLAS reads it once, at load.
+    script = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]);"
+        "from test_neighbor_search import resample_10k_digests;"
+        "print(json.dumps(resample_10k_digests(sys.argv[2])))"
+    )
+    src = str(Path(resampling.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).parent), str(workdir)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        results.append(json.loads(done.stdout.splitlines()[-1]))
+    assert results[0] == results[1] == GOLDEN_RESAMPLE_10K
 
 
 # --- oracle: one query at a time, full lexsort --------------------------------
