@@ -35,11 +35,17 @@ SMOTE_MODES = ("canonical", "paper_literal")
 # amount value meaning "pick the count that equalizes the classes"
 BALANCE = "balance"
 
-# Bytes one block of query-minus-point differences may take. It bounds the
-# neighbour search's working memory whatever the number of queries, and at
-# 1 MiB a block stays within one core's 2 MiB L2 cache on the Xeon the
-# search was tuned on (2 MiB blocks ran about 8% slower there).
-_BLOCK_BYTES = 1 << 20
+# Bytes one block of (query, point) distances may take, and one chunk of
+# refined query-minus-point differences. It bounds the neighbour search's
+# working memory whatever the number of queries.
+_BLOCK_BYTES = 1 << 18
+
+# The filter margin's terms: the relative rounding unit, the absolute error of
+# an underflowing product, and the squared-norm sum past which the matrix
+# product could overflow.
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+_SIZE_CEILING = np.finfo(np.float64).max / 8
 
 
 @dataclass(frozen=True)
@@ -89,39 +95,95 @@ class RebalanceResult:
     provenance: tuple = ()  # SyntheticProvenance per synthetic row (SMOTE only)
 
 
-def _distance_blocks(points, queries):
-    """Yield (start, d2) over blocks of query rows.
+def _approx_sq_distances(block, points, sq_block, sq_points):
+    """||q||^2 + ||p||^2 - 2 q.p for every (query, point) pair, from one matrix product.
+
+    Only the filter reads these: they round differently from the exact
+    distances, by at most _margin per query row.
+    """
+    approx = block @ points.T
+    approx *= -2.0
+    approx += sq_block[:, None]
+    approx += sq_points
+    return approx
+
+
+def _margin(sq_block, sq_points_max, n_features):
+    """Per query row, a bound on |approximate - exact| squared distance.
+
+    Both sides are sums of n_features products, each off by at most
+    gamma_m * sum|a_i b_i| (Higham 2002, section 3.1), plus half the smallest
+    subnormal per product that underflows. The bound is 4(m + 4) times eps
+    (scaled by the squared norms) plus that absolute term: about twice the
+    two errors together. It is infinite where the norms leave the matrix
+    product too little headroom below overflow.
+    """
+    size = sq_block + sq_points_max
+    margin = 4 * (n_features + 4) * (_EPS * size + _TINY)
+    margin[~(size <= _SIZE_CEILING)] = np.inf
+    return margin
+
+
+def _distance_blocks(points, queries, k, farthest=False, exclude=None):
+    """Yield (start, d2) over blocks of query rows, d2 exact wherever it can matter.
 
     d2[r, j] is the squared Euclidean distance from queries[start + r] to
-    points[j]. einsum sums each (r, j) pair's feature row on its own, so a row
-    is bit-equal whatever the block size. The difference block holds at most
-    _BLOCK_BYTES (one query's differences when a single query exceeds it).
+    points[j] wherever it may be at or inside the row's k-th smallest (or,
+    with farthest, largest) distance, and NaN elsewhere and at exclude[r].
+    Such an entry is bit-equal to the per-query einsum over points - query,
+    whatever the block. A block holds _BLOCK_BYTES of (query, point) pairs,
+    or one query when a single query's row exceeds it.
     """
-    step = max(1, _BLOCK_BYTES // max(1, points.size * points.itemsize))
+    n_points, n_features = points.shape
+    sq_points = np.einsum("ij,ij->i", points, points)
+    sq_points_max = sq_points.max(initial=0.0)
+    step = max(1, _BLOCK_BYTES // max(1, n_points * points.itemsize))
+    chunk = max(1, _BLOCK_BYTES // max(1, n_features * points.itemsize))
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
-        # Repeating each query once per point lets the subtraction run over
-        # whole contiguous blocks, not one feature row at a time.
-        diff = np.repeat(block, len(points), axis=0).reshape(len(block), *points.shape)
-        np.subtract(points, diff, out=diff)
-        d2 = np.einsum("bij,bij->bi", diff, diff)
-        del diff  # free this block before the next one is allocated
+        rows = np.arange(len(block))
+        sq_block = np.einsum("ij,ij->i", block, block)
+        # Overflow here only makes a row's limit infinite, which the filter
+        # handles by computing that row in full.
+        with np.errstate(over="ignore", invalid="ignore"):
+            key = _approx_sq_distances(block, points, sq_block, sq_points)
+            if farthest:
+                np.negative(key, out=key)
+            if exclude is not None:
+                key[rows, exclude[start : start + step]] = np.nan
+            if k == 0:
+                candidates = np.zeros(key.shape, dtype=bool)
+            else:
+                # A pair whose exact distance is at or inside the row's k-th
+                # has its key within 2 margins of the k-th smallest key.
+                kth = np.partition(key, k - 1, axis=1)[:, k - 1]
+                limit = kth + 2 * _margin(sq_block, sq_points_max, n_features)
+                candidates = key <= limit[:, None]
+                candidates[~np.isfinite(limit)] = True
+        if exclude is not None:
+            candidates[rows, exclude[start : start + step]] = False
+        flat = np.flatnonzero(candidates)
+        d2 = key  # reuse the block: every entry is overwritten below
+        d2.fill(np.nan)
+        for lo in range(0, len(flat), chunk):
+            pairs = flat[lo : lo + chunk]
+            r, c = np.divmod(pairs, n_points)
+            diff = points[c]
+            diff -= block[r]
+            d2.ravel()[pairs] = np.einsum("ij,ij->i", diff, diff)
         yield start, d2
 
 
-def _k_smallest(d2, k, exclude=None):
+def _k_smallest(d2, k):
     """Per row of d2, the columns of its k smallest entries: ascending, ties to the lower column.
 
-    exclude[r], when given, is a column that row r may not pick; d2 is
-    overwritten there. Only entries <= the row's k-th smallest value are
-    sorted, so a row costs a partition plus a sort of about k candidates.
+    NaN entries are never picked: NaN partitions after every distance, inf
+    included, and fails every <= test. Only entries <= the row's k-th
+    smallest value are sorted, so a row costs a partition plus a sort of
+    about k candidates.
     """
     if k == 0:
         return np.empty((len(d2), 0), dtype=np.intp)
-    if exclude is not None:
-        # NaN, not inf: it partitions after every distance, inf included, and
-        # fails every <= test, so it can never be a candidate
-        d2[np.arange(len(d2)), exclude] = np.nan
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
     flat = np.flatnonzero(d2 <= kth)
     r, c = np.divmod(flat, d2.shape[1])
@@ -134,9 +196,8 @@ def _k_smallest(d2, k, exclude=None):
 def _k_nearest(points, queries, k, exclude=None):
     """(len(queries), k) array: each query's k nearest points, ordered as by `nearest_neighbors`."""
     out = np.empty((len(queries), k), dtype=np.intp)
-    for start, d2 in _distance_blocks(points, queries):
-        block = slice(start, start + len(d2))
-        out[block] = _k_smallest(d2, k, None if exclude is None else exclude[block])
+    for start, d2 in _distance_blocks(points, queries, k, exclude=exclude):
+        out[start : start + len(d2)] = _k_smallest(d2, k)
     return out
 
 
@@ -146,17 +207,24 @@ def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
     With exclude_self, the query's own entry is skipped: self_index when given,
     otherwise the lowest-index point at distance zero.
     """
+    points = index.points
     query = np.asarray(query, dtype=np.float64)
     if not np.all(np.isfinite(query)):
         raise NonFiniteFeature("query must be finite")
-    ((_, d2),) = _distance_blocks(index.points, query[None])
     exclude = None
-    if exclude_self:
-        exclude = np.flatnonzero(d2[0] == 0.0)[:1] if self_index is None else [self_index]
-    n_eligible = len(index.points) - (0 if exclude is None else len(exclude))
+    if exclude_self and self_index is None:
+        # A one-nearest search computes every point at the smallest distance
+        # exactly, so every point at distance zero when there is one.
+        ((_, d2),) = _distance_blocks(points, query[None], min(1, len(points)))
+        exclude = np.flatnonzero(d2[0] == 0.0)[:1]
+    elif exclude_self:
+        exclude = np.array([self_index])
+    n_eligible = len(points) - (0 if exclude is None else len(exclude))
     if k > n_eligible:
         raise KTooLarge(f"k={k} but only {n_eligible} eligible points")
-    return [int(i) for i in _k_smallest(d2, k, exclude)[0]]
+    if exclude is not None and len(exclude) == 0:
+        exclude = None
+    return [int(i) for i in _k_nearest(points, query[None], k, exclude)[0]]
 
 
 def smote(minority, k, n_new, seed=0, mode="canonical"):
@@ -209,10 +277,11 @@ def _mean_knn_distance(majority, minority, k, farthest=False):
     if k > len(minority):
         raise KTooLarge(f"k={k} but minority has {len(minority)} points")
     scores = np.empty(len(majority))
-    for start, d2 in _distance_blocks(minority, majority):
+    for start, d2 in _distance_blocks(minority, majority, k, farthest=farthest):
         # The mean runs over the k selected distances, nearest (farthest)
         # first. That sequence depends only on their values, so no index
-        # tie-break is needed; negating picks and orders the farthest.
+        # tie-break is needed; negating picks and orders the farthest, and
+        # the NaN entries, which the search left uncomputed, sort last.
         key = -d2 if farthest else d2
         picked = np.sort(np.partition(key, k - 1, axis=1)[:, :k], axis=1)
         scores[start : start + len(d2)] = np.sqrt(-picked if farthest else picked).mean(axis=1)

@@ -5,10 +5,12 @@ Two kinds of check:
 
 - golden digests: the sha256 of `rebalance` output (values, labels, mask,
   provenance) for fixed seeded inputs, recorded from the per-query `lexsort`
-  implementation. The inputs sit on an integer grid and repeat rows, so many
-  distances tie and the lower-index tie rule decides most selections;
-- property tests of the blocked search against `_oracle_*`, a copy of that
-  per-query implementation kept here as the reference.
+  implementation. The small inputs sit on an integer grid and repeat rows, so
+  many distances tie and the lower-index tie rule decides most selections;
+  the resample-10k matrix hardly ties at all;
+- property tests of the filter-and-refine search against `_oracle_*`, a copy
+  of that per-query implementation kept here as the reference, including
+  with the filter's approximate distances pushed up to half its margin off.
 """
 
 import hashlib
@@ -262,22 +264,30 @@ def _points_and_queries(draw):
     return points, queries
 
 
-# A budget below one query's differences still makes one-query blocks; the
-# others give blocks of a few queries that rarely divide the query count.
+# A budget below one query's row of distances still makes one-query blocks;
+# the others give blocks of a few queries that rarely divide the query count.
 _BUDGETS = st.sampled_from([1, 64, 200, 520, 1000, 4096, 2 << 20])
 
 
 @settings(max_examples=200, deadline=None)
-@given(problem=_points_and_queries(), budget=_BUDGETS, data=st.data())
-def test_blocked_search_matches_per_query_oracle(problem, budget, data):
+@given(problem=_points_and_queries(), budget=_BUDGETS, farthest=st.booleans(), data=st.data())
+def test_blocked_search_matches_per_query_oracle(problem, budget, farthest, data):
     points, queries = problem
     k = data.draw(st.integers(0, len(points)))
     with mock.patch.object(resampling, "_BLOCK_BYTES", budget):
-        blocks = list(_distance_blocks(points, queries))
+        blocks = list(_distance_blocks(points, queries, k, farthest=farthest))
         got = _k_nearest(points, queries, k)
     d2 = np.vstack([b for _, b in blocks]) if blocks else np.empty((0, len(points)))
-    expected = [_oracle_sq_distances(points, q) for q in queries]
-    assert np.array_equal(d2, np.reshape(expected, d2.shape))  # bit-equal
+    expected = np.reshape([_oracle_sq_distances(points, q) for q in queries], d2.shape)
+    computed = ~np.isnan(d2)
+    assert np.array_equal(d2[computed], expected[computed])  # bit-equal
+    if k:
+        # no entry the search left out could be among a row's k selected
+        ranked = np.sort(expected, axis=1)
+        if farthest:
+            assert not np.any(~computed & (expected >= ranked[:, -k:][:, :1]))
+        else:
+            assert not np.any(~computed & (expected <= ranked[:, k - 1 : k]))
     assert got.tolist() == [_oracle_nearest(points, q, k) for q in queries]
 
 
@@ -320,10 +330,11 @@ def test_mean_knn_distance_is_bit_equal_to_oracle(problem, budget, farthest, dat
 
 
 def test_blocks_follow_the_byte_budget():
+    # a block holds as many queries' rows of distances as fit the budget
     points = np.arange(12.0).reshape(4, 3)
     queries = np.arange(21.0).reshape(7, 3)
-    with mock.patch.object(resampling, "_BLOCK_BYTES", 3 * points.nbytes + 5):
-        blocks = list(_distance_blocks(points, queries))
+    with mock.patch.object(resampling, "_BLOCK_BYTES", 3 * len(points) * points.itemsize + 5):
+        blocks = list(_distance_blocks(points, queries, 1))
     assert [(start, d2.shape) for start, d2 in blocks] == [(0, (3, 4)), (3, (3, 4)), (6, (1, 4))]
 
 
@@ -335,3 +346,75 @@ def test_mean_over_sixteen_neighbours_is_bit_equal():
     for farthest in (False, True):
         got = _mean_knn_distance(majority, minority, 16, farthest=farthest)
         assert np.array_equal(got, _oracle_mean_knn_distance(majority, minority, 16, farthest))
+
+
+# --- the filter's margin -------------------------------------------------------
+
+
+def test_underflowing_distances_need_the_absolute_margin():
+    # At this scale every square is subnormal, spaced 4.9e-324 apart, so the
+    # relative term of the margin rounds to nothing. The exact distances to
+    # points 1 and 2 tie at 1e-322 (the lower index wins); the matrix
+    # product puts point 2 ahead, and only the absolute term keeps point 1.
+    points = np.array([[1.0], [-2.0], [0.0]]) * 1e-161
+    query = np.array([[-1.0]]) * 1e-161
+    assert _k_nearest(points, query, 1).tolist() == [_oracle_nearest(points, query[0], 1)] == [[1]]
+    with mock.patch.object(resampling, "_TINY", 0.0):
+        assert _k_nearest(points, query, 1).tolist() == [[2]]
+
+
+def test_overflowing_norms_take_the_full_exact_row():
+    # squared norms past the largest double: the margin is infinite, so each
+    # row's every distance is computed exactly and none is left out
+    points = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.5], [-1.0, 0.0, 0.0, 0.0]]) * 1e154
+    queries = np.vstack([points[1] * (1 + 2**-40), np.zeros(4)])
+    ((_, d2),) = _distance_blocks(points, queries, 1)
+    expected = [_oracle_sq_distances(points, q) for q in queries]
+    assert not np.isnan(d2).any()
+    assert np.array_equal(d2, expected)
+    assert _k_nearest(points, queries, 1).tolist() == [_oracle_nearest(points, q, 1) for q in queries]
+
+
+def _perturbed_filter(seed):
+    """Patch the filter's approximate distances to sit half a margin off, up or down at random."""
+    rng = np.random.default_rng(seed)
+    approximate = resampling._approx_sq_distances
+
+    def perturbed(block, points, sq_block, sq_points):
+        approx = approximate(block, points, sq_block, sq_points)
+        half = resampling._margin(sq_block, sq_points.max(initial=0.0), points.shape[1]) / 2
+        half[~np.isfinite(half)] = 0.0  # those rows are computed in full anyway
+        return approx + rng.choice([-1.0, 1.0], size=approx.shape) * half[:, None]
+
+    return mock.patch.object(resampling, "_approx_sq_distances", perturbed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_points_and_queries(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_search_holds_for_any_rounding_within_half_the_margin(problem, seed, data):
+    # Stands in for every BLAS kernel and thread count: the real rounding is
+    # at most half the margin, so the outputs may not move under this much.
+    points, queries = problem
+    n = len(points)
+    k = data.draw(st.integers(0, n))
+    m = data.draw(st.integers(1, n))
+    q = data.draw(st.integers(0, n - 1))
+    with _perturbed_filter(seed):
+        got = _k_nearest(points, queries, k)
+        got_self = _k_nearest(points, points, min(k, n - 1), exclude=np.arange(n))
+        got_index = [
+            nearest_neighbors(NeighborIndex(points), points[q], min(k, n - 1), **kw)
+            for kw in ({}, {"exclude_self": True}, {"exclude_self": True, "self_index": q})
+        ]
+        got_means = [_mean_knn_distance(queries, points, m, farthest=f) for f in (False, True)]
+    assert got.tolist() == [_oracle_nearest(points, p, k) for p in queries]
+    assert got_self.tolist() == [
+        _oracle_nearest(points, points[i], min(k, n - 1), True, i) for i in range(n)
+    ]
+    assert got_index == [
+        _oracle_nearest(points, points[q], min(k, n - 1), **kw)
+        for kw in ({}, {"exclude_self": True}, {"exclude_self": True, "self_index": q})
+    ]
+    for farthest, got_mean in zip((False, True), got_means):
+        expected = _oracle_mean_knn_distance(queries, points, m, farthest)
+        assert np.array_equal(got_mean, expected)
