@@ -380,9 +380,9 @@ def _perturbed_filter(seed):
     rng = np.random.default_rng(seed)
     approximate = resampling._approx_sq_distances
 
-    def perturbed(block, points, sq_block, sq_points):
-        approx = approximate(block, points, sq_block, sq_points)
-        half = resampling._margin(sq_block, sq_points.max(initial=0.0), points.shape[1]) / 2
+    def perturbed(block, points_t, sq_block, sq_points):
+        approx = approximate(block, points_t, sq_block, sq_points)
+        half = resampling._margin(sq_block, sq_points.max(initial=0.0), len(points_t)) / 2
         half[~np.isfinite(half)] = 0.0  # those rows are computed in full anyway
         return approx + rng.choice([-1.0, 1.0], size=approx.shape) * half[:, None]
 
