@@ -7,7 +7,7 @@ Two kinds of check:
   provenance) for fixed seeded inputs, recorded from the per-query `lexsort`
   implementation. The small inputs sit on an integer grid and repeat rows, so
   many distances tie and the lower-index tie rule decides most selections;
-  the resample-10k matrix hardly ties at all;
+  on the resample-10k matrix no query ties at its 5th distance;
 - property tests of the filter-and-refine search against `_oracle_*`, a copy
   of that per-query implementation kept here as the reference, including
   with the filter's approximate distances pushed up to half its margin off.
@@ -114,11 +114,11 @@ def test_rebalance_matches_golden_digest(case, config):
 
 # --- golden digests at the benchmark's resample-10k shape --------------------
 #
-# The grid cases above tie on purpose. Real encoded features rarely tie: this
-# is the matrix the resample-10k benchmark workload rebalances (10k generated
-# rows, about 6.7k training rows by 26 columns, a minority of about 1k), so
-# these digests pin the search where almost every selection is decided by
-# distance alone.
+# The grid cases above tie on purpose. This is the matrix the resample-10k
+# benchmark workload rebalances (10k generated rows, 6666 training rows by 26
+# columns, a minority of 997), where no query of SMOTE or NearMiss-1/2/3 ties
+# at its 5th distance, so these digests pin selections decided by distance
+# alone.
 
 _WORKLOAD_ENCODERS = [
     {"column": "company_size", "method": "impact"},
