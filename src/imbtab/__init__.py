@@ -21,17 +21,7 @@ from .data import (
     load_csv,
     train_test_split,
 )
-from .encoding import (
-    OTHER_TOKEN,
-    CategoryMap,
-    FeatureMatrix,
-    fit_categories,
-    group_categories,
-    impact_encode_apply,
-    impact_encode_fit,
-    merge_rare_categories,
-    one_hot_encode,
-)
+from .encoding import OTHER_TOKEN, CategoryMap, FeatureMatrix
 from .metrics import (
     ConfusionMatrix,
     MetricsReport,

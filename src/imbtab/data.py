@@ -177,7 +177,9 @@ class Dataset:
     cell as the CSV token `str(cell)` ("" for MISSING), so `1` in a numeric
     column is stored as 1.0 and `"yes"` in the target column as MISSING.
     `from_columns` takes typed Columns ready-made. `rows` and `column()`
-    rebuild Python cells on demand.
+    rebuild Python cells on demand. `take`, `drop_missing` and
+    `train_test_split` only select rows; no operation replaces a column's
+    cells, and the encoders read the stored Columns through `column_data`.
     """
 
     __slots__ = ("schema", "_columns")
@@ -244,19 +246,6 @@ class Dataset:
     def column_data(self, name):
         """The stored Column of `name`."""
         return self._columns[self.column_index(name)]
-
-    def replace_column(self, name, values):
-        """New Dataset with one column's cells replaced (same schema).
-
-        `values` is a sequence of cells, parsed as `Dataset(schema, rows)` parses
-        them, or a Column, which is used as it is.
-        """
-        if len(values) != self.row_count:
-            raise ValueError("replacement column has wrong length")
-        j = self.column_index(name)
-        if not isinstance(values, Column):
-            values = _parse_cells(values, self.schema[j].kind)
-        return Dataset.from_columns(self.schema, self._columns[:j] + (values,) + self._columns[j + 1 :])
 
     def take(self, indices):
         """Rows at `indices`, in that order (repeats allowed)."""

@@ -6,7 +6,7 @@ the conditional target mean minus the global target mean). `EncoderSpec` is
 the stage's config; `FittedColumnEncoder` is fitted on training rows only and
 writes a column's block, working on its int32 codes and vocabulary without
 rebuilding a Dataset; `build_features` is the one place a feature matrix is
-built. The Dataset-level functions wrap the same helpers and the same writer.
+built, and the only way the library encodes a column.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CATEGORICAL, MISSING, NUMERIC, TARGET, Column, ColumnSchema, target_labels
+from .data import CATEGORICAL, MISSING, NUMERIC, TARGET, Column, target_labels
 from .errors import (
     EmptyCategoryList,
     EmptyDataset,
@@ -135,11 +135,7 @@ def _regroup(col, mapping, column, mode="lenient"):
         if unmapped.any():
             v = vocab[codes[np.argmax(unmapped)]]
             raise UnmappedCategory(f"{column!r}: {v!r} has no group")
-    grouped = [mapping.get(v, v) for v in vocab]
-    for v, g in zip(vocab, grouped):
-        if not isinstance(g, str):
-            raise TypeError(f"{column!r}: group {g!r} of category {v!r} is not a string")
-    return Column.from_codes(codes, grouped)
+    return Column.from_codes(codes, [mapping.get(v, v) for v in vocab])
 
 
 def _tallies(col, weights=None):
@@ -228,8 +224,6 @@ class FittedColumnEncoder:
             return
         if not self.categories:
             raise EmptyCategoryList(column)
-        if len(set(self.categories)) != len(self.categories):
-            raise ValueError(f"duplicate categories for {column!r}")
         pos = {c: j for j, c in enumerate(self.categories)}
         where = np.array([pos.get(v, -1) for v in col.vocab] + [-1], dtype=np.intp)[col.values]
         rows = np.flatnonzero(where >= 0)
@@ -267,48 +261,3 @@ def build_features(d, schema, fitted_encoders):
         start += len(block_names)
     return FeatureMatrix(tuple(n for block_names in names for n in block_names), out)
 
-
-def fit_categories(d, column):
-    """Sorted distinct category vocabulary of a column (MISSING excluded)."""
-    return _observed(_categorical(d, column))
-
-
-def one_hot_encode(d, column, categories, mode="lenient"):
-    """K indicator columns named ``column=category``.
-
-    Unseen values raise in strict mode; in lenient mode the row is all zeros.
-    """
-    enc = FittedColumnEncoder(EncoderSpec(column, mode=mode), categories=tuple(categories))
-    return build_features(d, (ColumnSchema(column, CATEGORICAL),), {column: enc})
-
-
-def rare_category_mapping(d, column, min_count):
-    """{category: __OTHER__} for each category observed fewer than min_count times."""
-    return _rare_mapping(_categorical(d, column), min_count, column)
-
-
-def merge_rare_categories(d, column, min_count):
-    """Replace categories observed fewer than min_count times by __OTHER__."""
-    return group_categories(d, column, rare_category_mapping(d, column, min_count))
-
-
-def group_categories(d, column, mapping, mode="lenient"):
-    """Replace mapped categories by their group token; unmapped pass through (lenient)."""
-    check_choice(mode, "mode", ENCODER_MODES)
-    return d.replace_column(column, _regroup(_categorical(d, column), mapping, column, mode))
-
-
-def impact_encode_fit(d, column):
-    """Fit per-category impact values against the {0,1} target.
-
-    impact(category) = mean(y | category) - mean(y). Unseen categories and
-    MISSING cells fall back to impact 0, i.e. the global mean, which is taken
-    over all rows.
-    """
-    return _impact_map(_categorical(d, column), target_labels(d), column)
-
-
-def impact_encode_apply(d, cmap):
-    """Single numeric column of impact values (fallback for unseen categories)."""
-    enc = FittedColumnEncoder(EncoderSpec(cmap.column, method="impact"), category_map=cmap)
-    return build_features(d, (ColumnSchema(cmap.column, CATEGORICAL),), {cmap.column: enc})

@@ -9,10 +9,11 @@ the same results:
 - a property test of `load_csv(...).rows` against `_reference_load`, a copy
   of the row-at-a-time parser kept here as the reference, malformed-row
   indices included;
-- round trips of `take`, `drop_missing` and `replace_column` through `.rows`,
-  where a Dataset built in memory casts each cell as the reference parser casts
-  the token `str(cell)` ("" for MISSING), and a property test that every
-  such Column has one of the three typed layouts.
+- round trips of `take` and `drop_missing` through `.rows`, where a Dataset
+  built in memory casts each cell as the reference parser casts the token
+  `str(cell)` ("" for MISSING), and a property test that every such Column
+  has one of the three typed layouts and that a grouping encoder fitted on it
+  gets a vocabulary of sorted, distinct strings.
 
 Cells are compared by type and repr, so `1`, `1.0` and `True`, or `0.0` and
 `-0.0`, count as different cells.
@@ -40,11 +41,11 @@ from imbtab import (
     Dataset,
     cast_columns,
     drop_missing,
-    group_categories,
     load_csv,
     parse_config,
 )
 from imbtab.data import LABELS
+from imbtab.encoding import EncoderSpec, FittedColumnEncoder
 from imbtab.errors import MalformedRow
 from imbtab.pipeline import prepare
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
@@ -399,26 +400,13 @@ def test_drop_missing_round_trip(rows):
 
 @settings(max_examples=150, deadline=None)
 @given(rows=ROWS, data=st.data())
-def test_replace_column_round_trip(rows, data):
-    d = Dataset(MIXED_SCHEMA, rows)
-    j = data.draw(st.integers(0, 2))
-    values = data.draw(st.lists(CELLS, min_size=len(rows), max_size=len(rows)))
-    out = d.replace_column(MIXED_SCHEMA[j].name, values)
-    kind = MIXED_SCHEMA[j].kind
-    expected = [r[:j] + (_cast(v, kind),) + r[j + 1 :] for r, v in zip(cast(rows), values)]
-    assert typed(out.rows) == typed(expected)
-    assert typed(d.rows) == typed(cast(rows))
-
-
-@settings(max_examples=150, deadline=None)
-@given(rows=ROWS, data=st.data())
 def test_every_column_built_in_memory_is_typed(rows, data):
     d = Dataset(MIXED_SCHEMA, rows)
     assert_typed(d)
     assert_typed(drop_missing(d))
-    j = data.draw(st.integers(0, 2))
-    values = data.draw(st.lists(CELLS, min_size=len(rows), max_size=len(rows)))
-    assert_typed(d.replace_column(MIXED_SCHEMA[j].name, values))
     groups = st.dictionaries(st.sampled_from(["a", "b", "1"]), st.sampled_from(["a", "g"]))
     grouping = data.draw(groups)
-    assert_typed(group_categories(d, "c", grouping))
+    enc = FittedColumnEncoder(EncoderSpec("c", grouping=grouping)).fit(d)
+    groups_seen = {grouping.get(v, v) for v in d.column("c") if v is not MISSING}
+    assert enc.categories == tuple(sorted(groups_seen))
+    assert all(type(v) is str for v in enc.categories)

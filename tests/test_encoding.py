@@ -1,4 +1,4 @@
-from collections import OrderedDict
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,14 +14,8 @@ from imbtab import (
     ColumnSchema,
     Dataset,
     drop_missing,
-    fit_categories,
-    group_categories,
-    impact_encode_apply,
-    impact_encode_fit,
-    merge_rare_categories,
-    one_hot_encode,
 )
-from imbtab.encoding import ENCODER_METHODS, ENCODER_MODES, OTHER_TOKEN, rare_category_mapping
+from imbtab.encoding import ENCODER_METHODS, ENCODER_MODES, OTHER_TOKEN
 from imbtab.errors import (
     EmptyCategoryList,
     EmptyDataset,
@@ -43,139 +37,163 @@ def ds(cats, ys=None):
     return Dataset(SCHEMA, list(zip(cats, ys)))
 
 
+def fitted(train, column="cat", **spec):
+    """The encoder of `EncoderSpec(column, **spec)` fitted on the Dataset `train`."""
+    return FittedColumnEncoder(EncoderSpec(column, **spec)).fit(train)
+
+
+def encode(enc, d):
+    """The FeatureMatrix `build_features` writes for d's "cat" column with `enc`."""
+    return build_features(d, SCHEMA, {"cat": enc})
+
+
+def impacts(cats, ys):
+    """The CategoryMap of an impact encoder fitted on `cats` with labels `ys`."""
+    return fitted(ds(cats, ys), method="impact").category_map
+
+
 class TestOneHot:
     def test_indicator_columns(self):
-        fm = one_hot_encode(ds(["a", "b", "a"]), "cat", ["a", "b"])
+        d = ds(["a", "b", "a"])
+        fm = encode(fitted(d), d)
         assert fm.column_names == ("cat=a", "cat=b")
         assert fm.values.tolist() == [[1, 0], [0, 1], [1, 0]]
 
     def test_partition_of_unity(self):
         d = ds(["a", "b", "c", "b"])
-        fm = one_hot_encode(d, "cat", fit_categories(d, "cat"))
+        fm = encode(fitted(d), d)
         assert np.all(fm.values.sum(axis=1) == 1.0)
 
     def test_lenient_unseen_is_zero_row(self):
-        fm = one_hot_encode(ds(["c"]), "cat", ["a", "b"])
+        fm = encode(fitted(ds(["a", "b"])), ds(["c"]))
         assert fm.values.tolist() == [[0, 0]]
 
     def test_strict_unseen_raises(self):
+        enc = fitted(ds(["a", "b"]), mode="strict")
         with pytest.raises(UnseenCategory):
-            one_hot_encode(ds(["c"]), "cat", ["a", "b"], mode="strict")
+            encode(enc, ds(["c"]))
 
     def test_strict_names_the_first_unseen_value_in_row_order(self):
+        enc = fitted(ds(["a"]), mode="strict")
         d = ds(["d", "c", "a", "c"]).take([1, 0, 2])  # vocabulary order d, c, a; rows c, d, a
         with pytest.raises(UnseenCategory, match="'c'"):
-            one_hot_encode(d, "cat", ["a"], mode="strict")
+            encode(enc, d)
         with pytest.raises(UnseenCategory, match="MISSING"):
-            one_hot_encode(ds([MISSING, "z"]), "cat", ["a"], mode="strict")
+            encode(enc, ds([MISSING, "z"]))
 
     def test_not_categorical(self):
         with pytest.raises(NotCategorical):
-            one_hot_encode(NUMERIC_DS, "x", ["1.0"])
+            fitted(NUMERIC_DS, "x")
 
     def test_empty_category_list(self):
+        enc = fitted(ds([MISSING]))  # no category observed
+        assert enc.categories == ()
         with pytest.raises(EmptyCategoryList):
-            one_hot_encode(ds(["a"]), "cat", [])
+            encode(enc, ds(["a"]))
 
 
 class TestMergeRare:
     def test_below_threshold_merged(self):
         d = ds(["a"] * 10 + ["b", "c"])
-        out = merge_rare_categories(d, "cat", min_count=2)
-        col = out.column("cat")
-        assert col[:10] == ["a"] * 10
-        assert col[10:] == [OTHER_TOKEN, OTHER_TOKEN]
+        enc = fitted(d, min_count=2)
+        assert enc.rare_mapping == {"b": OTHER_TOKEN, "c": OTHER_TOKEN}
+        assert enc.categories == (OTHER_TOKEN, "a")
+        assert encode(enc, d).values.tolist() == [[0, 1]] * 10 + [[1, 0]] * 2
 
     def test_min_count_one_is_identity(self):
         d = ds(["a", "b", "b"])
-        assert merge_rare_categories(d, "cat", 1).column("cat") == ["a", "b", "b"]
+        enc = fitted(d, min_count=1)
+        assert enc.rare_mapping == {}
+        assert np.array_equal(encode(enc, d).values, encode(fitted(d), d).values)
 
     def test_degenerate_collapse(self):
         d = ds(["a", "b", "c"])
-        assert set(merge_rare_categories(d, "cat", 5).column("cat")) == {OTHER_TOKEN}
+        enc = fitted(d, min_count=5)
+        assert enc.categories == (OTHER_TOKEN,)
+        assert encode(enc, d).values.tolist() == [[1], [1], [1]]
 
     def test_reserved_token_rejected(self):
         with pytest.raises(ReservedCategory):
-            merge_rare_categories(ds([OTHER_TOKEN, "a"]), "cat", 1)
+            fitted(ds([OTHER_TOKEN, "a"]), min_count=1)
 
     def test_never_increases_distinct(self):
         d = ds(["a", "a", "b", "c", "c", "d"])
         for mc in range(1, 5):
-            out = merge_rare_categories(d, "cat", mc)
-            assert len(set(out.column("cat"))) <= len(set(d.column("cat")))
+            assert len(fitted(d, min_count=mc).categories) <= len(set(d.column("cat")))
 
     def test_not_categorical(self):
         with pytest.raises(NotCategorical):
-            merge_rare_categories(NUMERIC_DS, "x", 1)
+            fitted(NUMERIC_DS, "x", min_count=1)
 
 
 class TestGroupCategories:
     def test_substitution(self):
         d = ds(["d1", "d2", "d3"])
-        out = group_categories(d, "cat", {"d1": "north", "d2": "north"})
-        assert out.column("cat") == ["north", "north", "d3"]
+        enc = fitted(d, grouping={"d1": "north", "d2": "north"})
+        assert enc.categories == ("d3", "north")
+        assert encode(enc, d).values.tolist() == [[0, 1], [0, 1], [1, 0]]
 
     def test_empty_mapping_is_identity(self):
         d = ds(["d1", "d2"])
-        assert group_categories(d, "cat", {}).column("cat") == ["d1", "d2"]
+        enc = fitted(d, grouping={})
+        assert enc.categories == ("d1", "d2")
+        assert encode(enc, d).values.tolist() == [[1, 0], [0, 1]]
 
     def test_strict_unmapped_raises(self):
         with pytest.raises(UnmappedCategory):
-            group_categories(ds(["d3"]), "cat", {"d1": "north"}, mode="strict")
+            fitted(ds(["d3"]), grouping={"d1": "north"}, mode="strict")
 
     def test_strict_names_the_first_unmapped_value_in_row_order(self):
         d = ds(["d", "c", MISSING, "a"]).take([2, 1, 0, 3])  # rows MISSING, c, d, a
         with pytest.raises(UnmappedCategory, match="'c'"):
-            group_categories(d, "cat", {"a": "g"}, mode="strict")
+            fitted(d, grouping={"a": "g"}, mode="strict")
 
     @pytest.mark.parametrize("mode", ["Strict", "", None])
     def test_an_unknown_mode_raises(self, mode):
         with pytest.raises(ValidationError, match="mode"):
-            group_categories(ds(["a", "b"]), "cat", {"a": "g"}, mode=mode)
+            EncoderSpec("cat", grouping={"a": "g"}, mode=mode)
 
     def test_groups_merge_in_the_vocabulary(self):
-        out = group_categories(ds(["a", "b", MISSING, "c"]), "cat", {"a": "c", "b": "c"})
-        assert out.column("cat") == ["c", "c", MISSING, "c"]
-        assert out.column_data("cat").vocab == ("c",)
-
-    def test_non_string_group_raises_naming_the_category(self):
-        with pytest.raises(TypeError, match="'a'"):
-            group_categories(ds(["a", "b"]), "cat", {"a": 1})
+        d = ds(["a", "b", MISSING, "c"])
+        enc = fitted(d, grouping={"a": "c", "b": "c"})
+        assert enc.categories == ("c",)
+        assert encode(enc, d).values.tolist() == [[1], [1], [0], [1]]
 
     def test_injective_identity_roundtrip(self):
         d = ds(["a", "b", "c"])
-        out = group_categories(d, "cat", {"a": "a", "b": "b", "c": "c"})
-        assert out.column("cat") == d.column("cat")
+        enc = fitted(d, grouping={"a": "a", "b": "b", "c": "c"})
+        assert enc.categories == ("a", "b", "c")
+        assert np.array_equal(encode(enc, d).values, encode(fitted(d), d).values)
 
 
 class TestImpactEncoding:
     def test_constant_target_zero_impacts(self):
-        cmap = impact_encode_fit(ds(["a", "b", "a"], [1, 1, 1]), "cat")
+        cmap = impacts(["a", "b", "a"], [1, 1, 1])
         assert all(entry[2] == 0.0 for entry in cmap.per_category.values())
 
     def test_hand_computed_example(self):
-        cmap = impact_encode_fit(ds(["a", "a", "b"], [1, 0, 1]), "cat")
+        cmap = impacts(["a", "a", "b"], [1, 0, 1])
         assert cmap.global_mean == pytest.approx(2 / 3)
         assert cmap.impact("a") == pytest.approx(1 / 2 - 2 / 3)
         assert cmap.impact("b") == pytest.approx(1 / 3)
 
     def test_antisymmetric_pair(self):
-        cmap = impact_encode_fit(ds(["a", "b"], [1, 0]), "cat")
+        cmap = impacts(["a", "b"], [1, 0])
         assert cmap.impact("a") == pytest.approx(0.5)
         assert cmap.impact("b") == pytest.approx(-0.5)
 
     def test_impact_is_cond_minus_global(self):
-        cmap = impact_encode_fit(ds(list("aabbcc"), [1, 0, 1, 1, 0, 0]), "cat")
+        cmap = impacts(list("aabbcc"), [1, 0, 1, 1, 0, 0])
         for n, cond, imp in cmap.per_category.values():
             assert imp == cond - cmap.global_mean  # exact, same floats
 
     def test_weighted_impacts_cancel(self):
-        cmap = impact_encode_fit(ds(list("aababcb"), [1, 0, 1, 1, 0, 0, 1]), "cat")
+        cmap = impacts(list("aababcb"), [1, 0, 1, 1, 0, 0, 1])
         total = sum(n * imp for n, _, imp in cmap.per_category.values())
         assert abs(total) < 1e-9
 
     def test_counts_and_means_recombine(self):
-        cmap = impact_encode_fit(ds(list("xxyzzz"), [1, 1, 0, 1, 0, 0]), "cat")
+        cmap = impacts(list("xxyzzz"), [1, 1, 0, 1, 0, 0])
         n_total = sum(n for n, _, _ in cmap.per_category.values())
         assert n_total == 6
         weighted = sum(n * m for n, m, _ in cmap.per_category.values())
@@ -183,46 +201,48 @@ class TestImpactEncoding:
 
     def test_row_order_invariance(self):
         cats, ys = list("abcabca"), [1, 0, 0, 1, 1, 0, 0]
-        a = impact_encode_fit(ds(cats, ys), "cat")
+        a = impacts(cats, ys)
         perm = [3, 0, 6, 2, 5, 1, 4]
-        b = impact_encode_fit(ds([cats[i] for i in perm], [ys[i] for i in perm]), "cat")
+        b = impacts([cats[i] for i in perm], [ys[i] for i in perm])
         assert a.per_category == b.per_category
         assert a.global_mean == b.global_mean
 
     def test_apply_lookup(self):
-        cmap = impact_encode_fit(ds(["a", "a", "b"], [1, 0, 1]), "cat")
-        fm = impact_encode_apply(ds(["b", "a"]), cmap)
+        enc = fitted(ds(["a", "a", "b"], [1, 0, 1]), method="impact")
+        fm = encode(enc, ds(["b", "a"]))
+        assert fm.column_names == ("cat~impact",)
         assert fm.values[:, 0] == pytest.approx([1 / 3, -1 / 6])
 
     def test_apply_unseen_gets_fallback_zero(self):
-        cmap = impact_encode_fit(ds(["a", "b"], [1, 0]), "cat")
-        fm = impact_encode_apply(ds(["c"]), cmap)
-        assert fm.values[0, 0] == 0.0
+        enc = fitted(ds(["a", "b"], [1, 0]), method="impact")
+        assert encode(enc, ds(["c"])).values[0, 0] == 0.0
 
     def test_missing_cells_get_the_fallback(self):
         d = ds(["a", MISSING, "b", "a"], [1, 0, 1, 0])
-        cmap = impact_encode_fit(d, "cat")
+        enc = fitted(d, method="impact")
+        cmap = enc.category_map
         assert list(cmap.per_category) == ["a", "b"]
         assert cmap.global_mean == 0.5
         assert cmap.per_category["a"] == (2, 0.5, 0.0)
         assert cmap.per_category["b"] == (1, 1.0, 0.5)
-        assert impact_encode_apply(d, cmap).values[:, 0].tolist() == [0.0, 0.0, 0.5, 0.0]
+        assert encode(enc, d).values[:, 0].tolist() == [0.0, 0.0, 0.5, 0.0]
 
     def test_apply_empty(self):
-        cmap = impact_encode_fit(ds(["a", "b"], [1, 0]), "cat")
-        fm = impact_encode_apply(Dataset(SCHEMA, []), cmap)
-        assert fm.n_rows == 0
+        enc = fitted(ds(["a", "b"], [1, 0]), method="impact")
+        assert encode(enc, Dataset(SCHEMA, [])).n_rows == 0
 
     def test_apply_not_categorical(self):
+        schema = (ColumnSchema("x", CATEGORICAL), ColumnSchema("target", TARGET))
+        enc = fitted(Dataset(schema, [("a", 1)]), "x", method="impact")
         with pytest.raises(NotCategorical):
-            impact_encode_apply(NUMERIC_DS, CategoryMap("x", 0.0, OrderedDict()))
+            build_features(NUMERIC_DS, schema, {"x": enc})
 
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDataset):
-            impact_encode_fit(Dataset(SCHEMA, []), "cat")
+            fitted(Dataset(SCHEMA, []), method="impact")
 
     def test_json_roundtrip(self):
-        cmap = impact_encode_fit(ds(list("aab"), [1, 0, 1]), "cat")
+        cmap = impacts(list("aab"), [1, 0, 1])
         back = CategoryMap.from_json(cmap.to_json())
         assert back.column == cmap.column
         assert back.global_mean == cmap.global_mean
@@ -234,9 +254,7 @@ class TestImpactEncoding:
         )
     )
     def test_property_weighted_impacts_cancel(self, pairs):
-        cats = [c for c, _ in pairs]
-        ys = [y for _, y in pairs]
-        cmap = impact_encode_fit(ds(cats, ys), "cat")
+        cmap = impacts([c for c, _ in pairs], [y for _, y in pairs])
         total = sum(n * imp for n, _, imp in cmap.per_category.values())
         assert abs(total) < 1e-9
 
@@ -252,14 +270,50 @@ PERFBENCH_SPECS = [
 ]
 
 
-def outcome(encode):
-    """(column names, values) of the FeatureMatrix `encode()` returns, or the
-    type of the error it raises."""
+def outcome(build):
+    """What `build()` returns, or the type and message of the error it raises."""
     try:
-        fm = encode()
+        return build()
     except Exception as exc:
-        return type(exc)
-    return fm.column_names, fm.values.tolist()
+        return type(exc), str(exc)
+
+
+def reference_block(train, d, method, mode, min_count, grouping):
+    """The "cat" block an encoder of these settings, fitted on `train`, writes
+    for `d`: ([column names], rows), computed cell by cell in plain Python."""
+
+    def regroup(cells):
+        if not grouping:
+            return cells
+        if mode == "strict":
+            unmapped = [v for v in cells if v is not MISSING and v not in grouping]
+            if unmapped:
+                raise UnmappedCategory(f"'cat': {unmapped[0]!r} has no group")
+        return [grouping.get(v, v) for v in cells]
+
+    fit_cells, labels = regroup(train.column("cat")), list(train.column("target"))
+    rare = {}
+    if min_count:
+        counts = Counter(v for v in fit_cells if v is not MISSING)
+        if OTHER_TOKEN in counts:
+            raise ReservedCategory(f"{OTHER_TOKEN!r} occurs as a raw category in 'cat'")
+        rare = {v: OTHER_TOKEN for v, n in counts.items() if n < min_count}
+    fit_cells = [rare.get(v, v) for v in fit_cells]
+    cells = [rare.get(v, v) for v in regroup(d.column("cat"))]
+    observed = sorted({v for v in fit_cells if v is not MISSING})
+    if method == "onehot":
+        if not observed:
+            raise EmptyCategoryList("cat")
+        unseen = [v for v in cells if v not in observed]
+        if mode == "strict" and unseen:
+            raise UnseenCategory(f"'cat': {unseen[0]!r} not in fitted vocabulary")
+        return [f"cat={c}" for c in observed], [[float(v == c) for c in observed] for v in cells]
+    global_mean = sum(labels) / len(labels)
+    impact = {}
+    for c in observed:
+        ys = [y for v, y in zip(fit_cells, labels) if v == c]
+        impact[c] = sum(ys) / len(ys) - global_mean
+    return ["cat~impact"], [[impact.get(v, 0.0)] for v in cells]
 
 
 class TestFittedColumnEncoder:
@@ -277,9 +331,9 @@ class TestFittedColumnEncoder:
             raise AssertionError("Dataset.from_columns called")
 
         monkeypatch.setattr(Dataset, "from_columns", no_dataset)
-        fitted = {spec.column: FittedColumnEncoder(spec).fit(train)}
+        encoders = {spec.column: FittedColumnEncoder(spec).fit(train)}
         for d, fm in zip((train, test), expected):
-            out = build_features(d, schema, fitted)
+            out = build_features(d, schema, encoders)
             assert out.column_names == fm.column_names
             assert np.array_equal(out.values, fm.values)
 
@@ -296,27 +350,18 @@ class TestFittedColumnEncoder:
         min_count=st.integers(0, 3),
         grouping=st.dictionaries(st.sampled_from("abcd"), st.sampled_from(["a", "g", OTHER_TOKEN])),
     )
-    def test_block_is_the_public_functions_composed(
+    def test_block_matches_a_pure_python_reference(
         self, train, test, method, mode, min_count, grouping
     ):
         train_d = ds([c for c, _ in train], [y for _, y in train])
         spec = EncoderSpec("cat", method, min_count, grouping, mode)
 
-        def grouped(d):
-            return group_categories(d, "cat", grouping, mode) if grouping else d
-
-        def composed(d):
-            fit_on, rare = grouped(train_d), {}
-            if min_count:
-                rare = rare_category_mapping(fit_on, "cat", min_count)
-                fit_on = merge_rare_categories(fit_on, "cat", min_count)
-            d = group_categories(grouped(d), "cat", rare)
-            if method == "onehot":
-                return one_hot_encode(d, "cat", fit_categories(fit_on, "cat"), mode)
-            return impact_encode_apply(d, impact_encode_fit(fit_on, "cat"))
-
         def block(d):
-            return build_features(d, SCHEMA, {"cat": FittedColumnEncoder(spec).fit(train_d)})
+            fm = encode(FittedColumnEncoder(spec).fit(train_d), d)
+            return list(fm.column_names), fm.values.tolist()
+
+        def reference(d):
+            return reference_block(train_d, d, method, mode, min_count, grouping)
 
         for d in (train_d, ds(test)):
-            assert outcome(lambda: block(d)) == outcome(lambda: composed(d))
+            assert outcome(lambda: block(d)) == outcome(lambda: reference(d))

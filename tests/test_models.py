@@ -408,9 +408,15 @@ class TestFitModels:
         monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
         on_child_unit(on_child=interrupt)
         X, y = _tied_data()
+        # a process started with SIGINT ignored (a background job) would never
+        # see the interrupt, so the test installs Python's handler itself
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         begun = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            fit_models(X, y, [ModelConfig.for_family("rf", n_trees=8)])
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                fit_models(X, y, [ModelConfig.for_family("rf", n_trees=8)])
+        finally:
+            signal.signal(signal.SIGINT, previous)
         assert interrupted.exists()
         assert time.monotonic() - begun < 30
 

@@ -1,0 +1,19 @@
+import re
+from pathlib import Path
+
+import imbtab
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def root_exports(text):
+    """The backticked names README's Library section lists as exported from the package root."""
+    library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.search(r"\(([^()]*)\) are exported from the package root", library)
+    return re.findall(r"`(\w+)`", listed.group(1))
+
+
+def test_every_name_readme_exports_from_the_package_root_exists():
+    names = root_exports(README.read_text(encoding="utf-8"))
+    assert names
+    assert [n for n in names if not hasattr(imbtab, n)] == []
