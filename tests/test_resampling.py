@@ -12,11 +12,13 @@ from imbtab import (
     smote,
 )
 from imbtab.errors import (
+    DimensionMismatch,
     EmptyMinority,
     KTooLarge,
     NonFiniteFeature,
     StrategyUnknown,
     TooFewMinoritySamples,
+    ValidationError,
 )
 
 
@@ -184,6 +186,64 @@ class TestNearMiss:
         (maj if side == "majority" else mn)[1, 0] = bad
         with pytest.raises(NonFiniteFeature):
             nearmiss(maj, mn, variant=variant, k=1, n=1)
+
+
+class TestArgumentChecks:
+    """Bad integer arguments fail with a ValidationError that names them,
+    not with whatever numpy does with the value."""
+
+    POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    MAJ = TestNearMiss.MAJ
+    MIN = TestNearMiss.MIN
+
+    @staticmethod
+    def _path(call):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        return exc.value.path
+
+    @pytest.mark.parametrize("self_index", [-1, 4, 1.5, True, "0"])
+    def test_nearest_neighbors_self_index(self, self_index):
+        idx = NeighborIndex(self.POINTS)
+        call = lambda: nearest_neighbors(idx, [0.0, 0.0], 1, exclude_self=True, self_index=self_index)
+        assert self._path(call) == "self_index"
+
+    def test_nearest_neighbors_takes_a_numpy_self_index(self):
+        idx = NeighborIndex(self.POINTS)
+        got = nearest_neighbors(idx, [3.0, 0.0], 2, exclude_self=True, self_index=np.int64(3))
+        assert got == [2, 1]
+
+    @pytest.mark.parametrize("k", [-1, 1.0, True, None])
+    def test_nearest_neighbors_k(self, k):
+        idx = NeighborIndex(self.POINTS)
+        assert self._path(lambda: nearest_neighbors(idx, [0.0, 0.0], k)) == "k"
+
+    def test_nearest_neighbors_k_zero_selects_nothing(self):
+        assert nearest_neighbors(NeighborIndex(self.POINTS), [0.0, 0.0], 0) == []
+        empty = NeighborIndex(np.empty((0, 2)))
+        assert nearest_neighbors(empty, [0.0, 0.0], 0) == []
+        assert nearest_neighbors(empty, [0.0, 0.0], 0, exclude_self=True) == []
+
+    @pytest.mark.parametrize("query", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+    def test_nearest_neighbors_query_width(self, query):
+        with pytest.raises(DimensionMismatch):
+            nearest_neighbors(NeighborIndex(self.POINTS), query, 1)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0])
+    def test_smote_k(self, k):
+        assert self._path(lambda: smote(self.POINTS, k, 2)) == "k"
+
+    def test_smote_n_new(self):
+        assert self._path(lambda: smote(self.POINTS, 1, -1)) == "n_new"
+
+    @pytest.mark.parametrize("variant", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, -1, 1.0])
+    def test_nearmiss_k(self, variant, k):
+        assert self._path(lambda: nearmiss(self.MAJ, self.MIN, variant, k, n=1)) == "k"
+
+    @pytest.mark.parametrize("n", [-1, 1.0])
+    def test_nearmiss_n(self, n):
+        assert self._path(lambda: nearmiss(self.MAJ, self.MIN, 1, 1, n=n)) == "n"
 
 
 def fm(values):
