@@ -11,12 +11,12 @@ which takes the queries a block at a time, sized so that a block's
   can be at or inside the k-th is kept. A row whose margin overflows keeps
   every pair.
 - refine: the candidates' exact distances come from point minus query and an
-  einsum, bit-equal to a one-query search; the rest of the block is NaN.
+  einsum, bit-equal to a one-query search.
 
-Each query then keeps its k nearest by a partition and a sort of the few
-candidates at or below its k-th distance, ties to the lower index. Since the
-approximate values only choose which pairs get exact distances, no output
-depends on how the matrix product rounds. SMOTE, NearMiss-1/2/3 and
+Each query then takes its k from its candidates alone, by one lexsort of
+their exact distances, ties to the lower index. Since the approximate values
+only choose which pairs get exact distances, no output depends on how the
+matrix product rounds. SMOTE, NearMiss-1/2/3 and
 `nearest_neighbors` (a one-query block) all use this search. At the row
 counts this toolkit targets (tens of thousands) a spatial index buys nothing.
 Every random draw comes from one seeded generator consumed in a fixed order,
@@ -31,11 +31,13 @@ import numpy as np
 
 from .encoding import FeatureMatrix
 from .errors import (
+    DimensionMismatch,
     EmptyMinority,
     KTooLarge,
     NonFiniteFeature,
     StrategyUnknown,
     TooFewMinoritySamples,
+    ValidationError,
     check_choice,
     check_integer,
 )
@@ -139,15 +141,16 @@ def _margin(sq_block, sq_points_max, n_features):
     return margin
 
 
-def _distance_blocks(points, queries, k, farthest=False, exclude=None):
-    """Yield (start, d2) over blocks of query rows, d2 exact wherever it can matter.
+def _candidate_blocks(points, queries, k, farthest=False, exclude=None):
+    """Yield (start, rows, r, c, d2) per block of query rows: the block's candidate pairs.
 
-    d2[r, j] is the squared Euclidean distance from queries[start + r] to
-    points[j] wherever it may be at or inside the row's k-th smallest (or,
-    with farthest, largest) distance, and NaN elsewhere and at exclude[r].
-    Such an entry is bit-equal to the per-query einsum over points - query,
-    whatever the block. A block holds _BLOCK_BYTES of (query, point) pairs,
-    or one query when a single query's row exceeds it.
+    The pairs (queries[start + r], points[c]) are in row-major order, and
+    they include, for each row, every pair whose distance may be at or inside
+    its k-th smallest (with farthest, largest), but never exclude[r]. d2
+    holds their squared Euclidean distances, each bit-equal to the per-query
+    einsum over points - query, whatever the block. A block holds
+    _BLOCK_BYTES of (query, point) pairs, or one query when a single query's
+    row exceeds it.
     """
     n_points, n_features = points.shape
     sq_points = np.einsum("ij,ij->i", points, points)
@@ -167,53 +170,40 @@ def _distance_blocks(points, queries, k, farthest=False, exclude=None):
                 np.negative(key, out=key)
             if exclude is not None:
                 key[rows, exclude[start : start + step]] = np.nan
-            if k == 0:
-                candidates = np.zeros(key.shape, dtype=bool)
-            else:
-                # A pair whose exact distance is at or inside the row's k-th
-                # has its key within 2 margins of the k-th smallest key.
-                kth = np.partition(key, k - 1, axis=1)[:, k - 1]
-                limit = kth + 2 * _margin(sq_block, sq_points_max, n_features)
-                candidates = key <= limit[:, None]
-                candidates[~np.isfinite(limit)] = True
+            # A pair whose exact distance is at or inside the row's k-th has
+            # its key within 2 margins of the k-th smallest key.
+            kth = np.partition(key, k - 1, axis=1)[:, k - 1]
+            limit = kth + 2 * _margin(sq_block, sq_points_max, n_features)
+            candidates = key <= limit[:, None]
+            candidates[~np.isfinite(limit)] = True
         if exclude is not None:
             candidates[rows, exclude[start : start + step]] = False
-        flat = np.flatnonzero(candidates)
-        d2 = key  # reuse the block: every entry is overwritten below
-        d2.fill(np.nan)
-        for lo in range(0, len(flat), chunk):
-            pairs = flat[lo : lo + chunk]
-            r, c = np.divmod(pairs, n_points)
-            diff = points[c]
-            diff -= block[r]
-            d2.ravel()[pairs] = np.einsum("ij,ij->i", diff, diff)
-        yield start, d2
+        r, c = np.divmod(np.flatnonzero(candidates), n_points)
+        d2 = np.empty(len(r))
+        for lo in range(0, len(r), chunk):
+            diff = points[c[lo : lo + chunk]]
+            diff -= block[r[lo : lo + chunk]]
+            d2[lo : lo + chunk] = np.einsum("ij,ij->i", diff, diff)
+        yield start, len(block), r, c, d2
 
 
-def _k_smallest(d2, k):
-    """Per row of d2, the columns of its k smallest entries: ascending, ties to the lower column.
-
-    NaN entries are never picked: NaN partitions after every distance, inf
-    included, and fails every <= test. Only entries <= the row's k-th
-    smallest value are sorted, so a row costs a partition plus a sort of
-    about k candidates.
-    """
-    if k == 0:
-        return np.empty((len(d2), 0), dtype=np.intp)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    flat = np.flatnonzero(d2 <= kth)
-    r, c = np.divmod(flat, d2.shape[1])
-    order = np.lexsort((c, d2.ravel()[flat], r))
-    counts = np.bincount(r, minlength=len(d2))
+def _select_k(r, c, key, rows, k):
+    """(rows, k) positions into the candidate arrays: each row's k smallest keys,
+    ascending, ties to the lower column. Every row must have k candidates."""
+    order = np.lexsort((c, key, r))
+    counts = np.bincount(r, minlength=rows)
     first = np.cumsum(counts) - counts
-    return c[order][first[:, None] + np.arange(k)]
+    return order[first[:, None] + np.arange(k)]
 
 
 def _k_nearest(points, queries, k, exclude=None):
-    """(len(queries), k) array: each query's k nearest points, ordered as by `nearest_neighbors`."""
+    """(len(queries), k) array: each query's k nearest points.
+
+    Each row is in ascending distance, ties to the lower index.
+    """
     out = np.empty((len(queries), k), dtype=np.intp)
-    for start, d2 in _distance_blocks(points, queries, k, exclude=exclude):
-        out[start : start + len(d2)] = _k_smallest(d2, k)
+    for start, rows, r, c, d2 in _candidate_blocks(points, queries, k, exclude=exclude):
+        out[start : start + rows] = c[_select_k(r, c, d2, rows, k)]
     return out
 
 
@@ -225,20 +215,29 @@ def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
     """
     points = index.points
     query = np.asarray(query, dtype=np.float64)
+    check_integer(k, "k", minimum=0)
+    if self_index is not None:
+        check_integer(self_index, "self_index", minimum=0)
+        if self_index >= len(points):
+            raise ValidationError("self_index", f"must be < {len(points)}, the number of points")
+    if query.shape != points.shape[1:]:
+        raise DimensionMismatch(f"query shape {query.shape}, points {points.shape}")
     if not np.all(np.isfinite(query)):
         raise NonFiniteFeature("query must be finite")
+    if k == 0:
+        return []
     exclude = []
-    if exclude_self and self_index is None:
-        # A one-nearest search computes every point at the smallest distance
-        # exactly, so every point at distance zero when there is one.
-        ((_, d2),) = _distance_blocks(points, query[None], min(1, len(points)))
-        exclude = np.flatnonzero(d2[0] == 0.0)[:1]
-    elif exclude_self:
+    if exclude_self and self_index is not None:
         exclude = [self_index]
+    elif exclude_self and len(points):
+        # A one-nearest search's candidates include every point at the
+        # smallest distance, so every point at distance zero when there is one.
+        ((_, _, _, c, d2),) = _candidate_blocks(points, query[None], 1)
+        exclude = c[d2 == 0.0][:1]
     n_eligible = len(points) - len(exclude)
     if k > n_eligible:
         raise KTooLarge(f"k={k} but only {n_eligible} eligible points")
-    nearest = _k_nearest(points, query[None], k, exclude if len(exclude) else None)
+    nearest = _k_nearest(points, query[None], k, np.asarray(exclude) if len(exclude) else None)
     return [int(i) for i in nearest[0]]
 
 
@@ -252,6 +251,8 @@ def smote(minority, k, n_new, seed=0, mode="canonical"):
 
     Returns (synthetic rows array, provenance list).
     """
+    check_integer(k, "k", minimum=1)
+    check_integer(n_new, "n_new", minimum=0)
     pts = np.asarray(minority, dtype=np.float64)
     if pts.ndim != 2 or len(pts) < 2:
         raise TooFewMinoritySamples(f"need >= 2 minority rows, got {len(pts)}")
@@ -292,14 +293,10 @@ def _mean_knn_distance(majority, minority, k, farthest=False):
     if k > len(minority):
         raise KTooLarge(f"k={k} but minority has {len(minority)} points")
     scores = np.empty(len(majority))
-    for start, d2 in _distance_blocks(minority, majority, k, farthest=farthest):
-        # The mean runs over the k selected distances, nearest (farthest)
-        # first. That sequence depends only on their values, so no index
-        # tie-break is needed; negating picks and orders the farthest, and
-        # the NaN entries, which the search left uncomputed, sort last.
-        key = -d2 if farthest else d2
-        picked = np.sort(np.partition(key, k - 1, axis=1)[:, :k], axis=1)
-        scores[start : start + len(d2)] = np.sqrt(-picked if farthest else picked).mean(axis=1)
+    for start, rows, r, c, d2 in _candidate_blocks(minority, majority, k, farthest=farthest):
+        # The mean sums the k selected distances nearest (farthest) first.
+        picked = _select_k(r, c, -d2 if farthest else d2, rows, k)
+        scores[start : start + rows] = np.sqrt(d2[picked]).mean(axis=1)
     return scores
 
 
@@ -311,6 +308,9 @@ def nearmiss(majority, minority, variant, k, n=None):
     3: union of each minority point's k nearest majority points (n ignored).
     Ties always resolve to the lower index.
     """
+    check_integer(k, "k", minimum=1)
+    if n is not None:
+        check_integer(n, "n", minimum=0)
     majority = np.asarray(majority, dtype=np.float64)
     minority = np.asarray(minority, dtype=np.float64)
     if len(minority) == 0:
@@ -323,7 +323,7 @@ def nearmiss(majority, minority, variant, k, n=None):
     if variant in (1, 2):
         scores = _mean_knn_distance(majority, minority, k, farthest=(variant == 2))
         order = np.lexsort((np.arange(len(scores)), scores))
-        n_keep = len(majority) if n is None else min(int(n), len(majority))
+        n_keep = len(majority) if n is None else min(n, len(majority))
         return sorted(int(i) for i in order[:n_keep])
 
     if k > len(majority):
@@ -331,10 +331,8 @@ def nearmiss(majority, minority, variant, k, n=None):
     return [int(i) for i in np.unique(_k_nearest(majority, minority, k))]
 
 
-def _split_by_label(features, labels):
-    labels = np.asarray(labels, dtype=int)
-    counts = {0: int((labels == 0).sum()), 1: int((labels == 1).sum())}
-    minority_label = 1 if counts[1] <= counts[0] else 0
+def _split_by_label(labels):
+    minority_label = 1 if (labels == 1).sum() <= (labels == 0).sum() else 0
     min_idx = np.flatnonzero(labels == minority_label)
     maj_idx = np.flatnonzero(labels != minority_label)
     return minority_label, min_idx, maj_idx
@@ -352,7 +350,7 @@ def rebalance(features, labels, config):
     if config.strategy == "none":
         return RebalanceResult(features, labels, np.ones(len(labels), dtype=bool))
 
-    minority_label, min_idx, maj_idx = _split_by_label(features, labels)
+    minority_label, min_idx, maj_idx = _split_by_label(labels)
     majority_label = 1 - minority_label
 
     if config.strategy == "smote":

@@ -39,7 +39,7 @@ from imbtab import (
 from imbtab import resampling
 from imbtab.pipeline import prepare
 from imbtab.synth import DEFAULT_SCHEMA
-from imbtab.resampling import _distance_blocks, _k_nearest, _mean_knn_distance
+from imbtab.resampling import _candidate_blocks, _k_nearest, _mean_knn_distance
 
 
 def _grid_case():
@@ -243,6 +243,24 @@ def _oracle_mean_knn_distance(majority, minority, k, farthest=False):
 # --- property tests against the oracle ---------------------------------------
 
 
+def _candidate_mask(blocks, expected):
+    """The (query, point) pairs that `_candidate_blocks` yielded, after checking that
+    the blocks cover the queries in order, each block's pairs are row-major and
+    each candidate's distance is bit-equal to the oracle's `expected`."""
+    expected = np.asarray(expected)
+    mask = np.zeros(expected.shape, dtype=bool)
+    end = 0
+    for start, rows, r, c, d2 in blocks:
+        assert start == end and np.all((0 <= r) & (r < rows))
+        assert np.all(np.diff(r * expected.shape[1] + c) > 0)  # row-major, no repeats
+        assert np.array_equal(d2, expected[start + r, c])  # bit-equal
+        mask[start + r, c] = True
+        end = start + rows
+    assert end == len(expected)
+    return mask
+
+
+
 @st.composite
 def _matrix(draw, n_min=1, n_max=30, d=None):
     """A tie-heavy matrix: few distinct levels, repeated rows, and scales at
@@ -275,14 +293,16 @@ def test_blocked_search_matches_per_query_oracle(problem, budget, farthest, data
     points, queries = problem
     k = data.draw(st.integers(0, len(points)))
     with mock.patch.object(resampling, "_BLOCK_BYTES", budget):
-        blocks = list(_distance_blocks(points, queries, k, farthest=farthest))
+        blocks = list(_candidate_blocks(points, queries, k, farthest=farthest))
         got = _k_nearest(points, queries, k)
-    d2 = np.vstack([b for _, b in blocks]) if blocks else np.empty((0, len(points)))
-    expected = np.reshape([_oracle_sq_distances(points, q) for q in queries], d2.shape)
-    computed = ~np.isnan(d2)
-    assert np.array_equal(d2[computed], expected[computed])  # bit-equal
+    expected = np.reshape(
+        [_oracle_sq_distances(points, q) for q in queries], (len(queries), len(points))
+    )
+    computed = _candidate_mask(blocks, expected)
+    # the selection takes each row's k from its candidates alone
+    assert np.all(computed.sum(axis=1) >= k)
     if k:
-        # no entry the search left out could be among a row's k selected
+        # no pair the search left out could be among a row's k selected
         ranked = np.sort(expected, axis=1)
         if farthest:
             assert not np.any(~computed & (expected >= ranked[:, -k:][:, :1]))
@@ -298,7 +318,11 @@ def test_self_excluded_search_matches_oracle(points, budget, data):
     n = len(points)
     k = data.draw(st.integers(1, n - 1))
     with mock.patch.object(resampling, "_BLOCK_BYTES", budget):
+        blocks = list(_candidate_blocks(points, points, k, exclude=np.arange(n)))
         got = _k_nearest(points, points, k, exclude=np.arange(n))
+    computed = _candidate_mask(blocks, [_oracle_sq_distances(points, p) for p in points])
+    assert not computed.diagonal().any()  # the excluded self is never a candidate
+    assert np.all(computed.sum(axis=1) >= k)
     expected = [_oracle_nearest(points, points[i], k, True, i) for i in range(n)]
     assert got.tolist() == expected
 
@@ -334,8 +358,8 @@ def test_blocks_follow_the_byte_budget():
     points = np.arange(12.0).reshape(4, 3)
     queries = np.arange(21.0).reshape(7, 3)
     with mock.patch.object(resampling, "_BLOCK_BYTES", 3 * len(points) * points.itemsize + 5):
-        blocks = list(_distance_blocks(points, queries, 1))
-    assert [(start, d2.shape) for start, d2 in blocks] == [(0, (3, 4)), (3, (3, 4)), (6, (1, 4))]
+        blocks = list(_candidate_blocks(points, queries, 1))
+    assert [(start, rows) for start, rows, *_ in blocks] == [(0, 3), (3, 3), (6, 1)]
 
 
 def test_mean_over_sixteen_neighbours_is_bit_equal():
@@ -368,10 +392,8 @@ def test_overflowing_norms_take_the_full_exact_row():
     # row's every distance is computed exactly and none is left out
     points = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.5], [-1.0, 0.0, 0.0, 0.0]]) * 1e154
     queries = np.vstack([points[1] * (1 + 2**-40), np.zeros(4)])
-    ((_, d2),) = _distance_blocks(points, queries, 1)
-    expected = [_oracle_sq_distances(points, q) for q in queries]
-    assert not np.isnan(d2).any()
-    assert np.array_equal(d2, expected)
+    blocks = list(_candidate_blocks(points, queries, 1))
+    assert _candidate_mask(blocks, [_oracle_sq_distances(points, q) for q in queries]).all()
     assert _k_nearest(points, queries, 1).tolist() == [_oracle_nearest(points, q, 1) for q in queries]
 
 
