@@ -16,9 +16,9 @@ which takes the queries a block at a time, sized so that a block's
 Each query then takes its k from its candidates alone, by one lexsort of
 their exact distances, ties to the lower index. Since the approximate values
 only choose which pairs get exact distances, no output depends on how the
-matrix product rounds. SMOTE, NearMiss-1/2/3 and
-`nearest_neighbors` (a one-query block) all use this search. At the row
-counts this toolkit targets (tens of thousands) a spatial index buys nothing.
+matrix product rounds. SMOTE, NearMiss-1/2/3 and `nearest_neighbors` (a
+one-query block) all use this search. At the row counts this toolkit targets
+(tens of thousands) a spatial index buys nothing.
 Every random draw comes from one seeded generator consumed in a fixed order,
 so a seed fully determines the output.
 """
@@ -197,10 +197,8 @@ def _select_k(r, c, key, rows, k):
 
 
 def _k_nearest(points, queries, k, exclude=None):
-    """(len(queries), k) array: each query's k nearest points.
-
-    Each row is in ascending distance, ties to the lower index.
-    """
+    """(len(queries), k) array: each query's k nearest points, in ascending
+    distance, ties to the lower index."""
     out = np.empty((len(queries), k), dtype=np.intp)
     for start, rows, r, c, d2 in _candidate_blocks(points, queries, k, exclude=exclude):
         out[start : start + rows] = c[_select_k(r, c, d2, rows, k)]
@@ -224,11 +222,11 @@ def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
         raise DimensionMismatch(f"query shape {query.shape}, points {points.shape}")
     if not np.all(np.isfinite(query)):
         raise NonFiniteFeature("query must be finite")
-    if k == 0:
+    if k == 0:  # nothing to search for, and an empty index has no k-th key
         return []
     exclude = []
     if exclude_self and self_index is not None:
-        exclude = [self_index]
+        exclude = np.array([self_index])
     elif exclude_self and len(points):
         # A one-nearest search's candidates include every point at the
         # smallest distance, so every point at distance zero when there is one.
@@ -237,7 +235,7 @@ def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
     n_eligible = len(points) - len(exclude)
     if k > n_eligible:
         raise KTooLarge(f"k={k} but only {n_eligible} eligible points")
-    nearest = _k_nearest(points, query[None], k, np.asarray(exclude) if len(exclude) else None)
+    nearest = _k_nearest(points, query[None], k, exclude if len(exclude) else None)
     return [int(i) for i in nearest[0]]
 
 
@@ -294,7 +292,8 @@ def _mean_knn_distance(majority, minority, k, farthest=False):
         raise KTooLarge(f"k={k} but minority has {len(minority)} points")
     scores = np.empty(len(majority))
     for start, rows, r, c, d2 in _candidate_blocks(minority, majority, k, farthest=farthest):
-        # The mean sums the k selected distances nearest (farthest) first.
+        # Summing nearest (farthest) first, as a one-query search does,
+        # keeps the mean bit-equal to it.
         picked = _select_k(r, c, -d2 if farthest else d2, rows, k)
         scores[start : start + rows] = np.sqrt(d2[picked]).mean(axis=1)
     return scores

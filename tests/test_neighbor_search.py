@@ -260,7 +260,6 @@ def _candidate_mask(blocks, expected):
     return mask
 
 
-
 @st.composite
 def _matrix(draw, n_min=1, n_max=30, d=None):
     """A tie-heavy matrix: few distinct levels, repeated rows, and scales at
