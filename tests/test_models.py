@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import os
 import signal
 import threading
@@ -337,8 +338,39 @@ class TestContract:
         y = (X[:, 0] > 0).astype(int)
         overrides = {"rf": {"n_trees": 5}, "xgb": {"rounds": 5}}.get(family, {})
         m = fit_model(X, y, ModelConfig.for_family(family, **overrides))
-        back = model_from_json(model_to_json(m))
+        text = model_to_json(m)
+        back = model_from_json(text)
         assert np.array_equal(back.predict_proba(X), m.predict_proba(X))
+        # every field, metadata included (seed, rounds, final_loss, ...), survives
+        assert model_to_json(back) == text
+
+    @pytest.mark.parametrize(
+        "family, overrides",
+        [
+            ("rf", dict(n_trees=5, seed=3, feature_subset_size=2)),
+            ("xgb", dict(rounds=5, seed=3)),
+        ],
+    )
+    def test_json_of_a_numpy_integer_config(self, family, overrides):
+        # README: numpy integers are accepted where a number is
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(40, 3))
+        y = (X[:, 0] > 0).astype(int)
+        as_numpy = {key: np.int64(value) for key, value in overrides.items()}
+        text = model_to_json(fit_model(X, y, ModelConfig.for_family(family, **as_numpy)))
+        assert text == model_to_json(fit_model(X, y, ModelConfig.for_family(family, **overrides)))
+        assert model_to_json(model_from_json(text)) == text
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("version", "model_v0", "unsupported model format"), ("family", "knn", "unknown model family")],
+    )
+    def test_json_rejects_an_unknown_version_or_family(self, key, value, message):
+        X = np.array([[0.0, 1.0], [1.0, 0.0]])
+        doc = json.loads(model_to_json(fit_model(X, [0, 1], lr_cfg())))
+        doc[key] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_json(json.dumps(doc))
 
 
 class TestFitModels:

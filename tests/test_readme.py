@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import imbtab
+from imbtab.models import FAMILIES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +18,8 @@ def test_every_name_readme_exports_from_the_package_root_exists():
     names = root_exports(README.read_text(encoding="utf-8"))
     assert names
     assert [n for n in names if not hasattr(imbtab, n)] == []
+
+
+def test_readme_lists_the_model_families_in_order():
+    bullet = re.search(r"^- Model families: (.*?)\.", README.read_text(encoding="utf-8"), re.M)
+    assert tuple(re.findall(r"`(\w+)`", bullet.group(1))) == FAMILIES

@@ -125,6 +125,12 @@ class TestSmote:
         with pytest.raises(TooFewMinoritySamples):
             smote(np.array([[0.0, 0.0]]), k=1, n_new=1)
 
+    @pytest.mark.parametrize("minority", [np.arange(6.0), np.zeros((3, 2, 1)), np.float64(1.0)])
+    def test_rejects_a_minority_that_is_not_2d(self, minority):
+        # a 1-D array of 6 values is no "fewer than 2 rows" fault
+        with pytest.raises(DimensionMismatch):
+            smote(minority, 2, 1)
+
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             smote(np.zeros((3, 2)), k=3, n_new=1)
@@ -173,6 +179,26 @@ class TestNearMiss:
     def test_empty_minority(self):
         with pytest.raises(EmptyMinority):
             nearmiss(self.MAJ, np.empty((0, 2)), variant=1, k=1, n=1)
+
+    @pytest.mark.parametrize("variant", [2, 3])
+    def test_empty_minority_in_every_variant(self, variant):
+        with pytest.raises(EmptyMinority):
+            nearmiss(self.MAJ, np.empty((0, 2)), variant=variant, k=1, n=1)
+
+    @pytest.mark.parametrize("variant", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "majority, minority",
+        [
+            (np.zeros((4, 2)), np.zeros((3, 3))),  # unequal widths
+            (np.zeros((0, 2)), np.zeros((3, 3))),  # unequal widths, no majority rows
+            (np.zeros(4), np.zeros((3, 1))),  # 1-D majority
+            (np.zeros((4, 1)), np.zeros(3)),  # 1-D minority
+            (np.zeros((4, 2, 1)), np.zeros((3, 2))),  # 3-D majority
+        ],
+    )
+    def test_rejects_inputs_that_are_not_2d_of_one_width(self, variant, majority, minority):
+        with pytest.raises(DimensionMismatch):
+            nearmiss(majority, minority, variant, 1, n=2)
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
