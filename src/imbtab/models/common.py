@@ -1,10 +1,24 @@
 """Shared model contract: configuration, probability prediction, thresholding,
-and JSON serialization for every classifier family."""
+and JSON serialization for every classifier family.
+
+`_FAMILIES` is the one table of the families: each maps to its fitter, its
+probability predictor and the type of the model the fitter returns.
+`fit_model`, `FittedModel.predict_proba` and the JSON functions look a
+family up there, and `FAMILIES` is its keys in order.
+
+Model JSON (`model_to_json` / `model_from_json`, format `MODEL_FORMAT_VERSION`)
+is one object: `version`, `family` and `n_features`, then the model. A `dt`
+model, a root `TreeNode`, sits under `"tree"`. Any other model writes each
+field of its dataclass, in declaration order, under the field's name. Trees
+are nested node objects; numpy arrays and scalars are written as JSON lists
+and numbers, so a config given numpy integers writes the same bytes as one
+given Python ints.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,7 +35,14 @@ from .forest import ForestModel, fit_forest, forest_predict_proba
 from .logistic import LinearModel, fit_logistic, linear_predict_proba
 from .tree import TreeNode, fit_tree, tree_predict
 
-FAMILIES = ("lr", "dt", "rf", "xgb")
+# family -> (fitter, probability predictor, model type), in the paper's order
+_FAMILIES = {
+    "lr": (fit_logistic, linear_predict_proba, LinearModel),
+    "dt": (fit_tree, tree_predict, TreeNode),
+    "rf": (fit_forest, forest_predict_proba, ForestModel),
+    "xgb": (fit_gbt, gbt_predict_proba, BoostedModel),
+}
+FAMILIES = tuple(_FAMILIES)
 
 MODEL_FORMAT_VERSION = "model_v1"
 
@@ -88,8 +109,7 @@ class ModelConfig:
 
 
 def fit_model(X, y, cfg):
-    fitter = {"lr": fit_logistic, "dt": fit_tree, "rf": fit_forest, "xgb": fit_gbt}[cfg.family]
-    model = fitter(X, y, cfg)
+    model = _FAMILIES[cfg.family][0](X, y, cfg)
     return FittedModel(family=cfg.family, model=model, n_features=np.asarray(X).shape[1])
 
 
@@ -105,15 +125,7 @@ class FittedModel:
             raise DimensionMismatch(
                 f"expected {self.n_features} feature columns, got shape {X.shape}"
             )
-        if self.family == "lr":
-            p = linear_predict_proba(self.model, X)
-        elif self.family == "dt":
-            p = tree_predict(self.model, X)
-        elif self.family == "rf":
-            p = forest_predict_proba(self.model, X)
-        else:
-            p = gbt_predict_proba(self.model, X)
-        return np.clip(p, 0.0, 1.0)
+        return np.clip(_FAMILIES[self.family][1](self.model, X), 0.0, 1.0)
 
 
 def classify(probs, threshold=0.5):
@@ -153,28 +165,16 @@ def _node_from_doc(doc):
 def model_to_json(fitted):
     m = fitted.model
     doc = {"version": MODEL_FORMAT_VERSION, "family": fitted.family, "n_features": fitted.n_features}
-    if fitted.family == "lr":
-        doc["weights"] = list(m.weights)
-        doc["bias"] = m.bias
-        doc["final_loss"] = m.final_loss
-        doc["iterations"] = m.iterations
-    elif fitted.family == "dt":
+    if fitted.family == "dt":
         doc["tree"] = _node_to_doc(m)
-    elif fitted.family == "rf":
-        doc.update(
-            trees=[_node_to_doc(t) for t in m.trees],
-            feature_subset_size=m.feature_subset_size,
-            bootstrap=m.bootstrap,
-            seed=m.seed,
-        )
     else:
-        doc.update(
-            base_score=m.base_score,
-            trees=[_node_to_doc(t) for t in m.trees],
-            learning_rate=m.learning_rate,
-            l2_lambda=m.l2_lambda,
-            rounds=m.rounds,
-        )
+        for f in fields(m):
+            value = getattr(m, f.name)
+            if f.name == "trees":
+                value = [_node_to_doc(t) for t in value]
+            elif isinstance(value, (np.ndarray, np.generic)):
+                value = value.tolist()
+            doc[f.name] = value
     return json.dumps(doc)
 
 
@@ -183,30 +183,16 @@ def model_from_json(text):
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {doc.get('version')!r}")
     family = doc["family"]
-    if family == "lr":
-        model = LinearModel(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            bias=doc["bias"],
-            final_loss=doc["final_loss"],
-            iterations=doc["iterations"],
-        )
-    elif family == "dt":
-        model = _node_from_doc(doc["tree"])
-    elif family == "rf":
-        model = ForestModel(
-            trees=[_node_from_doc(t) for t in doc["trees"]],
-            feature_subset_size=doc["feature_subset_size"],
-            bootstrap=doc["bootstrap"],
-            seed=doc["seed"],
-        )
-    elif family == "xgb":
-        model = BoostedModel(
-            base_score=doc["base_score"],
-            trees=[_node_from_doc(t) for t in doc["trees"]],
-            learning_rate=doc["learning_rate"],
-            l2_lambda=doc["l2_lambda"],
-            rounds=doc["rounds"],
-        )
-    else:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
+    if family == "dt":
+        model = _node_from_doc(doc["tree"])
+    else:
+        model_type = _FAMILIES[family][2]
+        values = {f.name: doc[f.name] for f in fields(model_type)}
+        if "weights" in values:
+            values["weights"] = np.asarray(values["weights"], dtype=np.float64)
+        if "trees" in values:
+            values["trees"] = [_node_from_doc(t) for t in values["trees"]]
+        model = model_type(**values)
     return FittedModel(family=family, model=model, n_features=doc["n_features"])

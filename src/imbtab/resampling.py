@@ -252,7 +252,9 @@ def smote(minority, k, n_new, seed=0, mode="canonical"):
     check_integer(k, "k", minimum=1)
     check_integer(n_new, "n_new", minimum=0)
     pts = np.asarray(minority, dtype=np.float64)
-    if pts.ndim != 2 or len(pts) < 2:
+    if pts.ndim != 2:
+        raise DimensionMismatch(f"minority must be a 2-D array, got shape {pts.shape}")
+    if len(pts) < 2:
         raise TooFewMinoritySamples(f"need >= 2 minority rows, got {len(pts)}")
     if k > len(pts) - 1:
         raise KTooLarge(f"k={k} but only {len(pts) - 1} candidate neighbors")
@@ -312,6 +314,10 @@ def nearmiss(majority, minority, variant, k, n=None):
         check_integer(n, "n", minimum=0)
     majority = np.asarray(majority, dtype=np.float64)
     minority = np.asarray(minority, dtype=np.float64)
+    if majority.ndim != 2 or minority.ndim != 2 or majority.shape[1] != minority.shape[1]:
+        raise DimensionMismatch(
+            f"majority {majority.shape} and minority {minority.shape} must be 2-D of one width"
+        )
     if len(minority) == 0:
         raise EmptyMinority("nearmiss requires at least one minority row")
     if variant not in (1, 2, 3):

@@ -180,11 +180,6 @@ class TestNearMiss:
         with pytest.raises(EmptyMinority):
             nearmiss(self.MAJ, np.empty((0, 2)), variant=1, k=1, n=1)
 
-    @pytest.mark.parametrize("variant", [2, 3])
-    def test_empty_minority_in_every_variant(self, variant):
-        with pytest.raises(EmptyMinority):
-            nearmiss(self.MAJ, np.empty((0, 2)), variant=variant, k=1, n=1)
-
     @pytest.mark.parametrize("variant", [1, 2, 3])
     @pytest.mark.parametrize(
         "majority, minority",
