@@ -16,6 +16,7 @@ from imbtab.errors import (
     ImbtabError,
     NonFiniteFeature,
     NonFiniteLoss,
+    ValidationError,
 )
 from imbtab.models import (
     ModelConfig,
@@ -53,6 +54,15 @@ LR_GOLDEN = [
         "a6910a258eecfb553e9afa33034bdde83afd063f2161dbdcdd596873937b9a26",
     ),
 ]
+
+
+def _without(doc, *keys):
+    """doc after deleting doc[keys[0]][keys[1]]...[keys[-1]]."""
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    del inner[keys[-1]]
+    return doc
 
 
 def lr_cfg(**kw):
@@ -290,8 +300,8 @@ class TestBoosting:
                 abs(n.score) for t in model.trees for n in t.walk() if n.is_leaf
             )
 
-        small = fit_gbt(X, y, ModelConfig.for_family("xgb", rounds=3, l2=1.0, seed=1))
-        large = fit_gbt(X, y, ModelConfig.for_family("xgb", rounds=3, l2=1e6, seed=1))
+        small = fit_gbt(X, y, ModelConfig.for_family("xgb", rounds=3, l2=1.0))
+        large = fit_gbt(X, y, ModelConfig.for_family("xgb", rounds=3, l2=1e6))
         assert max_abs_leaf(large) < max_abs_leaf(small)
         assert max_abs_leaf(large) < 1e-4
 
@@ -367,18 +377,107 @@ class TestContract:
         assert model_to_json(model_from_json(text)) == text
 
     @pytest.mark.parametrize(
-        "key, value, message",
+        "family, edit, message",
         [
-            ("version", "model_v0", "unsupported model format"),
-            ("family", "knn", "unknown model family"),
+            pytest.param(
+                "lr", lambda doc: {**doc, "version": "model_v0"}, "unsupported model format",
+                id="version-model_v0-unsupported model format",
+            ),
+            pytest.param(
+                "lr", lambda doc: {**doc, "family": "knn"}, "unknown model family",
+                id="family-knn-unknown model family",
+            ),
+            pytest.param("lr", lambda doc: [doc], "must be an object", id="a-list"),
+            pytest.param("lr", lambda doc: _without(doc, "family"), "unknown model family", id="no-family"),
+            pytest.param("rf", lambda doc: _without(doc, "trees"), "malformed rf model", id="rf-no-trees"),
+            pytest.param(
+                "dt", lambda doc: _without(doc, "tree", "score"), "malformed dt model",
+                id="node-no-score",
+            ),
+            pytest.param("xgb", lambda doc: {**doc, "trees": [3]}, "malformed xgb model", id="node-a-number"),
         ],
     )
-    def test_json_rejects_an_unknown_version_or_family(self, key, value, message):
+    def test_json_rejects_an_unknown_version_or_family(self, family, edit, message):
         X = np.array([[0.0, 1.0], [1.0, 0.0]])
-        doc = json.loads(model_to_json(fit_model(X, [0, 1], lr_cfg())))
-        doc[key] = value
+        cfg = ModelConfig.for_family(family, **{"rf": {"n_trees": 1}, "xgb": {"rounds": 1}}.get(family, {}))
+        doc = edit(json.loads(model_to_json(fit_model(X, [0, 1], cfg))))
         with pytest.raises(ValueError, match=message):
             model_from_json(json.dumps(doc))
+
+
+# The keys each family's fitter reads, besides `name` and `threshold`.
+FAMILY_KEYS = {
+    "lr": ("learning_rate", "iterations", "l2", "tolerance"),
+    "dt": ("max_depth", "min_samples_leaf"),
+    "rf": ("n_trees", "max_depth", "min_samples_leaf", "bootstrap", "feature_subset_size", "seed"),
+    "xgb": ("rounds", "learning_rate", "max_depth", "l2", "min_samples_leaf"),
+}
+# a valid value of each key, the default of some family that has it
+VALID = dict(
+    learning_rate=0.1, iterations=500, l2=1e-4, tolerance=1e-6, max_depth=8, min_samples_leaf=5,
+    n_trees=100, bootstrap=True, feature_subset_size=None, seed=0, rounds=100,
+)
+STRAY_KEYS = [(f, k) for f in FAMILY_KEYS for k in VALID if k not in FAMILY_KEYS[f]]
+# small fits, so that every knob below is cheap to turn
+SMALL = {"lr": dict(iterations=20), "rf": dict(n_trees=3), "xgb": dict(rounds=3)}
+# a value other than the SMALL config's for every key
+KNOBS = dict(
+    learning_rate=0.5, iterations=3, l2=0.5, tolerance=10.0, max_depth=1, min_samples_leaf=60,
+    n_trees=2, bootstrap=False, feature_subset_size=1, seed=7, rounds=2,
+)
+
+
+def _knob_data():
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(200, 4))
+    y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(size=200) > 0.3).astype(int)
+    return X, y
+
+
+class TestFamilyConfigs:
+    def test_each_family_takes_exactly_the_keys_its_fitter_reads(self):
+        for family, keys in FAMILY_KEYS.items():
+            cfg = ModelConfig.for_family(family)
+            assert cfg.family == family
+            assert [f.name for f in dataclasses.fields(cfg)] == ["name", "threshold", *keys]
+        # family, name and threshold, and the fitter's keys: 7 + 5 + 9 + 8
+        assert sum(3 + len(keys) for keys in FAMILY_KEYS.values()) == 29
+        assert len(STRAY_KEYS) == 27
+
+    def test_no_config_carries_another_familys_defaults(self):
+        with pytest.raises(TypeError):
+            ModelConfig(family="xgb")
+        with pytest.raises(ValidationError) as exc:
+            ModelConfig()
+        assert exc.value.path == "family"
+        for family in FAMILY_KEYS:
+            cfg = ModelConfig.for_family(family)
+            assert type(cfg)() == cfg
+            with pytest.raises(TypeError):
+                type(cfg)(family="lr")
+
+    @pytest.mark.parametrize("family, key", STRAY_KEYS)
+    def test_a_key_outside_the_family_is_rejected(self, family, key):
+        with pytest.raises(ValidationError) as exc:
+            ModelConfig.for_family(family, **{key: VALID[key]})
+        assert exc.value.path == key
+        assert family in exc.value.message
+
+    @pytest.mark.parametrize("family, key", [(f, k) for f, keys in FAMILY_KEYS.items() for k in keys])
+    def test_every_key_changes_the_fitted_model(self, family, key):
+        X, y = _knob_data()
+        base = ModelConfig.for_family(family, **SMALL.get(family, {}))
+        turned = dataclasses.replace(base, **{key: KNOBS[key]})
+        assert getattr(base, key) != KNOBS[key]
+        assert model_to_json(fit_model(X, y, turned)) != model_to_json(fit_model(X, y, base))
+
+    @pytest.mark.parametrize("family", list(FAMILY_KEYS))
+    def test_threshold_changes_the_labels(self, family):
+        X, y = _knob_data()
+        base = ModelConfig.for_family(family, **SMALL.get(family, {}))
+        turned = dataclasses.replace(base, threshold=0.2)
+        probs = fit_model(X, y, base).predict_proba(X)
+        assert not np.array_equal(classify(probs, turned.threshold), classify(probs, base.threshold))
 
 
 class TestFitModels:

@@ -18,6 +18,7 @@ from imbtab.models import ModelConfig, fanout, fit_model, forest
 from imbtab.pipeline import EncoderSpec, _stage, prepare
 from imbtab.resampling import ResampleConfig
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
+from test_models import STRAY_KEYS, VALID
 
 
 def schema_doc():
@@ -248,6 +249,36 @@ class TestParseConfig:
         self.assert_path(doc, f"models[0].{key}")
         assert_field(ModelConfig.for_family, key, family="rf", **{key: value})
 
+    @pytest.mark.parametrize(
+        "family, key, value",
+        [
+            ("lr", "iterations", 2.5),
+            ("lr", "learning_rate", True),
+            ("lr", "tolerance", "1e-6"),
+            ("dt", "max_depth", "4"),
+            ("dt", "threshold", 1.0),
+            ("dt", "name", 3),
+            ("rf", "n_trees", 0),
+            ("rf", "feature_subset_size", 0),
+            ("rf", "seed", -1),
+            ("rf", "bootstrap", 1),
+            ("xgb", "rounds", 1.0),
+            ("xgb", "l2", None),
+            ("xgb", "min_samples_leaf", 0),
+        ],
+    )
+    def test_bad_value_of_a_familys_own_key_path(self, data_csv, family, key, value):
+        doc = base_config(data_csv, models=[{"family": family, key: value}])
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.path == f"models[0].{key}"
+        assert exc.value.message.startswith("must be")  # the value's check, not the key's
+
+    @pytest.mark.parametrize("family, key", STRAY_KEYS)
+    def test_a_key_outside_the_family_path(self, data_csv, family, key):
+        models = [{"family": family}, {"family": family, "name": "B", key: VALID[key]}]
+        self.assert_path(base_config(data_csv, models=models), f"models[1].{key}")
+
     def test_unknown_model_key_path(self, data_csv):
         doc = base_config(data_csv, models=[{"family": "lr"}, {"family": "lr", "iteratons": 5}])
         self.assert_path(doc, "models[1].iteratons")
@@ -257,10 +288,10 @@ class TestParseConfig:
 
     def test_model_fields_are_kept(self, data_csv):
         model = {"family": "rf", "name": "F", "max_depth": None, "feature_subset_size": None}
-        model.update(seed=0, bootstrap=False, learning_rate=1, l2=0, threshold=0.3, n_trees=2)
+        model.update(seed=0, bootstrap=False, threshold=0.3, n_trees=2)
         cfg = parse_config(json.dumps(base_config(data_csv, models=[model]))).models[0]
         assert (cfg.name, cfg.max_depth, cfg.feature_subset_size, cfg.seed) == ("F", None, None, 0)
-        assert (cfg.bootstrap, cfg.learning_rate, cfg.l2, cfg.threshold) == (False, 1, 0, 0.3)
+        assert (cfg.bootstrap, cfg.threshold) == (False, 0.3)
 
     @pytest.mark.parametrize(
         "entry, path",
@@ -285,8 +316,8 @@ class TestParseConfig:
             (SplitSpec, "stratified", dict(test_fraction=0.2, stratified="no")),
             (SplitSpec, "seed", dict(test_fraction=0.2, seed=1.5)),
             (ResampleConfig, "seed", dict(seed=-1)),
-            (ModelConfig, "iterations", dict(family="lr", iterations=2.5)),
-            (ModelConfig, "family", dict(family="svm")),
+            (ModelConfig.for_family, "iterations", dict(family="lr", iterations=2.5)),
+            (ModelConfig.for_family, "family", dict(family="svm")),
             (ColumnSchema, "name", dict(name="", kind="numeric")),
             (EncoderSpec, "column", dict(column=None)),
         ],
@@ -344,11 +375,18 @@ FULL_CONFIG = {
     ],
     "resampler": {"strategy": "smote", "k": 5, "amount": "balance", "seed": 3, "smote_mode": "canonical"},
     "models": [
-        {"family": "lr", "name": "LR"},
         {
-            "family": "rf", "name": "RF", "learning_rate": 0.1, "iterations": 5, "rounds": 5,
-            "max_depth": None, "min_samples_leaf": 2, "n_trees": 3, "l2": 0.0, "tolerance": 1e-6,
+            "family": "lr", "name": "LR", "learning_rate": 0.1, "iterations": 5, "l2": 0.0,
+            "tolerance": 1e-6, "threshold": 0.5,
+        },
+        {"family": "dt", "name": "DT", "max_depth": 3, "min_samples_leaf": 2, "threshold": 0.4},
+        {
+            "family": "rf", "name": "RF", "n_trees": 3, "max_depth": None, "min_samples_leaf": 2,
             "bootstrap": True, "feature_subset_size": None, "seed": 1, "threshold": 0.5,
+        },
+        {
+            "family": "xgb", "name": "XGB", "rounds": 5, "learning_rate": 0.3, "max_depth": 2,
+            "l2": 1.0, "min_samples_leaf": 1, "threshold": 0.6,
         },
     ],
     "output": "out",
@@ -384,8 +422,11 @@ def blames_field(field, error_path):
     # rules that span fields report at the field that completes the conflict
     if field.startswith("schema"):  # one target, unique names, encoder columns
         return error_path in ("schema", "target", "encoders[0].column")
-    if field.startswith("models"):  # unique model names
-        return re.fullmatch(r"models\[[01]\]\.name", error_path) is not None
+    if field.startswith("models"):
+        entry, _, key = field.partition(".")
+        if key == "family" and error_path.startswith(f"{entry}."):
+            return True  # a key of this entry that the new family does not take
+        return re.fullmatch(r"models\[[0-3]\]\.name", error_path) is not None  # unique names
     return False
 
 
@@ -406,7 +447,7 @@ def parse_with(field, value):
 class TestParseConfigProperty:
     def test_full_config_parses(self):
         cfg = parse_config(json.dumps(FULL_CONFIG))
-        assert [m.name for m in cfg.models] == ["LR", "RF"]
+        assert [m.name for m in cfg.models] == ["LR", "DT", "RF", "XGB"]
 
     def test_every_field_with_each_kind_of_value(self):
         for field in FIELD_PATHS:
@@ -659,6 +700,17 @@ class TestCli:
         assert main(argv) == EXIT_OK
         assert (out / "report.json").exists() and not (out / "report.txt").exists()
         assert not (tmp_path / "cfg-out").exists()
+
+    @pytest.mark.parametrize(
+        "family, key", [("lr", "n_trees"), ("dt", "seed"), ("rf", "learning_rate"), ("xgb", "iterations")]
+    )
+    def test_a_key_outside_the_family_is_a_config_error(self, data_csv, tmp_path, capsys, family, key):
+        cfg_path = tmp_path / "cfg.json"
+        models = [{"family": family, key: VALID[key]}]
+        cfg_path.write_text(json.dumps(base_config(data_csv, output=str(tmp_path / "out"), models=models)))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: models[0].{key}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

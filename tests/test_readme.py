@@ -1,8 +1,10 @@
+import dataclasses
+import json
 import re
 from pathlib import Path
 
 import imbtab
-from imbtab.models import FAMILIES
+from imbtab.models import FAMILIES, ModelConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +25,22 @@ def test_every_name_readme_exports_from_the_package_root_exists():
 def test_readme_lists_the_model_families_in_order():
     bullet = re.search(r"^- Model families: (.*?)\.", README.read_text(encoding="utf-8"), re.M)
     assert tuple(re.findall(r"`(\w+)`", bullet.group(1))) == FAMILIES
+
+
+def family_keys(text):
+    """{family: [(key, default), ...]} from the sub-bullets of README's model families bullet."""
+    bullet = re.search(r"^- Model families: .*?(?=^- |^$)", text, re.M | re.S).group(0)
+    listed = {}
+    for entry in re.findall(r"^  - `(\w+)`: (.*?)(?=^  - |\Z)", bullet, re.M | re.S):
+        pairs = re.findall(r"`(\w+)` (true|false|null|-?\d+(?:\.\d+)?(?:e-?\d+)?)", entry[1])
+        listed[entry[0]] = [(key, json.loads(value)) for key, value in pairs]
+    return listed
+
+
+def test_readme_lists_each_familys_keys_and_defaults():
+    listed = family_keys(README.read_text(encoding="utf-8"))
+    assert tuple(listed) == FAMILIES
+    for family, keys in listed.items():
+        cfg = ModelConfig.for_family(family)
+        own = [f for f in dataclasses.fields(cfg) if f.name not in ("name", "threshold")]
+        assert keys == [(f.name, f.default) for f in own], family

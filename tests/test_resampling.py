@@ -210,8 +210,8 @@ class TestNearMiss:
 
 
 class TestArgumentChecks:
-    """Bad integer arguments fail with a ValidationError that names them,
-    not with whatever numpy does with the value."""
+    """Bad arguments fail with a ValidationError that names them, not with
+    whatever numpy does with the value."""
 
     POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     MAJ = TestNearMiss.MAJ
@@ -265,6 +265,14 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("n", [-1, 1.0])
     def test_nearmiss_n(self, n):
         assert self._path(lambda: nearmiss(self.MAJ, self.MIN, 1, 1, n=n)) == "n"
+
+    @pytest.mark.parametrize("mode", ["literal", "Canonical", None, 1])
+    def test_smote_mode(self, mode):
+        assert self._path(lambda: smote(self.POINTS, 1, 2, mode=mode)) == "mode"
+
+    @pytest.mark.parametrize("variant", [0, 4, 1.0, True, "1", None])
+    def test_nearmiss_variant(self, variant):
+        assert self._path(lambda: nearmiss(self.MAJ, self.MIN, variant, 1, n=1)) == "variant"
 
 
 def fm(values):
