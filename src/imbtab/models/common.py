@@ -2,9 +2,12 @@
 and JSON serialization for every classifier family.
 
 `_FAMILIES` is the one table of the families: each maps to its fitter, its
-probability predictor and the type of the model the fitter returns.
-`fit_model`, `FittedModel.predict_proba` and the JSON functions look a
-family up there, and `FAMILIES` is its keys in order.
+probability predictor, the type of the model the fitter returns and its config
+type. `fit_model`, `FittedModel.predict_proba`, the JSON functions and
+`ModelConfig.for_family` look a family up there, and `FAMILIES` is its keys in
+order. A family's config type holds exactly the keys its fitter reads, with
+that family's defaults; `_CHECKS` holds each key's value check, whichever
+families have it.
 
 Model JSON (`model_to_json` / `model_from_json`, format `MODEL_FORMAT_VERSION`)
 is one object: `version`, `family` and `n_features`, then the model. A `dt`
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import partial
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -35,54 +40,38 @@ from .forest import ForestModel, fit_forest, forest_predict_proba
 from .logistic import LinearModel, fit_logistic, linear_predict_proba
 from .tree import TreeNode, fit_tree, tree_predict
 
-# family -> (fitter, probability predictor, model type), in the paper's order
-_FAMILIES = {
-    "lr": (fit_logistic, linear_predict_proba, LinearModel),
-    "dt": (fit_tree, tree_predict, TreeNode),
-    "rf": (fit_forest, forest_predict_proba, ForestModel),
-    "xgb": (fit_gbt, gbt_predict_proba, BoostedModel),
-}
-FAMILIES = tuple(_FAMILIES)
-
 MODEL_FORMAT_VERSION = "model_v1"
 
-# Documented defaults per family; the ones a family does not use are ignored.
-_DEFAULTS = {
-    "lr": dict(learning_rate=0.1, iterations=500, l2=1e-4, tolerance=1e-6),
-    "dt": dict(max_depth=8, min_samples_leaf=5),
-    "rf": dict(n_trees=100, max_depth=8, min_samples_leaf=5, bootstrap=True),
-    "xgb": dict(rounds=100, learning_rate=0.1, max_depth=4, l2=1.0, min_samples_leaf=1),
-}
 
-# integer ModelConfig fields -> smallest allowed value; max_depth and
-# feature_subset_size may also be None (unlimited depth, sqrt feature subsets)
-_INTEGERS = {
-    "iterations": 0,
-    "rounds": 0,
-    "max_depth": 0,
-    "min_samples_leaf": 1,
-    "n_trees": 1,
-    "feature_subset_size": 1,
-    "seed": 0,  # numpy's seed sequences take only non-negative seeds
+def _integer_or_null(minimum):
+    return lambda value, path: value is None or check_integer(value, path, minimum, " or null")
+
+
+# config key -> its value check, whichever families have the key
+_CHECKS = {
+    "threshold": partial(check_number, minimum=0, maximum=1, exclusive=True),
+    "learning_rate": partial(check_number, minimum=0),
+    "l2": partial(check_number, minimum=0),
+    "tolerance": partial(check_number, minimum=0),
+    "iterations": partial(check_integer, minimum=0),
+    "rounds": partial(check_integer, minimum=0),
+    "n_trees": partial(check_integer, minimum=1),
+    "min_samples_leaf": partial(check_integer, minimum=1),
+    "seed": partial(check_integer, minimum=0),  # numpy's seed sequences take no negative seeds
+    "max_depth": _integer_or_null(0),  # None: no depth limit
+    "feature_subset_size": _integer_or_null(1),  # None: ceil(sqrt(n_cols)) in forests
+    "bootstrap": check_flag,
 }
-_NULLABLE = ("max_depth", "feature_subset_size")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    family: str
-    name: str = ""
-    learning_rate: float = 0.1
-    iterations: int = 500
-    rounds: int = 100
-    max_depth: int = 8
-    min_samples_leaf: int = 5
-    n_trees: int = 100
-    l2: float = 1e-4
-    tolerance: float = 1e-6
-    bootstrap: bool = True
-    feature_subset_size: int = None  # None -> ceil(sqrt(n_cols)) in forests
-    seed: int = 0
+    """The keys of every family's config. Build a config with `for_family`:
+    each family's type below adds exactly the keys its fitter reads, with that
+    family's defaults, and names its family in the class attribute `family`."""
+
+    family: ClassVar[str] = None
+    name: str = ""  # "" -> the family in capitals
     threshold: float = 0.5
 
     def __post_init__(self):
@@ -91,25 +80,82 @@ class ModelConfig:
             raise ValidationError("name", "must be a string")
         if not self.name:
             object.__setattr__(self, "name", self.family.upper())
-        for attr, minimum in _INTEGERS.items():
-            value = getattr(self, attr)
-            if value is not None or attr not in _NULLABLE:
-                check_integer(value, attr, minimum, " or null" if attr in _NULLABLE else "")
-        for attr in ("learning_rate", "l2", "tolerance"):
-            check_number(getattr(self, attr), attr, minimum=0)
-        check_number(self.threshold, "threshold", 0, 1, exclusive=True)
-        check_flag(self.bootstrap, "bootstrap")
+        for f in fields(self):
+            if f.name != "name":
+                _CHECKS[f.name](getattr(self, f.name), f.name)
 
     @staticmethod
-    def for_family(family, **overrides):
-        # an unknown family gets no defaults; __post_init__ rejects it
-        params = dict(_DEFAULTS[family]) if family in FAMILIES else {}
-        params.update(overrides)
-        return ModelConfig(family=family, **params)
+    def for_family(family, **keys):
+        """The config of `family` with `keys` set, the family's defaults elsewhere.
+        A key that the family's fitter does not read raises ValidationError(key)."""
+        check_choice(family, "family", FAMILIES)
+        config = _FAMILIES[family].config
+        allowed = [f.name for f in fields(config)]
+        for key in keys:
+            if key not in allowed:
+                raise ValidationError(
+                    key, f"not a key of family {family!r}; allowed: {sorted(['family', *allowed])}"
+                )
+        return config(**keys)
+
+
+@dataclass(frozen=True)
+class LogisticConfig(ModelConfig):
+    family = "lr"
+    learning_rate: float = 0.1
+    iterations: int = 500
+    l2: float = 1e-4
+    tolerance: float = 1e-6
+
+
+@dataclass(frozen=True)
+class TreeConfig(ModelConfig):
+    family = "dt"
+    max_depth: int = 8
+    min_samples_leaf: int = 5
+
+
+@dataclass(frozen=True)
+class ForestConfig(ModelConfig):
+    family = "rf"
+    n_trees: int = 100
+    max_depth: int = 8
+    min_samples_leaf: int = 5
+    bootstrap: bool = True
+    feature_subset_size: int = None
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class BoostedConfig(ModelConfig):
+    family = "xgb"
+    rounds: int = 100
+    learning_rate: float = 0.1
+    max_depth: int = 4
+    l2: float = 1.0
+    min_samples_leaf: int = 1
+
+
+class _Family(NamedTuple):
+    fit: Callable
+    predict_proba: Callable
+    model: type
+    config: type
+
+
+# family -> its fitter, probability predictor, model type and config type,
+# in the paper's order
+_FAMILIES = {
+    "lr": _Family(fit_logistic, linear_predict_proba, LinearModel, LogisticConfig),
+    "dt": _Family(fit_tree, tree_predict, TreeNode, TreeConfig),
+    "rf": _Family(fit_forest, forest_predict_proba, ForestModel, ForestConfig),
+    "xgb": _Family(fit_gbt, gbt_predict_proba, BoostedModel, BoostedConfig),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 def fit_model(X, y, cfg):
-    model = _FAMILIES[cfg.family][0](X, y, cfg)
+    model = _FAMILIES[cfg.family].fit(X, y, cfg)
     return FittedModel(family=cfg.family, model=model, n_features=np.asarray(X).shape[1])
 
 
@@ -125,7 +171,7 @@ class FittedModel:
             raise DimensionMismatch(
                 f"expected {self.n_features} feature columns, got shape {X.shape}"
             )
-        return np.clip(_FAMILIES[self.family][1](self.model, X), 0.0, 1.0)
+        return np.clip(_FAMILIES[self.family].predict_proba(self.model, X), 0.0, 1.0)
 
 
 def classify(probs, threshold=0.5):
@@ -179,20 +225,29 @@ def model_to_json(fitted):
 
 
 def model_from_json(text):
+    """The FittedModel that `text`, written by `model_to_json`, describes.
+
+    A document that is not an object, has an unknown version or family, lacks
+    a field or holds a tree node that is not an object raises ValueError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a model document must be an object")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {doc.get('version')!r}")
-    family = doc["family"]
-    if family not in _FAMILIES:
+    family = doc.get("family")
+    if family not in FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
-    if family == "dt":
-        model = _node_from_doc(doc["tree"])
-    else:
-        model_type = _FAMILIES[family][2]
-        values = {f.name: doc[f.name] for f in fields(model_type)}
-        if "weights" in values:
-            values["weights"] = np.asarray(values["weights"], dtype=np.float64)
-        if "trees" in values:
-            values["trees"] = [_node_from_doc(t) for t in values["trees"]]
-        model = model_type(**values)
-    return FittedModel(family=family, model=model, n_features=doc["n_features"])
+    try:
+        if family == "dt":
+            model = _node_from_doc(doc["tree"])
+        else:
+            model_type = _FAMILIES[family].model
+            values = {f.name: doc[f.name] for f in fields(model_type)}
+            if "weights" in values:
+                values["weights"] = np.asarray(values["weights"], dtype=np.float64)
+            if "trees" in values:
+                values["trees"] = [_node_from_doc(t) for t in values["trees"]]
+            model = model_type(**values)
+        return FittedModel(family=family, model=model, n_features=doc["n_features"])
+    except (KeyError, TypeError) as exc:  # a missing field, or a node that is no object
+        raise ValueError(f"malformed {family} model: {type(exc).__name__} {exc}") from exc

@@ -2,10 +2,10 @@
 resample -> fit -> evaluate -> report. The CLI `resample` command shares `prepare`.
 
 Each config dataclass (`ColumnSchema`, `SplitSpec`, `EncoderSpec`,
-`ResampleConfig`, `ModelConfig`, `ExperimentConfig`) checks its own fields
-and raises ValidationError naming the bare field. `parse_config` checks only
-the JSON's shape and the rules that span fields, and puts the object's path
-in front of a constructor's error (`k` becomes `resampler.k`).
+`ResampleConfig`, each family's `ModelConfig`, `ExperimentConfig`) checks its
+own fields and raises ValidationError naming the bare field. `parse_config`
+checks only the JSON's shape and the rules that span fields, and puts the
+object's path in front of a constructor's error (`k` becomes `resampler.k`).
 
 The encode stage (`EncoderSpec`, `FittedColumnEncoder`, `build_features`)
 lives in `encoding`. Encoders and the resampler only ever see training rows;
@@ -122,6 +122,19 @@ def _build(cls, doc, path, make=None):
         raise exc.under(path) from None
 
 
+def _model_config(doc, path):
+    """`ModelConfig.for_family(**doc)` for the JSON object `doc` at `path`: the
+    family's config type decides which other keys the object may have."""
+    if not isinstance(doc, dict):
+        raise ValidationError(path, "must be an object")
+    if "family" not in doc:
+        raise ValidationError(f"{path}.family", "required field is missing")
+    try:
+        return ModelConfig.for_family(**doc)
+    except ValidationError as exc:
+        raise exc.under(path) from None
+
+
 def _column_schema(name, kind):
     return ColumnSchema(name, TARGET if kind == "target" else kind)  # "target" is an alias
 
@@ -178,7 +191,7 @@ def parse_config(text):
 
     models = []
     for i, m in enumerate(_list(doc["models"], "models", non_empty=True)):
-        cfg = _build(ModelConfig, m, f"models[{i}]", ModelConfig.for_family)
+        cfg = _model_config(m, f"models[{i}]")
         if any(other.name == cfg.name for other in models):
             raise ValidationError(f"models[{i}].name", f"duplicate model name {cfg.name!r}")
         models.append(cfg)

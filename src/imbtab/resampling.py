@@ -251,6 +251,7 @@ def smote(minority, k, n_new, seed=0, mode="canonical"):
     """
     check_integer(k, "k", minimum=1)
     check_integer(n_new, "n_new", minimum=0)
+    check_choice(mode, "mode", SMOTE_MODES)
     pts = np.asarray(minority, dtype=np.float64)
     if pts.ndim != 2:
         raise DimensionMismatch(f"minority must be a 2-D array, got shape {pts.shape}")
@@ -258,8 +259,6 @@ def smote(minority, k, n_new, seed=0, mode="canonical"):
         raise TooFewMinoritySamples(f"need >= 2 minority rows, got {len(pts)}")
     if k > len(pts) - 1:
         raise KTooLarge(f"k={k} but only {len(pts) - 1} candidate neighbors")
-    if mode not in SMOTE_MODES:
-        raise ValueError(f"mode must be one of {SMOTE_MODES}")
 
     if not np.all(np.isfinite(pts)):
         raise NonFiniteFeature("smote features must be finite")
@@ -309,6 +308,9 @@ def nearmiss(majority, minority, variant, k, n=None):
     3: union of each minority point's k nearest majority points (n ignored).
     Ties always resolve to the lower index.
     """
+    check_integer(variant, "variant", minimum=1)
+    if variant > 3:
+        raise ValidationError("variant", "must be 1, 2 or 3")
     check_integer(k, "k", minimum=1)
     if n is not None:
         check_integer(n, "n", minimum=0)
@@ -320,8 +322,6 @@ def nearmiss(majority, minority, variant, k, n=None):
         )
     if len(minority) == 0:
         raise EmptyMinority("nearmiss requires at least one minority row")
-    if variant not in (1, 2, 3):
-        raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
     if not (np.all(np.isfinite(majority)) and np.all(np.isfinite(minority))):
         raise NonFiniteFeature("nearmiss features must be finite")
 

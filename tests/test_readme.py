@@ -32,7 +32,7 @@ def family_keys(text):
     bullet = re.search(r"^- Model families: .*?(?=^- |^$)", text, re.M | re.S).group(0)
     listed = {}
     for entry in re.findall(r"^  - `(\w+)`: (.*?)(?=^  - |\Z)", bullet, re.M | re.S):
-        pairs = re.findall(r"`(\w+)` (true|false|null|-?\d+(?:\.\d+)?(?:e-?\d+)?)", entry[1])
+        pairs = re.findall(r"`(\w+)`\s+(true|false|null|-?\d+(?:\.\d+)?(?:e-?\d+)?)", entry[1])
         listed[entry[0]] = [(key, json.loads(value)) for key, value in pairs]
     return listed
 
