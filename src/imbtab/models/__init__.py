@@ -2,12 +2,8 @@ from .boosting import BoostedModel, fit_gbt, gbt_predict_proba, logit
 from .common import (
     FAMILIES,
     MODEL_FORMAT_VERSION,
-    BoostedConfig,
     FittedModel,
-    ForestConfig,
-    LogisticConfig,
     ModelConfig,
-    TreeConfig,
     classify,
     fit_model,
     model_from_json,
@@ -28,15 +24,11 @@ from .tree import TreeNode, fit_tree, gini_impurity, tree_predict
 __all__ = [
     "FAMILIES",
     "MODEL_FORMAT_VERSION",
-    "BoostedConfig",
     "BoostedModel",
     "FittedModel",
-    "ForestConfig",
     "ForestModel",
     "LinearModel",
-    "LogisticConfig",
     "ModelConfig",
-    "TreeConfig",
     "TreeNode",
     "classify",
     "fit_forest",
