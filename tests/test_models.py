@@ -469,7 +469,10 @@ class TestFamilyConfigs:
         base = ModelConfig.for_family(family, **SMALL.get(family, {}))
         turned = dataclasses.replace(base, **{key: KNOBS[key]})
         assert getattr(base, key) != KNOBS[key]
-        assert model_to_json(fit_model(X, y, turned)) != model_to_json(fit_model(X, y, base))
+        before, after = fit_model(X, y, base), fit_model(X, y, turned)
+        assert model_to_json(after) != model_to_json(before)
+        # not only a value the model stores: the fit itself changed
+        assert not np.array_equal(after.predict_proba(X), before.predict_proba(X))
 
     @pytest.mark.parametrize("family", list(FAMILY_KEYS))
     def test_threshold_changes_the_labels(self, family):
