@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from test_tree_engine import GOLDEN, _tied_data
+from test_tree_engine import GOLDEN, GOLDEN_DATA, _staircase, _tied_data
 
 from imbtab.errors import (
     DimensionMismatch,
@@ -54,6 +54,10 @@ LR_GOLDEN = [
         "a6910a258eecfb553e9afa33034bdde83afd063f2161dbdcdd596873937b9a26",
     ),
 ]
+
+
+# the GOLDEN entries fitted on _tied_data()
+TIED_GOLDEN = [n for n in sorted(GOLDEN) if n not in GOLDEN_DATA]
 
 
 def _without(doc, *keys):
@@ -174,6 +178,11 @@ class TestTree:
         y = rng.integers(0, 2, size=80).astype(float)
         t = fit_tree(X, y, dt_cfg(max_depth=None, min_samples_leaf=1))
         assert np.array_equal(classify(tree_predict(t, X), 0.5), y.astype(int))
+
+    def test_a_deep_tree_fits_and_predicts(self):
+        X, y = _staircase(4000)
+        t = fit_tree(X, y, dt_cfg(max_depth=None, min_samples_leaf=1))
+        assert np.array_equal(tree_predict(t, X), y)
 
     def test_tie_breaks_prefer_lower_feature(self):
         # identical columns: the split must use feature 0
@@ -305,6 +314,12 @@ class TestBoosting:
         assert max_abs_leaf(large) < max_abs_leaf(small)
         assert max_abs_leaf(large) < 1e-4
 
+    def test_a_deep_tree_fits(self):
+        X, y = _staircase(3000)
+        cfg = ModelConfig.for_family("xgb", rounds=1, l2=0.0, max_depth=None)
+        m = fit_model(X, y, cfg)
+        assert np.array_equal(classify(m.predict_proba(X)), y)
+
     def test_degenerate_label_mean_clamped(self):
         X = np.array([[0.0], [1.0]])
         m = fit_gbt(X, np.ones(2), ModelConfig.for_family("xgb", rounds=0))
@@ -323,6 +338,10 @@ class TestContract:
         assert classify([0.4, 0.6], 0.5).tolist() == [0, 1]
         assert classify([0.5], 0.5).tolist() == [1]  # >= rule
         assert classify([0.6], 0.99).tolist() == [0]
+        for bad in (1.5, 0.0, "0.5"):
+            with pytest.raises(ValidationError) as info:
+                classify([0.6], bad)
+            assert info.value.path == "threshold"
 
     def test_probabilities_in_unit_interval(self):
         rng = np.random.default_rng(8)
@@ -492,7 +511,7 @@ class TestFitModels:
 
     def test_tree_goldens(self, fit_cpus):
         X, y = _tied_data()
-        names = sorted(GOLDEN)
+        names = TIED_GOLDEN
         fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN[n][0]) for n in names])
         assert self._digests(fitted) == [GOLDEN[n][1] for n in names]
 
@@ -506,7 +525,7 @@ class TestFitModels:
         monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
         started = on_child_unit(on_child=lambda cfg: os.kill(os.getpid(), signal.SIGKILL))
         X, y = _tied_data()
-        names = sorted(GOLDEN)
+        names = TIED_GOLDEN
         fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN[n][0]) for n in names])
         assert started.exists()
         assert self._digests(fitted) == [GOLDEN[n][1] for n in names]
@@ -528,10 +547,30 @@ class TestFitModels:
         monkeypatch.setattr(fanout, "fit_model", wrap(fanout.fit_model))
         monkeypatch.setattr(fanout, "grow_tree", wrap(fanout.grow_tree))
         X, y = _tied_data()
-        names = sorted(GOLDEN)
+        names = TIED_GOLDEN
         fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN[n][0]) for n in names])
         assert in_parent == []
         assert self._digests(fitted) == [GOLDEN[n][1] for n in names]
+
+    @pytest.mark.parametrize("fit_cpus", [2], indirect=True, ids=["2cpu"])
+    def test_the_children_send_back_a_deep_tree(self, fit_cpus, monkeypatch):
+        # a 599-level tree must pickle, or the parent fits both units again
+        parent, in_parent = os.getpid(), []
+
+        def recorded(X, y, cfg):
+            if os.getpid() == parent:
+                in_parent.append(cfg.name)
+            return fit_model(X, y, cfg)
+
+        monkeypatch.setattr(fanout, "fit_model", recorded)
+        X, y = _staircase(600)
+        cfgs = [
+            ModelConfig.for_family("dt", max_depth=None, min_samples_leaf=1),
+            lr_cfg(iterations=5),
+        ]
+        fitted = fit_models(X, y, cfgs)
+        assert in_parent == []
+        assert self._digests(fitted) == self._digests([fit_model(X, y, c) for c in cfgs])
 
     def test_interrupt_kills_and_reaps_a_busy_child(self, on_child_unit, monkeypatch, tmp_path):
         # the children sleep in their units; the first to start one interrupts
@@ -613,6 +652,6 @@ class TestFitModels:
         monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
         monkeypatch.setattr(fanout.fcntl, "fcntl", lambda fd, op: 16)
         X, y = _tied_data()
-        names = sorted(GOLDEN)
+        names = TIED_GOLDEN
         fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN[n][0]) for n in names])
         assert self._digests(fitted) == [GOLDEN[n][1] for n in names]

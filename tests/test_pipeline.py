@@ -712,6 +712,22 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"config error: models[0].{key}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    def test_a_deep_tree_runs(self, tmp_path):
+        # each split of the staircase x -> x mod 2 peels off one row: a tree
+        # thousands of levels deep
+        data = tmp_path / "stairs.csv"
+        data.write_text("x,y\n" + "".join(f"{i},{i % 2}\n" for i in range(8000)))
+        doc = base_config(
+            data,
+            schema=[{"name": "x", "kind": "numeric"}, {"name": "y", "kind": "target"}],
+            target="y",
+            output=str(tmp_path / "out"),
+            models=[{"family": "dt", "max_depth": None, "min_samples_leaf": 1}],
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import importlib
 import json
 import re
 from pathlib import Path
@@ -20,6 +22,29 @@ def test_every_name_readme_exports_from_the_package_root_exists():
     names = root_exports(README.read_text(encoding="utf-8"))
     assert names
     assert [n for n in names if not hasattr(imbtab, n)] == []
+
+
+def resolves(dotted):
+    """Whether the dotted name is its longest importable prefix followed by attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            module = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        try:
+            functools.reduce(getattr, parts[cut:], module)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_every_dotted_imbtab_name_in_readme_resolves():
+    # `imbtab.pipeline.prepare(cfg)` names imbtab.pipeline.prepare
+    names = re.findall(r"`(imbtab(?:\.\w+)+)(?:\([^`]*\))?`", README.read_text(encoding="utf-8"))
+    assert names
+    assert [n for n in names if not resolves(n)] == []
 
 
 def test_readme_lists_the_model_families_in_order():

@@ -201,6 +201,13 @@ def _tied_data(n=400, seed=11):
     return X, y
 
 
+def _staircase(n):
+    """x = the row index and y = x mod 2: every CART split peels off one row, so
+    a tree with no depth limit is n - 1 levels deep."""
+    x = np.arange(n, dtype=np.float64)
+    return x[:, None], x % 2
+
+
 GOLDEN = {
     "dt": (
         dict(family="dt"),
@@ -226,13 +233,19 @@ GOLDEN = {
         dict(family="xgb", rounds=6, l2=0.0, max_depth=3),
         "80ba44129408ffde6269ecb13b5d0ee11d7bfc7b948c378656615f696a3b181c",
     ),
+    "dt-deep": (
+        dict(family="dt", max_depth=None, min_samples_leaf=1),
+        "14349280ff6143f5a43f9ba6e5a206494371a7e333ad7ebc617ea1737ea090e1",
+    ),
 }
+# the data of each GOLDEN entry not fitted on _tied_data()
+GOLDEN_DATA = {"dt-deep": lambda: _staircase(600)}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_model_digest(name):
     overrides, digest = GOLDEN[name]
-    X, y = _tied_data()
+    X, y = GOLDEN_DATA.get(name, _tied_data)()
     fitted = fit_model(X, y, ModelConfig.for_family(**overrides))
     assert hashlib.sha256(model_to_json(fitted).encode()).hexdigest() == digest
 
