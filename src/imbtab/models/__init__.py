@@ -6,7 +6,6 @@ from .common import (
     ModelConfig,
     classify,
     fit_model,
-    model_from_json,
     model_to_json,
 )
 from .fanout import fit_models
@@ -19,7 +18,7 @@ from .logistic import (
     logistic_loss,
     sigmoid,
 )
-from .tree import TreeNode, fit_tree, gini_impurity, tree_predict
+from .tree import Tree, fit_tree, gini_impurity, tree_predict
 
 __all__ = [
     "FAMILIES",
@@ -29,7 +28,7 @@ __all__ = [
     "ForestModel",
     "LinearModel",
     "ModelConfig",
-    "TreeNode",
+    "Tree",
     "classify",
     "fit_forest",
     "fit_gbt",
@@ -44,7 +43,6 @@ __all__ = [
     "logistic_gradient",
     "logistic_loss",
     "logit",
-    "model_from_json",
     "model_to_json",
     "sigmoid",
     "tree_predict",

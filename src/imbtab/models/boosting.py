@@ -4,11 +4,12 @@ Per round, with p = sigmoid(raw score): g = p - y, h = p(1-p). Leaves take
 -G/(H + lambda); a split is accepted only with strictly positive gain
 0.5 * [G_L^2/(H_L+l) + G_R^2/(H_R+l) - (G_L+G_R)^2/(H_L+H_R+l)].
 
-Splits come from tree.py's shared search over the rank codes computed once
-per fit, with (g, h) as the row statistics and the negated gain as the loss;
-min_samples_leaf drops candidates with a smaller side. Each round's training
-contributions are the leaf values written at the rows each leaf received while
-the tree grew, and scoring new rows uses tree.py's shared descent.
+Each round's tree comes from tree.py's one grower over the rank codes computed
+once per fit, with `GainCriterion`: (g, h) are the row statistics and the
+negated gain is the loss; min_samples_leaf drops candidates with a smaller
+side. Each round's training contributions are `tree_predict` of the tree on
+the training rows: the grower splits rows with the same `<=` comparison as
+prediction, so every row lands in the leaf it was grown into.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from ..errors import EmptyInput, NonFiniteScore
 from .logistic import sigmoid
-from .tree import TreeNode, best_split, gini_impurity, rank_codes, tree_predict
+from .tree import gini_impurity, grow, rank_codes, tree_predict
 
 _EPS = 1e-6
 
@@ -38,51 +39,40 @@ class BoostedModel:
     rounds: int
 
 
-def _leaf_value(G, H, lam):
-    return -G / (H + lam)
-
-
 def _gain_loss(G, H, lam):
     """Negated second-order gain of each candidate split of a node with sums G, H."""
-    parent = G * G / (H + lam)
 
     def loss(left, total, n_left):
         GL, HL = left
         GR = G - GL
         HR = H - HL
-        return -(0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent))
+        return -(0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - G * G / (H + lam)))
 
     return loss
 
 
-def _grow_gain_tree(X, codes, y01, g, h, rows, depth, cfg, contrib):
-    """Grow a subtree over X[rows]; write each leaf's value to contrib at its rows."""
-    g_node, h_node = g[rows], h[rows]
-    G, H = g_node.sum(), h_node.sum()
-    node = TreeNode(
-        score=float(_leaf_value(G, H, cfg.l2)),
-        gini=gini_impurity(y01[rows]),
-        n_samples=len(rows),
-    )
-    found = None
-    if cfg.max_depth is None or depth < cfg.max_depth:
-        feats = np.arange(X.shape[1])
-        loss = _gain_loss(G, H, cfg.l2)
-        found = best_split(X, codes, rows, feats, (g_node, h_node), loss, cfg.min_samples_leaf)
-    if found is None or -found[0] <= 0.0:  # a split needs strictly positive gain
-        contrib[rows] = node.score
-        return node
-    _, feature, threshold = found
-    mask = X[rows, feature] <= threshold
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _grow_gain_tree(X, codes, y01, g, h, rows[mask], depth + 1, cfg, contrib)
-    node.right = _grow_gain_tree(X, codes, y01, g, h, rows[~mask], depth + 1, cfg, contrib)
-    return node
+class GainCriterion:
+    """Boosting's rules for tree.py's `grow`: the row statistics are (g, h), a
+    leaf scores -G/(H + l2), every node within the depth limit is searched, and
+    a split needs strictly positive gain. A node's gini is that of its labels y."""
+
+    def __init__(self, y, g, h, l2, min_samples_leaf):
+        self.y, self.g, self.h, self.l2 = y, g, h, l2
+        self.search_min_samples_leaf = min_samples_leaf
+
+    def node(self, rows):
+        """(score, gini, row statistics, loss) of the node holding rows."""
+        g_node, h_node = self.g[rows], self.h[rows]
+        G, H = g_node.sum(), h_node.sum()
+        score = float(-G / (H + self.l2))
+        return score, gini_impurity(self.y[rows]), (g_node, h_node), _gain_loss(G, H, self.l2)
+
+    def accepts(self, loss, gini):
+        return -loss > 0.0
 
 
 def fit_gbt(X, y, cfg):
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)  # converted once, not per round
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise EmptyInput("cannot fit boosted trees on zero rows")
@@ -90,14 +80,14 @@ def fit_gbt(X, y, cfg):
     rows = np.arange(len(y))
     base = logit(min(max(float(y.mean()), _EPS), 1.0 - _EPS))
     raw = np.full(len(y), base)
-    contrib = np.empty(len(y))
     trees = []
     for _ in range(cfg.rounds):
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_gain_tree(X, codes, y, g, h, rows, 0, cfg, contrib)
-        raw = raw + cfg.learning_rate * contrib
+        criterion = GainCriterion(y, g, h, cfg.l2, cfg.min_samples_leaf)
+        tree = grow(X, codes, rows, criterion, cfg.max_depth)
+        raw = raw + cfg.learning_rate * tree_predict(tree, X)
         if not np.all(np.isfinite(raw)):
             raise NonFiniteScore("boosted raw scores became non-finite")
         trees.append(tree)

@@ -2,20 +2,21 @@
 and JSON serialization for every classifier family.
 
 `_FAMILIES` is the one table of the families: each maps to its fitter, its
-probability predictor, the type of the model the fitter returns and its config
-type. `fit_model`, `FittedModel.predict_proba`, the JSON functions and
-`ModelConfig.for_family` look a family up there, and `FAMILIES` is its keys in
-order. A family's config type holds exactly the keys its fitter reads, with
-that family's defaults; `_CHECKS` holds each key's value check, whichever
-families have it.
+probability predictor and its config type. `fit_model`,
+`FittedModel.predict_proba` and `ModelConfig.for_family` look a family up
+there, and `FAMILIES` is its keys in order. A family's config type holds
+exactly the keys its fitter reads, with that family's defaults; `_CHECKS`
+holds each key's value check, whichever families have it.
 
-Model JSON (`model_to_json` / `model_from_json`, format `MODEL_FORMAT_VERSION`)
-is one object: `version`, `family` and `n_features`, then the model. A `dt`
-model, a root `TreeNode`, sits under `"tree"`. Any other model writes each
-field of its dataclass, in declaration order, under the field's name. Trees
-are nested node objects; numpy arrays and scalars are written as JSON lists
-and numbers, so a config given numpy integers writes the same bytes as one
-given Python ints.
+Model JSON (`model_to_json`, format `MODEL_FORMAT_VERSION`) is one object:
+`version`, `family` and `n_features`, then the model. A `dt` model, a `Tree`,
+sits under `"tree"`. Any other model writes each field of its dataclass, in
+declaration order, under the field's name. Each tree is written as nested node
+objects, built from its preorder arrays without recursion; `json.dumps` itself
+still recurses once per level, so a tree deeper than about 1000 levels cannot
+be written. numpy arrays and scalars are written as JSON lists and numbers, so
+a config given numpy integers writes the same bytes as one given Python ints.
+Nothing reads a model document back.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from ..errors import (
     check_integer,
     check_number,
 )
-from .boosting import BoostedModel, fit_gbt, gbt_predict_proba
-from .forest import ForestModel, fit_forest, forest_predict_proba
-from .logistic import LinearModel, fit_logistic, linear_predict_proba
-from .tree import TreeNode, fit_tree, tree_predict
+from .boosting import fit_gbt, gbt_predict_proba
+from .forest import fit_forest, forest_predict_proba
+from .logistic import fit_logistic, linear_predict_proba
+from .tree import fit_tree, tree_predict
 
 MODEL_FORMAT_VERSION = "model_v1"
 
@@ -139,17 +140,15 @@ class BoostedConfig(ModelConfig):
 class _Family(NamedTuple):
     fit: Callable
     predict_proba: Callable
-    model: type
     config: type
 
 
-# family -> its fitter, probability predictor, model type and config type,
-# in the paper's order
+# family -> its fitter, probability predictor and config type, in the paper's order
 _FAMILIES = {
-    "lr": _Family(fit_logistic, linear_predict_proba, LinearModel, LogisticConfig),
-    "dt": _Family(fit_tree, tree_predict, TreeNode, TreeConfig),
-    "rf": _Family(fit_forest, forest_predict_proba, ForestModel, ForestConfig),
-    "xgb": _Family(fit_gbt, gbt_predict_proba, BoostedModel, BoostedConfig),
+    "lr": _Family(fit_logistic, linear_predict_proba, LogisticConfig),
+    "dt": _Family(fit_tree, tree_predict, TreeConfig),
+    "rf": _Family(fit_forest, forest_predict_proba, ForestConfig),
+    "xgb": _Family(fit_gbt, gbt_predict_proba, BoostedConfig),
 }
 FAMILIES = tuple(_FAMILIES)
 
@@ -175,79 +174,48 @@ class FittedModel:
 
 
 def classify(probs, threshold=0.5):
-    """Hard labels: 1 iff probability >= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0,1)")
+    """Hard labels: 1 iff probability >= threshold. A threshold that is not a
+    number in (0, 1) raises ValidationError("threshold"), as in a config."""
+    _CHECKS["threshold"](threshold, "threshold")
     return (np.asarray(probs) >= threshold).astype(int)
 
 
 # --- serialization --------------------------------------------------------
 
 
-def _node_to_doc(node):
-    if node.is_leaf:
-        return {"score": node.score, "gini": node.gini, "n": node.n_samples}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "gini": node.gini,
-        "n": node.n_samples,
-        "score": node.score,
-        "left": _node_to_doc(node.left),
-        "right": _node_to_doc(node.right),
-    }
-
-
-def _node_from_doc(doc):
-    node = TreeNode(score=doc["score"], gini=doc["gini"], n_samples=doc["n"])
-    if "feature" in doc:
-        node.feature = doc["feature"]
-        node.threshold = doc["threshold"]
-        node.left = _node_from_doc(doc["left"])
-        node.right = _node_from_doc(doc["right"])
-    return node
+def _tree_doc(tree):
+    """The tree as nested node objects, the root outermost."""
+    docs = []
+    for node in tree.walk():
+        if node.feature < 0:
+            docs.append({"score": node.score, "gini": node.gini, "n": node.n_samples})
+        else:
+            docs.append(
+                {
+                    "feature": node.feature,
+                    "threshold": node.threshold,
+                    "gini": node.gini,
+                    "n": node.n_samples,
+                    "score": node.score,
+                }
+            )
+    for i, right in enumerate(tree.right.tolist()):
+        if right != i:
+            docs[i]["left"], docs[i]["right"] = docs[i + 1], docs[right]
+    return docs[0]
 
 
 def model_to_json(fitted):
     m = fitted.model
     doc = {"version": MODEL_FORMAT_VERSION, "family": fitted.family, "n_features": fitted.n_features}
     if fitted.family == "dt":
-        doc["tree"] = _node_to_doc(m)
+        doc["tree"] = _tree_doc(m)
     else:
         for f in fields(m):
             value = getattr(m, f.name)
             if f.name == "trees":
-                value = [_node_to_doc(t) for t in value]
+                value = [_tree_doc(t) for t in value]
             elif isinstance(value, (np.ndarray, np.generic)):
                 value = value.tolist()
             doc[f.name] = value
     return json.dumps(doc)
-
-
-def model_from_json(text):
-    """The FittedModel that `text`, written by `model_to_json`, describes.
-
-    A document that is not an object, has an unknown version or family, lacks
-    a field or holds a tree node that is not an object raises ValueError."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("a model document must be an object")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {doc.get('version')!r}")
-    family = doc.get("family")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown model family {family!r}")
-    try:
-        if family == "dt":
-            model = _node_from_doc(doc["tree"])
-        else:
-            model_type = _FAMILIES[family].model
-            values = {f.name: doc[f.name] for f in fields(model_type)}
-            if "weights" in values:
-                values["weights"] = np.asarray(values["weights"], dtype=np.float64)
-            if "trees" in values:
-                values["trees"] = [_node_from_doc(t) for t in values["trees"]]
-            model = model_type(**values)
-        return FittedModel(family=family, model=model, n_features=doc["n_features"])
-    except (KeyError, TypeError) as exc:  # a missing field, or a node that is no object
-        raise ValueError(f"malformed {family} model: {type(exc).__name__} {exc}") from exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyInput
-from .tree import grow_cart, rank_codes, tree_predict
+from .tree import GiniCriterion, grow, rank_codes, tree_predict
 
 
 @dataclass
@@ -58,7 +58,8 @@ def grow_tree(X, y, cfg, plan, i):
         rows = rng.integers(len(y), size=len(y))
     else:
         rows = np.arange(len(y))
-    return grow_cart(X, plan.codes, y, rows, 0, cfg, rng, plan.feature_subset_size)
+    criterion = GiniCriterion(y, cfg.min_samples_leaf)
+    return grow(X, plan.codes, rows, criterion, cfg.max_depth, rng, plan.feature_subset_size)
 
 
 def forest_model(cfg, plan, trees):

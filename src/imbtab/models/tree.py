@@ -20,15 +20,23 @@ Fitting is exact greedy split finding (Algorithm 1 of Chen & Guestrin 2016):
 - A split sends a row left iff its value is <= the threshold, in fitting and
   in prediction alike.
 
-Prediction has one routine, `tree_predict`: it flattens a tree breadth-first
-into arrays, with a node's two children adjacent, and moves all rows down one
-level at a time for as many levels as the tree has. Forests and boosted models
-call it once per tree.
+`grow` is the one grower. It keeps the nodes still to split on an explicit
+stack and pops the left child first, so it visits the nodes in preorder, draws
+a forest's feature subsets from its generator in that order, and writes each
+tree as a `Tree`: flat preorder arrays, with no recursion at any depth. A
+criterion object supplies what differs between CART (`GiniCriterion`) and
+boosting (boosting.py): the row statistics, the leaf value, the loss, a stop
+test before the search and the rule that accepts the best split.
+
+Prediction has one routine, `tree_predict`: it moves all rows down one level
+at a time through the arrays, for as many levels as the tree has. Forests and
+boosted models call it once per tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,25 +47,54 @@ from ..errors import EmptyInput, NonFiniteFeature
 _BLOCK = 8
 
 
-@dataclass
-class TreeNode:
-    score: float  # leaf: class-1 probability (or raw value for boosted trees)
+class Node(NamedTuple):
+    """One node of a Tree, as Python numbers."""
+
+    feature: int
+    threshold: float
+    score: float
     gini: float
     n_samples: int
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode" = None
-    right: "TreeNode" = None
 
-    @property
-    def is_leaf(self):
-        return self.left is None
+
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A fitted tree as flat arrays over its nodes in preorder.
+
+    Node 0 is the root. Internal node i sends a row left iff its value of
+    feature[i] is <= threshold[i]; its left child is node i + 1 and its right
+    child node right[i]. A leaf has feature -1, threshold 0.0 and right[i] == i.
+    score is the leaf value (class-1 probability, or the raw value of a boosted
+    tree; internal nodes keep theirs too), gini the Gini impurity of the node's
+    training labels and n their count."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    score: np.ndarray
+    gini: np.ndarray
+    n: np.ndarray
 
     def walk(self):
-        yield self
-        if not self.is_leaf:
-            yield from self.left.walk()
-            yield from self.right.walk()
+        """Every node as a Node, in preorder."""
+        columns = (self.feature, self.threshold, self.score, self.gini, self.n)
+        return map(Node, *(c.tolist() for c in columns))
+
+    def __eq__(self, other):
+        """Node for node: a preorder of nodes that each say whether they are a
+        leaf fixes the shape of the tree."""
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return list(self.walk()) == list(other.walk())
+
+    @property
+    def depth(self):
+        """The number of levels below the root."""
+        depth, level = 0, np.zeros(1, dtype=np.intp)
+        while len(level := level[self.feature[level] >= 0]):
+            level = np.concatenate([level + 1, self.right[level]])
+            depth += 1
+        return depth
 
 
 def gini_impurity(y):
@@ -152,42 +189,75 @@ def _gini_loss(n):
     return loss
 
 
-def grow_cart(X, codes, y, rows, depth, cfg, rng, feature_subset_size):
-    """Grow a CART subtree over X[rows] depth-first. With a feature_subset_size,
-    each split searches that many features drawn from rng, in preorder; with
-    None it searches them all and rng is not used."""
-    n = len(rows)
-    y_node = y[rows]
-    node_gini = gini_impurity(y_node)
-    score = float(np.mean(y_node)) if n else 0.0
-    node = TreeNode(score=score, gini=node_gini, n_samples=n)
-    if (
-        node_gini == 0.0
-        or n < cfg.min_samples_leaf
-        or (cfg.max_depth is not None and depth >= cfg.max_depth)
-    ):
-        return node
-
-    n_features = X.shape[1]
-    if feature_subset_size is not None and feature_subset_size < n_features:
-        feats = np.sort(rng.choice(n_features, size=feature_subset_size, replace=False))
-    else:
-        feats = np.arange(n_features)
+class GiniCriterion:
+    """CART's rules for `grow`: the row statistic is the label, a leaf scores the
+    fraction of positive labels (0.0 when empty), a node with Gini 0 or fewer
+    than min_samples_leaf rows is not split, and a split must lower the Gini
+    impurity strictly."""
 
     # Known defect: the Gini search ignores min_samples_leaf (pinned by a
     # strict xfail test); the fix changes reports and lands on its own.
-    found = best_split(X, codes, rows, feats, (y_node,), _gini_loss(n), 1)
-    if found is None:
-        return node
-    child_gini, feature, threshold = found
-    if child_gini >= node_gini:  # no strict impurity reduction
-        return node
-    mask = X[rows, feature] <= threshold
-    node.feature = feature
-    node.threshold = threshold
-    node.left = grow_cart(X, codes, y, rows[mask], depth + 1, cfg, rng, feature_subset_size)
-    node.right = grow_cart(X, codes, y, rows[~mask], depth + 1, cfg, rng, feature_subset_size)
-    return node
+    search_min_samples_leaf = 1
+
+    def __init__(self, y, min_samples_leaf):
+        self.y = y
+        self.min_samples_leaf = min_samples_leaf
+
+    def node(self, rows):
+        """(score, gini, row statistics, loss) of the node holding rows; the
+        loss is None when the node is not split."""
+        y_node = self.y[rows]
+        n = len(rows)
+        score = float(np.mean(y_node)) if n else 0.0
+        gini = gini_impurity(y_node)
+        loss = None if gini == 0.0 or n < self.min_samples_leaf else _gini_loss(n)
+        return score, gini, (y_node,), loss
+
+    def accepts(self, loss, gini):
+        return loss < gini
+
+
+def grow(X, codes, rows, criterion, max_depth, rng=None, feature_subset_size=None):
+    """The Tree that criterion grows over X[rows] with best_split.
+
+    A node is a leaf at max_depth (None: no limit), when criterion.node gives
+    it no loss, or when the best split is missing or not criterion.accepts.
+    With a feature_subset_size below X's width, each searched node draws that
+    many features from rng, in preorder; otherwise it searches them all and
+    rng is not used."""
+    n_features = X.shape[1]
+    nodes = []  # [feature, threshold, right, score, gini, n] per node, in preorder
+    stack = [(rows, 0, None)]  # (rows, depth, the node whose right child it is)
+    while stack:
+        rows, depth, parent = stack.pop()
+        i = len(nodes)
+        if parent is not None:
+            nodes[parent][2] = i
+        score, gini, stats, loss = criterion.node(rows)
+        nodes.append([-1, 0.0, i, score, gini, len(rows)])
+        if loss is None or (max_depth is not None and depth >= max_depth):
+            continue
+        if feature_subset_size is not None and feature_subset_size < n_features:
+            feats = np.sort(rng.choice(n_features, size=feature_subset_size, replace=False))
+        else:
+            feats = np.arange(n_features)
+        found = best_split(X, codes, rows, feats, stats, loss, criterion.search_min_samples_leaf)
+        if found is None or not criterion.accepts(found[0], gini):
+            continue
+        _, feature, threshold = found
+        nodes[i][:2] = feature, threshold
+        mask = X[rows, feature] <= threshold
+        stack.append((rows[~mask], depth + 1, i))
+        stack.append((rows[mask], depth + 1, None))
+    feature, threshold, right, score, gini, n = zip(*nodes)
+    return Tree(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=np.float64),
+        right=np.array(right, dtype=np.intp),
+        score=np.array(score, dtype=np.float64),
+        gini=np.array(gini, dtype=np.float64),
+        n=np.array(n, dtype=np.intp),
+    )
 
 
 def fit_tree(X, y, cfg):
@@ -196,53 +266,22 @@ def fit_tree(X, y, cfg):
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise EmptyInput("cannot fit a tree on zero rows")
-    rows = np.arange(len(y))
-    return grow_cart(X, rank_codes(X), y, rows, 0, cfg, None, None)
+    criterion = GiniCriterion(y, cfg.min_samples_leaf)
+    return grow(X, rank_codes(X), np.arange(len(y)), criterion, cfg.max_depth)
 
 
-def _flatten(root):
-    """Breadth-first arrays (feature, threshold, child, score) and the depth.
-
-    The children of an internal node i are adjacent: child[i] on the left and
-    child[i] + 1 on the right. A leaf points at a pair of copies of itself
-    appended after the tree, whose children are that same pair, so a row that
-    reaches a leaf keeps its score for the rest of the walk."""
-    nodes, depth, level = [root], 0, [root]
-    while True:
-        level = [c for n in level if not n.is_leaf for c in (n.left, n.right)]
-        if not level:
-            break
-        nodes.extend(level)
-        depth += 1
-    leaves = [i for i, n in enumerate(nodes) if n.is_leaf]
-    size = len(nodes) + 2 * len(leaves)
-    feature = np.zeros(size, dtype=np.intp)
-    threshold = np.zeros(size, dtype=np.float64)
-    child = np.empty(size, dtype=np.intp)
-    score = np.empty(size, dtype=np.float64)
-    first = 1  # the next free position for a pair of children
-    for i, node in enumerate(nodes):
-        score[i] = node.score
-        if not node.is_leaf:
-            feature[i], threshold[i], child[i] = node.feature, node.threshold, first
-            first += 2
-    sinks = np.arange(len(nodes), size, 2)
-    child[leaves] = sinks
-    child[sinks] = child[sinks + 1] = sinks
-    score[sinks] = score[sinks + 1] = score[leaves]
-    return feature, threshold, child, score, depth
-
-
-def tree_predict(node, X):
+def tree_predict(tree, X):
     """Leaf score of every row of X. A row goes left iff X[row, feature] <=
     threshold, so a NaN value goes right. Every row takes one step per level
     of the tree, gathering its feature value from X's row-major buffer."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    feature, threshold, child, score, depth = _flatten(node)
+    leaf = tree.feature < 0
+    # a leaf compares column 0 with NaN, which no value is <=, and goes right: to itself
+    feature = np.where(leaf, 0, tree.feature)
+    threshold = np.where(leaf, np.nan, tree.threshold)
     cells = X.ravel()
     row_start = np.arange(len(X)) * X.shape[1]
     at = np.zeros(len(X), dtype=np.intp)
-    for _ in range(depth):
-        go_right = ~(cells[row_start + feature[at]] <= threshold[at])
-        at = child[at] + go_right
-    return score[at]
+    for _ in range(tree.depth):
+        at = np.where(cells[row_start + feature[at]] <= threshold[at], at + 1, tree.right[at])
+    return tree.score[at]

@@ -11,6 +11,7 @@ Two kinds of check:
 
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 from imbtab.models import (
     ModelConfig,
-    TreeNode,
     fit_model,
     gini_impurity,
     model_to_json,
@@ -31,6 +31,23 @@ from imbtab.models.tree import rank_codes
 
 
 # --- oracle: the per-node argsort search ------------------------------------
+
+
+@dataclass
+class _OracleNode:
+    score: float
+    gini: float
+    n_samples: int
+    feature: int = -1
+    threshold: float = 0.0
+    left: "_OracleNode" = None
+    right: "_OracleNode" = None
+
+    def walk(self):
+        yield self
+        if self.left is not None:
+            yield from self.left.walk()
+            yield from self.right.walk()
 
 
 def _oracle_gini_split(X, y, feature_indices):
@@ -65,7 +82,7 @@ def _oracle_gini_split(X, y, feature_indices):
 def _oracle_grow(X, y, depth, cfg, rng, subset):
     n = len(y)
     node_gini = gini_impurity(y)
-    node = TreeNode(score=float(np.mean(y)) if n else 0.0, gini=node_gini, n_samples=n)
+    node = _OracleNode(score=float(np.mean(y)) if n else 0.0, gini=node_gini, n_samples=n)
     if (
         node_gini == 0.0
         or n < cfg.min_samples_leaf
@@ -139,7 +156,7 @@ def _oracle_gain_split(X, g, h, lam, min_samples_leaf):
 
 
 def _oracle_gain_tree(X, y01, g, h, depth, cfg):
-    node = TreeNode(
+    node = _OracleNode(
         score=float(-g.sum() / (h.sum() + cfg.l2)), gini=gini_impurity(y01), n_samples=len(g)
     )
     if cfg.max_depth is not None and depth >= cfg.max_depth:
@@ -159,7 +176,7 @@ def _oracle_predict(node, X):
     out = np.empty(len(X))
     for i, row in enumerate(X):
         cur = node
-        while not cur.is_leaf:
+        while cur.left is not None:
             cur = cur.left if row[cur.feature] <= cur.threshold else cur.right
         out[i] = cur.score
     return out
@@ -260,7 +277,7 @@ def test_midpoint_rounding_onto_upper_value_matches_oracle():
     y = np.array([0.0, 1.0] * 3)
     cfg = ModelConfig.for_family("dt", min_samples_leaf=1, max_depth=2)
     tree = fit_model(X, y, cfg).model
-    assert tree.threshold == b and tree.right.n_samples == 0
+    assert tree.threshold[0] == b and tree.n[tree.right[0]] == 0
     assert _nodes(tree) == _nodes(_oracle_grow(X, y, 0, cfg, np.random.default_rng(0), None))
 
 
@@ -303,10 +320,11 @@ def test_engine_matches_argsort_oracle(problem, max_depth, min_leaf, seed):
     X, y = problem
     dt = ModelConfig.for_family("dt", max_depth=max_depth, min_samples_leaf=min_leaf)
     tree = fit_model(X, y, dt).model
-    assert _nodes(tree) == _nodes(_oracle_grow(X, y, 0, dt, np.random.default_rng(0), None))
-    assert np.array_equal(tree_predict(tree, X), _oracle_predict(tree, X))
+    oracle = _oracle_grow(X, y, 0, dt, np.random.default_rng(0), None)
+    assert _nodes(tree) == _nodes(oracle)
+    assert np.array_equal(tree_predict(tree, X), _oracle_predict(oracle, X))
     X_nan = np.where(np.arange(X.size).reshape(X.shape) % 3 == 0, np.nan, X)
-    assert np.array_equal(tree_predict(tree, X_nan), _oracle_predict(tree, X_nan))
+    assert np.array_equal(tree_predict(tree, X_nan), _oracle_predict(oracle, X_nan))
 
     for bootstrap in (True, False):
         rf = ModelConfig.for_family(
