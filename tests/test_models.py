@@ -500,7 +500,7 @@ class TestFitModels:
 
     @pytest.mark.parametrize("fit_cpus", [2], indirect=True, ids=["2cpu"])
     def test_the_children_send_back_a_deep_tree(self, fit_cpus, monkeypatch):
-        # a 599-level tree must pickle, or the parent fits both units again
+        # a 599-level tree must pickle, or the parent fits it again itself
         parent, in_parent = os.getpid(), []
 
         def recorded(X, y, cfg):

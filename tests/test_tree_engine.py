@@ -4,7 +4,8 @@ node, as the per-node argsort search it replaced.
 Two kinds of check:
 
 - golden digests: the sha256 of `model_to_json` for fixed seeded fits,
-  recorded from the per-node argsort implementation;
+  recorded from the per-node argsort implementation (`dt-deep`, 599 levels,
+  from the recursive grower before the iterative one);
 - a property test against `_oracle_*`, a copy of that implementation kept
   here as the reference.
 """
