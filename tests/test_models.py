@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from test_tree_engine import GOLDEN, GOLDEN_DATA, _staircase, _tied_data
+from test_tree_engine import GOLDEN, GOLDEN_DATA, _staircase, _tied_data, assert_model_document
 
 from imbtab.errors import (
     DimensionMismatch,
@@ -129,7 +129,9 @@ class TestLogistic:
         X, y = self._scaled_data()
         fitted = fit_model(X[:, :columns], y, lr_cfg(**overrides))
         assert fitted.model.iterations == iterations
-        assert hashlib.sha256(model_to_json(fitted).encode()).hexdigest() == digest
+        text = model_to_json(fitted)
+        assert_model_document(fitted, text)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_divergence_names_its_iteration(self):
         X, y = self._scaled_data()
@@ -172,6 +174,13 @@ class TestTree:
         X, y = _staircase(4000)
         t = fit_tree(X, y, dt_cfg(max_depth=None, min_samples_leaf=1))
         assert np.array_equal(tree_predict(t, X), y)
+
+    def test_a_deep_tree_writes_its_arrays(self):
+        # json.dumps recurses once per level of a nested document
+        X, y = _staircase(1500)
+        fitted = fit_model(X, y, dt_cfg(max_depth=None, min_samples_leaf=1))
+        assert fitted.model.depth == 1499
+        assert_model_document(fitted, model_to_json(fitted))
 
     def test_tie_breaks_prefer_lower_feature(self):
         # identical columns: the split must use feature 0
@@ -312,6 +321,7 @@ class TestBoosting:
         cfg = ModelConfig.for_family("xgb", rounds=1, l2=0.0, max_depth=None)
         m = fit_model(X, y, cfg)
         assert np.array_equal(classify(m.predict_proba(X)), y)
+        assert_model_document(m, model_to_json(m))
 
     def test_degenerate_label_mean_clamped(self):
         X = np.array([[0.0], [1.0]])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from imbtab import parse_config, pipeline, run_experiment, emit_report
 from imbtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
-from imbtab.data import ColumnSchema, SplitSpec, train_test_split
+from imbtab.data import ColumnSchema, Dataset, SplitSpec, train_test_split
 from imbtab.errors import ParseError, PipelineError, StrategyUnknown, ValidationError
 from imbtab.models import ModelConfig, fanout, fit_model, forest
 from imbtab.pipeline import EncoderSpec, _stage, prepare
@@ -835,4 +835,18 @@ class TestCli:
         argv = ["resample", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]
         assert main(argv) == EXIT_RUNTIME
         assert "stage 'resample'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "resample"])
+    @pytest.mark.parametrize("strategy", ["random_over", "random_under"])
+    def test_one_class_training_split_fails_in_resample(self, tmp_path, capsys, strategy, command):
+        data = tmp_path / "d.csv"
+        d = generate_dataset(100, seed=3)  # then every target is set to 0
+        write_csv(Dataset(d.schema, [(*r[:-1], 0) for r in d.rows]), data)
+        cfg_path = tmp_path / "cfg.json"
+        doc = base_config(data, resampler={"strategy": strategy}, output=str(tmp_path / "out"))
+        cfg_path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == EXIT_RUNTIME
+        assert "stage 'resample': " in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()

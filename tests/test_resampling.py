@@ -325,6 +325,14 @@ class TestRebalance:
         over = rebalance(X, y, ResampleConfig(strategy="random_over", amount="balance", seed=1))
         assert np.bincount(over.labels).tolist() == [40, 40]
 
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("strategy", ["random_over", "random_under"])
+    def test_random_strategies_on_one_class_raise_empty_minority(self, strategy, label):
+        # as smote and nearmiss fail on it: there is no minority row to draw
+        X = fm(np.arange(40.0).reshape(20, 2))
+        with pytest.raises(EmptyMinority):
+            rebalance(X, np.full(20, label), ResampleConfig(strategy=strategy, seed=1))
+
     def test_undersampling_never_grows_oversampling_never_shrinks(self):
         rng = np.random.default_rng(7)
         X = fm(rng.normal(size=(30, 3)))

@@ -3,14 +3,17 @@ node, as the per-node argsort search it replaced.
 
 Two kinds of check:
 
-- golden digests: the sha256 of `model_to_json` for fixed seeded fits,
+- golden digests: the sha256 of `model_to_json` for fixed seeded fits, each
+  document also checked to hold the fitted trees' arrays. The fits were
   recorded from the per-node argsort implementation (`dt-deep`, 599 levels,
   from the recursive grower before the iterative one);
 - a property test against `_oracle_*`, a copy of that implementation kept
   here as the reference.
 """
 
+import dataclasses
 import hashlib
+import json
 import math
 from dataclasses import dataclass
 
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbtab.models import (
+    MODEL_FORMAT_VERSION,
     ModelConfig,
     fit_model,
     gini_impurity,
@@ -260,12 +264,44 @@ GOLDEN = {
 GOLDEN_DATA = {"dt-deep": lambda: _staircase(600)}
 
 
+# a Tree's fields, which a model document writes for each tree
+TREE_ARRAYS = ["feature", "threshold", "right", "score", "gini", "n"]
+
+
+def assert_model_document(fitted, text):
+    """`text` holds `fitted` field by field: `version`, `family` and
+    `n_features`, then the model dataclass's fields in order, each tree as its
+    six preorder arrays."""
+    doc = json.loads(text)
+    model = fitted.model
+    names = [f.name for f in dataclasses.fields(model)]
+    assert list(doc) == ["version", "family", "n_features", *names]
+    assert fitted.family != "dt" or names == TREE_ARRAYS
+    assert [doc["version"], doc["family"], doc["n_features"]] == [
+        MODEL_FORMAT_VERSION,
+        fitted.family,
+        fitted.n_features,
+    ]
+    for name in names:
+        value, written = getattr(model, name), doc[name]
+        if name != "trees":
+            assert written == np.asarray(value).tolist()
+            continue
+        assert len(written) == len(value)
+        for tree_doc, tree in zip(written, value):
+            assert list(tree_doc) == TREE_ARRAYS
+            for key in TREE_ARRAYS:
+                assert tree_doc[key] == getattr(tree, key).tolist()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_model_digest(name):
     overrides, digest = GOLDEN[name]
     X, y = GOLDEN_DATA.get(name, _tied_data)()
     fitted = fit_model(X, y, ModelConfig.for_family(**overrides))
-    assert hashlib.sha256(model_to_json(fitted).encode()).hexdigest() == digest
+    text = model_to_json(fitted)
+    assert_model_document(fitted, text)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_midpoint_rounding_onto_upper_value_matches_oracle():
