@@ -89,8 +89,9 @@ def _cmd_resample(args):
         with open(audit, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["base_index", "neighbor_index", "u"])
-            for p in result.provenance:
-                writer.writerow([p.base_index, p.neighbor_index, f"{p.u:.17g}"])
+            p = result.provenance
+            rows = zip(p.base_index.tolist(), p.neighbor_index.tolist(), p.u.tolist())
+            writer.writerows([base, neighbor, f"{u:.17g}"] for base, neighbor, u in rows)
         print(audit)
     return EXIT_OK
 

@@ -107,14 +107,6 @@ class CategoryMap:
             }
         )
 
-    @staticmethod
-    def from_json(text):
-        doc = json.loads(text)
-        per = OrderedDict(
-            (c["value"], (c["count"], c["cond_mean"], c["impact"])) for c in doc["categories"]
-        )
-        return CategoryMap(doc["column"], doc["global_mean"], per, doc["fallback_impact"])
-
 
 def _categorical(d, column):
     """The stored Column of `column`; NotCategorical unless it is categorical."""

@@ -9,20 +9,20 @@ exactly the keys its fitter reads, with that family's defaults; `_CHECKS`
 holds each key's value check, whichever families have it.
 
 Model JSON (`model_to_json`, format `MODEL_FORMAT_VERSION`) is one object:
-`version`, `family` and `n_features`, then the model. A `dt` model, a `Tree`,
-sits under `"tree"`. Any other model writes each field of its dataclass, in
-declaration order, under the field's name. Each tree is written as nested node
-objects, built from its preorder arrays without recursion; `json.dumps` itself
-still recurses once per level, so a tree deeper than about 1000 levels cannot
-be written. numpy arrays and scalars are written as JSON lists and numbers, so
-a config given numpy integers writes the same bytes as one given Python ints.
-Nothing reads a model document back.
+`version`, `family` and `n_features`, then each field of the model's
+dataclass, in declaration order, under the field's name. A tree is a `Tree`,
+so it is written as its six flat preorder arrays: a `dt` document holds them
+at the top level, and each entry of an `rf` or `xgb` document's `trees` list
+holds them. The nesting stops there (document, `trees`, tree, array), so a
+tree of any depth can be written. numpy arrays and scalars are written as
+JSON lists and numbers, so a config given numpy integers writes the same bytes
+as one given Python ints. Nothing reads a model document back.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from typing import Callable, ClassVar, NamedTuple
 
@@ -41,7 +41,7 @@ from .forest import fit_forest, forest_predict_proba
 from .logistic import fit_logistic, linear_predict_proba
 from .tree import fit_tree, tree_predict
 
-MODEL_FORMAT_VERSION = "model_v1"
+MODEL_FORMAT_VERSION = "model_v2"
 
 
 def _integer_or_null(minimum):
@@ -183,39 +183,19 @@ def classify(probs, threshold=0.5):
 # --- serialization --------------------------------------------------------
 
 
-def _tree_doc(tree):
-    """The tree as nested node objects, the root outermost."""
-    docs = []
-    for node in tree.walk():
-        if node.feature < 0:
-            docs.append({"score": node.score, "gini": node.gini, "n": node.n_samples})
-        else:
-            docs.append(
-                {
-                    "feature": node.feature,
-                    "threshold": node.threshold,
-                    "gini": node.gini,
-                    "n": node.n_samples,
-                    "score": node.score,
-                }
-            )
-    for i, right in enumerate(tree.right.tolist()):
-        if right != i:
-            docs[i]["left"], docs[i]["right"] = docs[i + 1], docs[right]
-    return docs[0]
+def _plain(value):
+    """`value` as JSON-ready Python: a dataclass as an object of its fields in
+    declaration order, a list item by item, a numpy array or scalar through
+    `.tolist()`, anything else as it is."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 def model_to_json(fitted):
-    m = fitted.model
-    doc = {"version": MODEL_FORMAT_VERSION, "family": fitted.family, "n_features": fitted.n_features}
-    if fitted.family == "dt":
-        doc["tree"] = _tree_doc(m)
-    else:
-        for f in fields(m):
-            value = getattr(m, f.name)
-            if f.name == "trees":
-                value = [_tree_doc(t) for t in value]
-            elif isinstance(value, (np.ndarray, np.generic)):
-                value = value.tolist()
-            doc[f.name] = value
-    return json.dumps(doc)
+    head = {"version": MODEL_FORMAT_VERSION, "family": fitted.family, "n_features": fitted.n_features}
+    return json.dumps(head | _plain(fitted.model))

@@ -93,11 +93,16 @@ class NeighborIndex:
 
 @dataclass(frozen=True)
 class SyntheticProvenance:
-    """Audit record for one synthetic row: s = base + u * (neighbor - base)."""
+    """Audit record of the synthetic rows, one array entry per row: synthetic
+    row r is base + u[r] * (neighbor - base), where base and neighbor are the
+    rows base_index[r] and neighbor_index[r]."""
 
-    base_index: int
-    neighbor_index: int
-    u: float
+    base_index: np.ndarray
+    neighbor_index: np.ndarray
+    u: np.ndarray
+
+    def __len__(self):
+        return len(self.u)
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ class RebalanceResult:
     features: FeatureMatrix
     labels: np.ndarray
     original_mask: np.ndarray  # True where the row existed before resampling
-    provenance: tuple = ()  # SyntheticProvenance per synthetic row (SMOTE only)
+    provenance: SyntheticProvenance = None  # SMOTE only
 
 
 def _approx_sq_distances(block, points_t, sq_block, sq_points):
@@ -247,7 +252,7 @@ def smote(minority, k, n_new, seed=0, mode="canonical"):
     moves a coordinate downward); kept as a documented alternative geometry.
     Neighbor draws are with replacement, so n_new may exceed k.
 
-    Returns (synthetic rows array, provenance list).
+    Returns (synthetic rows array, SyntheticProvenance over minority rows).
     """
     check_integer(k, "k", minimum=1)
     check_integer(n_new, "n_new", minimum=0)
@@ -281,10 +286,7 @@ def smote(minority, k, n_new, seed=0, mode="canonical"):
         np.abs(step, out=step)
     step *= u[:, None]
     synthetic += step
-    provenance = [
-        SyntheticProvenance(int(i), int(j), float(v)) for i, j, v in zip(base, nb, u)
-    ]
-    return synthetic, provenance
+    return synthetic, SyntheticProvenance(base, nb, u)
 
 
 def _mean_knn_distance(majority, minority, k, farthest=False):
@@ -356,7 +358,8 @@ def rebalance(features, labels, config):
         return RebalanceResult(features, labels, np.ones(len(labels), dtype=bool))
 
     minority_label, min_idx, maj_idx = _split_by_label(labels)
-    majority_label = 1 - minority_label
+    if config.strategy in ("random_over", "random_under") and not len(min_idx):
+        raise EmptyMinority(f"{config.strategy} requires at least one minority row")
 
     if config.strategy == "smote":
         if config.amount == BALANCE:
@@ -370,9 +373,8 @@ def rebalance(features, labels, config):
         out_labels = np.concatenate([labels, np.full(len(synthetic), minority_label, dtype=int)])
         mask = np.concatenate([np.ones(len(labels), dtype=bool), np.zeros(len(synthetic), dtype=bool)])
         # provenance base/neighbor indices refer to minority rows; lift to matrix rows
-        lifted = tuple(
-            SyntheticProvenance(int(min_idx[p.base_index]), int(min_idx[p.neighbor_index]), p.u)
-            for p in provenance
+        lifted = SyntheticProvenance(
+            min_idx[provenance.base_index], min_idx[provenance.neighbor_index], provenance.u
         )
         return RebalanceResult(FeatureMatrix(features.column_names, out), out_labels, mask, lifted)
 

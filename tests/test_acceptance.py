@@ -92,9 +92,9 @@ def test_smote_contracts():
     # betweenness holds for 100% of synthetic points over 1000 seeded generations
     for seed in range(1000):
         out, prov = smote(pts, k=4, n_new=1, seed=seed)
-        for row, p in zip(out, prov):
-            lo = np.minimum(pts[p.base_index], pts[p.neighbor_index])
-            hi = np.maximum(pts[p.base_index], pts[p.neighbor_index])
+        for row, i, j in zip(out, prov.base_index, prov.neighbor_index):
+            lo = np.minimum(pts[i], pts[j])
+            hi = np.maximum(pts[i], pts[j])
             assert np.all(row >= lo - 1e-12) and np.all(row <= hi + 1e-12)
     # modes agree exactly when every base coordinate <= neighbor coordinate
     below = np.array([[0.0, 0.0], [1.0, 2.0]])
@@ -105,7 +105,7 @@ def test_smote_contracts():
     witness = np.array([[1.0, 0.0], [0.0, 0.0]])
     canon, prov = smote(witness, k=1, n_new=1, seed=3, mode="canonical")
     lit, _ = smote(witness, k=1, n_new=1, seed=3, mode="paper_literal")
-    u = prov[0].u
+    u = prov.u[0]
     assert canon[0, 0] == pytest.approx(1.0 - u)
     assert lit[0, 0] == pytest.approx(1.0 + u)
     assert not np.allclose(canon[0], lit[0])

@@ -10,7 +10,6 @@ from imbtab import (
     MISSING,
     NUMERIC,
     TARGET,
-    CategoryMap,
     ColumnSchema,
     Dataset,
     drop_missing,
@@ -240,13 +239,6 @@ class TestImpactEncoding:
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDataset):
             fitted(Dataset(SCHEMA, []), method="impact")
-
-    def test_json_roundtrip(self):
-        cmap = impacts(list("aab"), [1, 0, 1])
-        back = CategoryMap.from_json(cmap.to_json())
-        assert back.column == cmap.column
-        assert back.global_mean == cmap.global_mean
-        assert dict(back.per_category) == dict(cmap.per_category)
 
     @given(
         st.lists(

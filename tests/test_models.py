@@ -38,18 +38,18 @@ from imbtab.models import fanout
 
 
 LR_GOLDEN = [
-    (dict(), 6, 500, "becd995090c12a1a5b14cebfa95ab4541de39e17a66ce8c55d4cf8a623b1d842"),
+    (dict(), 6, 500, "eb65557e933fd16fff175b9c01d1a06a54c14b318baef27df439b252f631eeac"),
     (
         dict(iterations=50),
         6,
         50,
-        "beafc8d10243ab9850a15b4bade1d3e3899a582f50f98a1b7f20dc98ca11a27b",
+        "460315a7b61136d16f89d2eb9d3925684108c598b2b291496128bf3009405c0a",
     ),
     (
         dict(iterations=5000, tolerance=1e-3, learning_rate=0.5),
         1,
         81,
-        "a6910a258eecfb553e9afa33034bdde83afd063f2161dbdcdd596873937b9a26",
+        "1f71d08cb1bbcf36c74b61b59df02793a14904e4bd29e8a50ae5523ac57e319f",
     ),
 ]
 
@@ -124,7 +124,9 @@ class TestLogistic:
         y = (X[:, 0] + 0.2 * X[:, 1] + rng.normal(size=800) > 0.8).astype(int)
         return X, y
 
-    @pytest.mark.parametrize("overrides, columns, iterations, digest", LR_GOLDEN)
+    @pytest.mark.parametrize(
+        "overrides, columns, iterations, digest", LR_GOLDEN, ids=["defaults", "50-steps", "1-column"]
+    )
     def test_golden_model_digest(self, overrides, columns, iterations, digest):
         X, y = self._scaled_data()
         fitted = fit_model(X[:, :columns], y, lr_cfg(**overrides))

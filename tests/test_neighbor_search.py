@@ -98,7 +98,11 @@ def _digest(result):
     h.update(np.ascontiguousarray(result.features.values).tobytes())
     h.update(np.asarray(result.labels, dtype=np.int64).tobytes())
     h.update(np.asarray(result.original_mask, dtype=bool).tobytes())
-    prov = [(p.base_index, p.neighbor_index, p.u) for p in result.provenance]
+    p = result.provenance
+    if p is None:
+        prov = []
+    else:
+        prov = list(zip(p.base_index.tolist(), p.neighbor_index.tolist(), p.u.tolist()))
     h.update(repr(prov).encode())
     return h.hexdigest()
 

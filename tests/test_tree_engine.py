@@ -6,7 +6,8 @@ Two kinds of check:
 - golden digests: the sha256 of `model_to_json` for fixed seeded fits, each
   document also checked to hold the fitted trees' arrays. The fits were
   recorded from the per-node argsort implementation (`dt-deep`, 599 levels,
-  from the recursive grower before the iterative one);
+  from the recursive grower before the iterative one), and the digests
+  re-recorded from those same fits when the format became `model_v2`;
 - a property test against `_oracle_*`, a copy of that implementation kept
   here as the reference.
 """
@@ -233,31 +234,31 @@ def _staircase(n):
 GOLDEN = {
     "dt": (
         dict(family="dt"),
-        "767f9d8db2f4572d5c98399930e997f4d76eb42f2215bbf9cdc6e5e67624f673",
+        "09f584ff1dbe49a32fd353bc6215d95ff61fd203adeb98471ffd38a807b5509a",
     ),
     "rf-bootstrap": (
         dict(family="rf", n_trees=5, seed=3),
-        "b5cc03283972705562b3ffca677e0cca9a14e111595c9b20450a0c9bc41ace53",
+        "373da1308ba45efabd6d4cbc983f1b99cf9ecde9382e5ec259b7dfa04472044a",
     ),
     "rf-no-bootstrap": (
         dict(family="rf", n_trees=3, bootstrap=False, seed=4),
-        "ae4570261ce6e5468a1f8c55f5698a89b608943bebb3b91093ce8cd827638726",
+        "957cfa03401b817727e42487db7698a34d34c3aba0fb5da161e71140de900d6e",
     ),
     "rf-subset": (
         dict(family="rf", n_trees=4, feature_subset_size=4, min_samples_leaf=2, seed=5),
-        "e96f61210d89b5c0de41448aeb682ba652f385ef2e247a1adceb18eca3228c5e",
+        "372a960f10bbbb2c6e3d3e2a11a0a4569538c126e41c5c9f76e2691a5fd275ce",
     ),
     "xgb-min-leaf": (
         dict(family="xgb", rounds=6, min_samples_leaf=7),
-        "3d7d622d9e2f950a7621e30d4fafdc2d7a4efe34a2435fdeb10f802db3e5cf99",
+        "d0b50b245657592f593310b1c1924aa8d25c6cd217bc88e63f6bf1c48aadf875",
     ),
     "xgb-l2-zero": (
         dict(family="xgb", rounds=6, l2=0.0, max_depth=3),
-        "80ba44129408ffde6269ecb13b5d0ee11d7bfc7b948c378656615f696a3b181c",
+        "753058550ebe9015bd2b197de5e78d128a9f1c97b3376dbfd1a6b4a82f199d12",
     ),
     "dt-deep": (
         dict(family="dt", max_depth=None, min_samples_leaf=1),
-        "14349280ff6143f5a43f9ba6e5a206494371a7e333ad7ebc617ea1737ea090e1",
+        "d171376241634508162c117cfdba90340ed22aa7b5e132c781b2c2e993c573ab",
     ),
 }
 # the data of each GOLDEN entry not fitted on _tied_data()
