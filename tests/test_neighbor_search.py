@@ -72,6 +72,14 @@ CONFIGS = {
     "nearmiss2": ResampleConfig(strategy="nearmiss2", k=3, amount="balance"),
     "nearmiss2_k9": ResampleConfig(strategy="nearmiss2", k=9, amount=40),
     "nearmiss3": ResampleConfig(strategy="nearmiss3", k=2, amount="balance"),
+    "random_over": ResampleConfig(strategy="random_over", amount="balance", seed=5),
+    # below the minority count: nothing is added
+    "random_over_below": ResampleConfig(strategy="random_over", amount=3, seed=5),
+    "random_under": ResampleConfig(strategy="random_under", amount="balance", seed=5),
+    # above the majority count: every row is kept
+    "random_under_above": ResampleConfig(strategy="random_under", amount=1000, seed=5),
+    # no synthetic rows: empty provenance
+    "smote_none": ResampleConfig(strategy="smote", k=3, amount=0, seed=2),
 }
 
 GOLDEN = {
@@ -80,14 +88,24 @@ GOLDEN = {
     ("grid", "nearmiss2"): "535a08f9992cfe8351d7b023c941dd89cb948edb38e0c998835027471d57877b",
     ("grid", "nearmiss2_k9"): "8937f31e843b7c2754cc5122443143a3423e0b549f448b4a529d429f3040003d",
     ("grid", "nearmiss3"): "cfcc94e1a698729fbe31cbce494a7d68bbecbc320d8777dea0cfd41c4fe66264",
+    ("grid", "random_over"): "c83937a29e31c8c12df441958f3942ebfc4e0a6f563a709536995bd60893cd26",
+    ("grid", "random_over_below"): "bf12ecfba4475c8b1b528dda43d4d8f85eaa81d91d86171def18030af6db6c2f",
+    ("grid", "random_under"): "b8074f416a40d8d4c502304656fd79d94176d746d50c210150887a845f6c388d",
+    ("grid", "random_under_above"): "bf12ecfba4475c8b1b528dda43d4d8f85eaa81d91d86171def18030af6db6c2f",
     ("grid", "smote_canonical"): "d281c56ec19760f1d83814ac5762e6655fea077d9f49f116e799f0d99278519a",
+    ("grid", "smote_none"): "bf12ecfba4475c8b1b528dda43d4d8f85eaa81d91d86171def18030af6db6c2f",
     ("grid", "smote_paper_literal"): "a60dc814e112d22b4430f0e654b496deda7ccfcfecf390ee39b9566a2a4da416",
     ("mixed", "nearmiss1"): "0314d53c548dbd799e106a5b1fc663e1719c5f56e90b014a7e5eb905623bac3e",
     ("mixed", "nearmiss1_k9"): "0504d969c66e9d1781cbc256c008d6690bb444f7f2376ec82fc6f0ffaed0506c",
     ("mixed", "nearmiss2"): "40917d6946aee081146cd5715815eb459e9ff5bda37ec0e7cbb30159391c6676",
     ("mixed", "nearmiss2_k9"): "99fbda4596a86016aed426f204da6073a419ae3bde706b8291c81a8345d740bc",
     ("mixed", "nearmiss3"): "04022c6a0805d95490e1d404e81c3ff816af96b022dcb625c6f23ff5fe3ecda4",
+    ("mixed", "random_over"): "5225ece2a1852c29319172fa9ef1837982ac2d5eab8ce6bc51719f44c73857ec",
+    ("mixed", "random_over_below"): "78be8fae280945d916b333bd87bd8e5e40514f2cdc952e88f633e7ca1c06fcc7",
+    ("mixed", "random_under"): "4c974b60c01398e35088896dc8da04293881d13c8014cbe62c6430bda212aae8",
+    ("mixed", "random_under_above"): "78be8fae280945d916b333bd87bd8e5e40514f2cdc952e88f633e7ca1c06fcc7",
     ("mixed", "smote_canonical"): "1c84bff3b7d09a773c909b2eb31906569054d1a8499c110216df2256ea639c0e",
+    ("mixed", "smote_none"): "78be8fae280945d916b333bd87bd8e5e40514f2cdc952e88f633e7ca1c06fcc7",
     ("mixed", "smote_paper_literal"): "4c091aa4ebafb853c06156f99b4470e7fe67203151948bea7b662cd9306a879b",
 }
 
@@ -114,6 +132,8 @@ def test_rebalance_matches_golden_digest(case, config):
     names = tuple(f"f{i}" for i in range(values.shape[1]))
     result = rebalance(FeatureMatrix(names, values), labels, CONFIGS[config])
     assert _digest(result) == GOLDEN[(case, config)]
+    # the digest writes no provenance and empty provenance alike
+    assert (result.provenance is not None) == (CONFIGS[config].strategy == "smote")
 
 
 # --- golden digests at the benchmark's resample-10k shape --------------------

@@ -803,6 +803,17 @@ class TestCli:
         header = audit.read_text().splitlines()[0]
         assert header == "base_index,neighbor_index,u"
 
+    def test_resample_command_writes_header_only_audit_when_smote_adds_nothing(self, tmp_path):
+        data = tmp_path / "d.csv"
+        write_csv(generate_dataset(300, seed=3), data)
+        cfg_path = tmp_path / "cfg.json"
+        resampler = {"strategy": "smote", "k": 3, "amount": 0, "seed": 9}
+        cfg_path.write_text(json.dumps(base_config(data, resampler=resampler)))
+        out = tmp_path / "res.csv"
+        assert main(["resample", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        audit = tmp_path / "res.csv.audit.csv"
+        assert audit.read_text().splitlines() == ["base_index,neighbor_index,u"]
+
     @pytest.mark.parametrize("command", ["run", "resample"])
     def test_non_utf8_csv_is_a_data_error(self, tmp_path, command):
         data = tmp_path / "d.csv"

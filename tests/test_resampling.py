@@ -64,6 +64,12 @@ class TestNearestNeighbors:
         with pytest.raises(NonFiniteFeature):
             nearest_neighbors(idx, [np.inf, 0.0], 1)
 
+    @pytest.mark.parametrize("points", [np.arange(6.0), np.zeros((3, 2, 1)), np.float64(1.0)])
+    def test_rejects_points_that_are_not_2d(self, points):
+        # the same fault smote and nearmiss report, and an ImbtabError
+        with pytest.raises(DimensionMismatch):
+            NeighborIndex(points)
+
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(42)
         pts = rng.normal(size=(60, 3))
