@@ -84,7 +84,7 @@ def _cmd_resample(args):
             writer.writerow([f"{v:.10g}" for v in row] + [int(label), int(orig)])
     print(args.out)
 
-    if result.provenance:
+    if result.provenance is not None:  # SMOTE, even when it adds no rows
         audit = args.out + ".audit.csv"
         with open(audit, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -541,24 +541,22 @@ def train_test_split(d, spec):
     rng = random.Random(int(spec.seed))  # a numpy integer is not a valid seed
 
     if not spec.stratified:
-        shuffled = _fisher_yates(n, rng)
-        test_idx = np.sort(np.array(shuffled[:n_test], dtype=np.intp))
+        groups, quotas = [np.arange(n)], [n_test]
     else:
         labels = target_labels(d)
-        groups = {lab: np.flatnonzero(labels == lab) for lab in (0, 1)}
+        groups = [np.flatnonzero(labels == lab) for lab in (0, 1)]
         # largest-remainder apportionment of n_test across labels
-        quotas = {lab: spec.test_fraction * len(groups[lab]) for lab in (0, 1)}
-        base = {lab: int(math.floor(quotas[lab])) for lab in (0, 1)}
-        leftover = n_test - sum(base.values())
-        by_remainder = sorted((0, 1), key=lambda lab: (-(quotas[lab] - base[lab]), lab))
-        for lab in by_remainder[:leftover]:
-            base[lab] += 1
-        picked = []
-        for lab in (0, 1):
-            members = groups[lab]
-            perm = _fisher_yates(len(members), rng)
-            picked.append(members[np.array(perm[: base[lab]], dtype=np.intp)])
-        test_idx = np.sort(np.concatenate(picked))
+        shares = [spec.test_fraction * len(members) for members in groups]
+        quotas = [math.floor(share) for share in shares]
+        by_remainder = sorted((0, 1), key=lambda lab: (-(shares[lab] - quotas[lab]), lab))
+        for lab in by_remainder[: n_test - sum(quotas)]:
+            quotas[lab] += 1
+    # each group's quota from the head of its own shuffle, the groups in order
+    picked = [
+        members[np.array(_fisher_yates(len(members), rng)[:quota], dtype=np.intp)]
+        for members, quota in zip(groups, quotas)
+    ]
+    test_idx = np.sort(np.concatenate(picked))
 
     in_test = np.zeros(n, dtype=bool)
     in_test[test_idx] = True

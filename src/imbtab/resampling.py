@@ -16,9 +16,10 @@ which takes the queries a block at a time, sized so that a block's
 Each query then takes its k from its candidates alone, by one lexsort of
 their exact distances, ties to the lower index. Since the approximate values
 only choose which pairs get exact distances, no output depends on how the
-matrix product rounds. SMOTE, NearMiss-1/2/3 and `nearest_neighbors` (a
-one-query block) all use this search. At the row counts this toolkit targets
-(tens of thousands) a spatial index buys nothing.
+matrix product rounds. `_k_nearest` runs this search and returns each query's
+k indices and squared distances; SMOTE, NearMiss-1/2/3 and
+`nearest_neighbors` (a one-query block) all call it. At the row counts this
+toolkit targets (tens of thousands) a spatial index buys nothing.
 Every random draw comes from one seeded generator consumed in a fixed order,
 so a seed fully determines the output.
 """
@@ -85,7 +86,7 @@ class NeighborIndex:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2:
-            raise ValueError("points must be a 2-D array")
+            raise DimensionMismatch(f"points must be a 2-D array, got shape {pts.shape}")
         if pts.size and not np.all(np.isfinite(pts)):
             raise NonFiniteFeature("points must be finite")
         object.__setattr__(self, "points", pts)
@@ -201,13 +202,18 @@ def _select_k(r, c, key, rows, k):
     return order[first[:, None] + np.arange(k)]
 
 
-def _k_nearest(points, queries, k, exclude=None):
-    """(len(queries), k) array: each query's k nearest points, in ascending
-    distance, ties to the lower index."""
-    out = np.empty((len(queries), k), dtype=np.intp)
-    for start, rows, r, c, d2 in _candidate_blocks(points, queries, k, exclude=exclude):
-        out[start : start + rows] = c[_select_k(r, c, d2, rows, k)]
-    return out
+def _k_nearest(points, queries, k, exclude=None, farthest=False):
+    """(indices, squared distances), two (len(queries), k) arrays: each query's
+    k nearest points (with farthest, farthest), nearest (farthest) first, ties
+    to the lower index."""
+    indices = np.empty((len(queries), k), dtype=np.intp)
+    distances = np.empty((len(queries), k))
+    blocks = _candidate_blocks(points, queries, k, farthest=farthest, exclude=exclude)
+    for start, rows, r, c, d2 in blocks:
+        picked = _select_k(r, c, -d2 if farthest else d2, rows, k)
+        indices[start : start + rows] = c[picked]
+        distances[start : start + rows] = d2[picked]
+    return indices, distances
 
 
 def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
@@ -233,14 +239,13 @@ def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
     if exclude_self and self_index is not None:
         exclude = np.array([self_index])
     elif exclude_self and len(points):
-        # A one-nearest search's candidates include every point at the
-        # smallest distance, so every point at distance zero when there is one.
-        ((_, _, _, c, d2),) = _candidate_blocks(points, query[None], 1)
-        exclude = c[d2 == 0.0][:1]
+        # the nearest point, ties to the lower index, if it is at distance zero
+        (hit,), (d2,) = _k_nearest(points, query[None], 1)
+        exclude = hit[d2 == 0.0]
     n_eligible = len(points) - len(exclude)
     if k > n_eligible:
         raise KTooLarge(f"k={k} but only {n_eligible} eligible points")
-    nearest = _k_nearest(points, query[None], k, exclude if len(exclude) else None)
+    nearest = _k_nearest(points, query[None], k, exclude if len(exclude) else None)[0]
     return [int(i) for i in nearest[0]]
 
 
@@ -267,7 +272,7 @@ def smote(minority, k, n_new, seed=0, mode="canonical"):
 
     if not np.all(np.isfinite(pts)):
         raise NonFiniteFeature("smote features must be finite")
-    neighbors = _k_nearest(pts, pts, k, exclude=np.arange(len(pts)))
+    neighbors = _k_nearest(pts, pts, k, exclude=np.arange(len(pts)))[0]
     rng = np.random.default_rng(seed)
     base = np.repeat(np.arange(len(pts)), n_new)
     nb = np.empty(len(base), dtype=np.intp)
@@ -287,19 +292,6 @@ def smote(minority, k, n_new, seed=0, mode="canonical"):
     step *= u[:, None]
     synthetic += step
     return synthetic, SyntheticProvenance(base, nb, u)
-
-
-def _mean_knn_distance(majority, minority, k, farthest=False):
-    """Per-majority-point mean distance to its k nearest (or farthest) minority points."""
-    if k > len(minority):
-        raise KTooLarge(f"k={k} but minority has {len(minority)} points")
-    scores = np.empty(len(majority))
-    for start, rows, r, c, d2 in _candidate_blocks(minority, majority, k, farthest=farthest):
-        # Summing nearest (farthest) first, as a one-query search does,
-        # keeps the mean bit-equal to it.
-        picked = _select_k(r, c, -d2 if farthest else d2, rows, k)
-        scores[start : start + rows] = np.sqrt(d2[picked]).mean(axis=1)
-    return scores
 
 
 def nearmiss(majority, minority, variant, k, n=None):
@@ -327,15 +319,19 @@ def nearmiss(majority, minority, variant, k, n=None):
     if not (np.all(np.isfinite(majority)) and np.all(np.isfinite(minority))):
         raise NonFiniteFeature("nearmiss features must be finite")
 
-    if variant in (1, 2):
-        scores = _mean_knn_distance(majority, minority, k, farthest=(variant == 2))
-        order = np.lexsort((np.arange(len(scores)), scores))
-        n_keep = len(majority) if n is None else min(n, len(majority))
-        return sorted(int(i) for i in order[:n_keep])
+    searched, name = (majority, "majority") if variant == 3 else (minority, "minority")
+    if k > len(searched):
+        raise KTooLarge(f"k={k} but {name} has {len(searched)} points")
+    if variant == 3:
+        return [int(i) for i in np.unique(_k_nearest(majority, minority, k)[0])]
 
-    if k > len(majority):
-        raise KTooLarge(f"k={k} but majority has {len(majority)} points")
-    return [int(i) for i in np.unique(_k_nearest(majority, minority, k))]
+    # Summing nearest (farthest) first, as a one-query search does, keeps
+    # each mean bit-equal to it.
+    _, d2 = _k_nearest(minority, majority, k, farthest=(variant == 2))
+    scores = np.sqrt(d2).mean(axis=1)
+    order = np.lexsort((np.arange(len(scores)), scores))
+    n_keep = len(majority) if n is None else min(n, len(majority))
+    return sorted(int(i) for i in order[:n_keep])
 
 
 def _split_by_label(labels):
@@ -360,47 +356,35 @@ def rebalance(features, labels, config):
     minority_label, min_idx, maj_idx = _split_by_label(labels)
     if config.strategy in ("random_over", "random_under") and not len(min_idx):
         raise EmptyMinority(f"{config.strategy} requires at least one minority row")
+    balance = config.amount == BALANCE
 
+    provenance = None
     if config.strategy == "smote":
-        if config.amount == BALANCE:
-            n_new = max(0, round(len(maj_idx) / max(len(min_idx), 1)) - 1)
-        else:
-            n_new = int(config.amount)
-        synthetic, provenance = smote(
-            X[min_idx], config.k, n_new, seed=config.seed, mode=config.smote_mode
+        n_new = round(len(maj_idx) / max(len(min_idx), 1)) - 1 if balance else int(config.amount)
+        added, provenance = smote(
+            X[min_idx], config.k, max(0, n_new), seed=config.seed, mode=config.smote_mode
         )
-        out = np.vstack([X, synthetic]) if len(synthetic) else X
-        out_labels = np.concatenate([labels, np.full(len(synthetic), minority_label, dtype=int)])
-        mask = np.concatenate([np.ones(len(labels), dtype=bool), np.zeros(len(synthetic), dtype=bool)])
         # provenance base/neighbor indices refer to minority rows; lift to matrix rows
-        lifted = SyntheticProvenance(
+        provenance = SyntheticProvenance(
             min_idx[provenance.base_index], min_idx[provenance.neighbor_index], provenance.u
         )
-        return RebalanceResult(FeatureMatrix(features.column_names, out), out_labels, mask, lifted)
-
-    if config.strategy == "random_over":
-        target = len(maj_idx) if config.amount == BALANCE else int(config.amount)
-        n_dup = max(0, target - len(min_idx))
+    elif config.strategy == "random_over":
+        n_dup = max(0, (len(maj_idx) if balance else int(config.amount)) - len(min_idx))
         rng = np.random.default_rng(config.seed)
-        picks = min_idx[rng.integers(len(min_idx), size=n_dup)] if n_dup else np.array([], dtype=int)
-        out = np.vstack([X, X[picks]]) if n_dup else X
-        out_labels = np.concatenate([labels, np.full(n_dup, minority_label, dtype=int)])
-        mask = np.concatenate([np.ones(len(labels), dtype=bool), np.zeros(n_dup, dtype=bool)])
-        return RebalanceResult(FeatureMatrix(features.column_names, out), out_labels, mask)
+        added = X[min_idx[rng.integers(len(min_idx), size=n_dup)]]
+    else:  # random_under, nearmiss1, nearmiss2 or nearmiss3: keep some majority rows
+        target = min(len(min_idx) if balance else int(config.amount), len(maj_idx))
+        if config.strategy == "random_under":
+            rng = np.random.default_rng(config.seed)
+            kept_maj = np.sort(rng.choice(maj_idx, size=target, replace=False))
+        else:
+            kept = nearmiss(X[maj_idx], X[min_idx], int(config.strategy[-1]), config.k, n=target)
+            kept_maj = maj_idx[np.asarray(kept, dtype=int)]
+        kept_rows = np.sort(np.concatenate([min_idx, kept_maj]))
+        out = FeatureMatrix(features.column_names, X[kept_rows])
+        return RebalanceResult(out, labels[kept_rows], np.ones(len(kept_rows), dtype=bool))
 
-    if config.strategy == "random_under":
-        target = len(min_idx) if config.amount == BALANCE else int(config.amount)
-        target = min(target, len(maj_idx))
-        rng = np.random.default_rng(config.seed)
-        kept_maj = np.sort(rng.choice(maj_idx, size=target, replace=False))
-    else:  # nearmiss1, nearmiss2 or nearmiss3
-        variant = int(config.strategy[-1])
-        target = len(min_idx) if config.amount == BALANCE else int(config.amount)
-        kept = nearmiss(X[maj_idx], X[min_idx], variant, config.k, n=target)
-        kept_maj = maj_idx[np.asarray(kept, dtype=int)]
-
-    kept_rows = np.sort(np.concatenate([min_idx, kept_maj]))
-    out = X[kept_rows]
-    out_labels = labels[kept_rows]
-    mask = np.ones(len(kept_rows), dtype=bool)
-    return RebalanceResult(FeatureMatrix(features.column_names, out), out_labels, mask)
+    out = FeatureMatrix(features.column_names, np.vstack([X, added]) if len(added) else X)
+    out_labels = np.concatenate([labels, np.full(len(added), minority_label, dtype=int)])
+    mask = np.arange(len(out_labels)) < len(labels)
+    return RebalanceResult(out, out_labels, mask, provenance)

@@ -39,7 +39,7 @@ from imbtab import (
 from imbtab import resampling
 from imbtab.pipeline import prepare
 from imbtab.synth import DEFAULT_SCHEMA
-from imbtab.resampling import _candidate_blocks, _k_nearest, _mean_knn_distance
+from imbtab.resampling import _candidate_blocks, _k_nearest
 
 
 def _grid_case():
@@ -254,14 +254,23 @@ def _oracle_nearest(points, query, k, exclude_self=False, self_index=None):
     return [int(i) for i in idx[order][:k]]
 
 
-def _oracle_mean_knn_distance(majority, minority, k, farthest=False):
-    scores = np.empty(len(majority))
-    for i, p in enumerate(majority):
-        d = np.sqrt(_oracle_sq_distances(minority, p))
-        key = -d if farthest else d
-        order = np.lexsort((np.arange(len(d)), key))
-        scores[i] = d[order[:k]].mean()
-    return scores
+def _oracle_selection(points, query, k, farthest=False):
+    """The k nearest (farthest) points' indices and distances, nearest (farthest)
+    first, ties to the lower index: the order NearMiss-1/2 sum their means in."""
+    d = np.sqrt(_oracle_sq_distances(points, query))
+    order = np.lexsort((np.arange(len(d)), -d if farthest else d))[:k]
+    return order.tolist(), d[order]
+
+
+def _assert_selection_matches_oracle(points, queries, k, farthest, got):
+    """`_k_nearest`'s (indices, squared distances) against the oracle's, the
+    distances' square roots bit for bit, row by row."""
+    indices, d2 = got
+    assert indices.shape == d2.shape == (len(queries), k)
+    for q, row, row_d2 in zip(queries, indices, d2):
+        expected, distances = _oracle_selection(points, q, k, farthest)
+        assert row.tolist() == expected
+        assert np.array_equal(np.sqrt(row_d2), distances)
 
 
 # --- property tests against the oracle ---------------------------------------
@@ -317,7 +326,7 @@ def test_blocked_search_matches_per_query_oracle(problem, budget, farthest, data
     k = data.draw(st.integers(0, len(points)))
     with mock.patch.object(resampling, "_BLOCK_BYTES", budget):
         blocks = list(_candidate_blocks(points, queries, k, farthest=farthest))
-        got = _k_nearest(points, queries, k)
+        got = _k_nearest(points, queries, k)[0]
     expected = np.reshape(
         [_oracle_sq_distances(points, q) for q in queries], (len(queries), len(points))
     )
@@ -342,7 +351,7 @@ def test_self_excluded_search_matches_oracle(points, budget, data):
     k = data.draw(st.integers(1, n - 1))
     with mock.patch.object(resampling, "_BLOCK_BYTES", budget):
         blocks = list(_candidate_blocks(points, points, k, exclude=np.arange(n)))
-        got = _k_nearest(points, points, k, exclude=np.arange(n))
+        got = _k_nearest(points, points, k, exclude=np.arange(n))[0]
     computed = _candidate_mask(blocks, [_oracle_sq_distances(points, p) for p in points])
     assert not computed.diagonal().any()  # the excluded self is never a candidate
     assert np.all(computed.sum(axis=1) >= k)
@@ -367,13 +376,14 @@ def test_nearest_neighbors_matches_oracle(points, data):
 
 @settings(max_examples=200, deadline=None)
 @given(problem=_points_and_queries(), budget=_BUDGETS, farthest=st.booleans(), data=st.data())
-def test_mean_knn_distance_is_bit_equal_to_oracle(problem, budget, farthest, data):
-    minority, majority = problem
-    k = data.draw(st.integers(1, len(minority)))
+def test_selected_distances_are_bit_equal_to_oracle(problem, budget, farthest, data):
+    # NearMiss-1/2 average these rows as they come, so equal rows give equal
+    # means; the nearmiss*_k9 goldens pin the mean numpy takes at k >= 8
+    points, queries = problem
+    k = data.draw(st.integers(0, len(points)))
     with mock.patch.object(resampling, "_BLOCK_BYTES", budget):
-        got = _mean_knn_distance(majority, minority, k, farthest=farthest)
-    expected = _oracle_mean_knn_distance(majority, minority, k, farthest=farthest)
-    assert np.array_equal(got, expected)
+        got = _k_nearest(points, queries, k, farthest=farthest)
+    _assert_selection_matches_oracle(points, queries, k, farthest, got)
 
 
 def test_blocks_follow_the_byte_budget():
@@ -383,16 +393,6 @@ def test_blocks_follow_the_byte_budget():
     with mock.patch.object(resampling, "_BLOCK_BYTES", 3 * len(points) * points.itemsize + 5):
         blocks = list(_candidate_blocks(points, queries, 1))
     assert [(start, rows) for start, rows, *_ in blocks] == [(0, 3), (3, 3), (6, 1)]
-
-
-def test_mean_over_sixteen_neighbours_is_bit_equal():
-    # k >= 8 takes numpy's unrolled pairwise sum; both sides must use it alike
-    rng = np.random.default_rng(3)
-    minority = rng.normal(size=(40, 6)) * 1e3
-    majority = rng.normal(size=(33, 6)) * 1e3
-    for farthest in (False, True):
-        got = _mean_knn_distance(majority, minority, 16, farthest=farthest)
-        assert np.array_equal(got, _oracle_mean_knn_distance(majority, minority, 16, farthest))
 
 
 # --- the filter's margin -------------------------------------------------------
@@ -405,9 +405,10 @@ def test_underflowing_distances_need_the_absolute_margin():
     # product puts point 2 ahead, and only the absolute term keeps point 1.
     points = np.array([[1.0], [-2.0], [0.0]]) * 1e-161
     query = np.array([[-1.0]]) * 1e-161
-    assert _k_nearest(points, query, 1).tolist() == [_oracle_nearest(points, query[0], 1)] == [[1]]
+    got = _k_nearest(points, query, 1)[0]
+    assert got.tolist() == [_oracle_nearest(points, query[0], 1)] == [[1]]
     with mock.patch.object(resampling, "_TINY", 0.0):
-        assert _k_nearest(points, query, 1).tolist() == [[2]]
+        assert _k_nearest(points, query, 1)[0].tolist() == [[2]]
 
 
 def test_overflowing_norms_take_the_full_exact_row():
@@ -417,7 +418,8 @@ def test_overflowing_norms_take_the_full_exact_row():
     queries = np.vstack([points[1] * (1 + 2**-40), np.zeros(4)])
     blocks = list(_candidate_blocks(points, queries, 1))
     assert _candidate_mask(blocks, [_oracle_sq_distances(points, q) for q in queries]).all()
-    assert _k_nearest(points, queries, 1).tolist() == [_oracle_nearest(points, q, 1) for q in queries]
+    got = _k_nearest(points, queries, 1)[0]
+    assert got.tolist() == [_oracle_nearest(points, q, 1) for q in queries]
 
 
 def _perturbed_filter(seed):
@@ -442,16 +444,16 @@ def test_search_holds_for_any_rounding_within_half_the_margin(problem, seed, dat
     points, queries = problem
     n = len(points)
     k = data.draw(st.integers(0, n))
-    m = data.draw(st.integers(1, n))
+    m = data.draw(st.integers(0, n))
     q = data.draw(st.integers(0, n - 1))
     with _perturbed_filter(seed):
-        got = _k_nearest(points, queries, k)
-        got_self = _k_nearest(points, points, min(k, n - 1), exclude=np.arange(n))
+        got = _k_nearest(points, queries, k)[0]
+        got_self = _k_nearest(points, points, min(k, n - 1), exclude=np.arange(n))[0]
         got_index = [
             nearest_neighbors(NeighborIndex(points), points[q], min(k, n - 1), **kw)
             for kw in ({}, {"exclude_self": True}, {"exclude_self": True, "self_index": q})
         ]
-        got_means = [_mean_knn_distance(queries, points, m, farthest=f) for f in (False, True)]
+        got_selections = [_k_nearest(points, queries, m, farthest=f) for f in (False, True)]
     assert got.tolist() == [_oracle_nearest(points, p, k) for p in queries]
     assert got_self.tolist() == [
         _oracle_nearest(points, points[i], min(k, n - 1), True, i) for i in range(n)
@@ -460,6 +462,5 @@ def test_search_holds_for_any_rounding_within_half_the_margin(problem, seed, dat
         _oracle_nearest(points, points[q], min(k, n - 1), **kw)
         for kw in ({}, {"exclude_self": True}, {"exclude_self": True, "self_index": q})
     ]
-    for farthest, got_mean in zip((False, True), got_means):
-        expected = _oracle_mean_knn_distance(queries, points, m, farthest)
-        assert np.array_equal(got_mean, expected)
+    for farthest, got_selection in zip((False, True), got_selections):
+        _assert_selection_matches_oracle(points, queries, m, farthest, got_selection)
