@@ -551,16 +551,11 @@ def train_test_split(d, spec):
         by_remainder = sorted((0, 1), key=lambda lab: (-(shares[lab] - quotas[lab]), lab))
         for lab in by_remainder[: n_test - sum(quotas)]:
             quotas[lab] += 1
-    # each group's quota from the head of its own shuffle, the groups in order
-    picked = [
-        members[np.array(_fisher_yates(len(members), rng)[:quota], dtype=np.intp)]
-        for members, quota in zip(groups, quotas)
-    ]
-    test_idx = np.sort(np.concatenate(picked))
-
     in_test = np.zeros(n, dtype=bool)
-    in_test[test_idx] = True
-    return d._select(~in_test), d._select(test_idx)
+    # each group's quota from the head of its own shuffle, the groups in order
+    for members, quota in zip(groups, quotas):
+        in_test[members[np.array(_fisher_yates(len(members), rng)[:quota], dtype=np.intp)]] = True
+    return d._select(~in_test), d._select(in_test)
 
 
 def class_counts(d):

@@ -204,8 +204,8 @@ def _select_k(r, c, key, rows, k):
 
 def _k_nearest(points, queries, k, exclude=None, farthest=False):
     """(indices, squared distances), two (len(queries), k) arrays: each query's
-    k nearest points (with farthest, farthest), nearest (farthest) first, ties
-    to the lower index."""
+    k nearest points, nearest first, or with farthest its k farthest, farthest
+    first; ties go to the lower index."""
     indices = np.empty((len(queries), k), dtype=np.intp)
     distances = np.empty((len(queries), k))
     blocks = _candidate_blocks(points, queries, k, farthest=farthest, exclude=exclude)
@@ -245,8 +245,8 @@ def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
     n_eligible = len(points) - len(exclude)
     if k > n_eligible:
         raise KTooLarge(f"k={k} but only {n_eligible} eligible points")
-    nearest = _k_nearest(points, query[None], k, exclude if len(exclude) else None)[0]
-    return [int(i) for i in nearest[0]]
+    (nearest,), _ = _k_nearest(points, query[None], k, exclude if len(exclude) else None)
+    return [int(i) for i in nearest]
 
 
 def smote(minority, k, n_new, seed=0, mode="canonical"):

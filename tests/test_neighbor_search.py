@@ -7,7 +7,9 @@ Two kinds of check:
   provenance) for fixed seeded inputs, recorded from the per-query `lexsort`
   implementation. The small inputs sit on an integer grid and repeat rows, so
   many distances tie and the lower-index tie rule decides most selections;
-  on the resample-10k matrix no query ties at its 5th distance;
+  on the resample-10k matrix no query ties at its 5th distance. The
+  `random_*` and `smote_none` digests pin the rows `rebalance` appends or
+  keeps without a neighbour search, including amounts that add or drop none;
 - property tests of the filter-and-refine search against `_oracle_*`, a copy
   of that per-query implementation kept here as the reference, including
   with the filter's approximate distances pushed up to half its margin off.
