@@ -272,7 +272,8 @@ def outcome(build):
 
 def reference_block(train, d, method, mode, min_count, grouping):
     """The "cat" block an encoder of these settings, fitted on `train`, writes
-    for `d`: ([column names], rows), computed cell by cell in plain Python."""
+    for `d`, and the fitted state `fitted_state` reads: ([column names], rows,
+    state), computed cell by cell in plain Python."""
 
     def regroup(cells):
         if not grouping:
@@ -299,13 +300,26 @@ def reference_block(train, d, method, mode, min_count, grouping):
         unseen = [v for v in cells if v not in observed]
         if mode == "strict" and unseen:
             raise UnseenCategory(f"'cat': {unseen[0]!r} not in fitted vocabulary")
-        return [f"cat={c}" for c in observed], [[float(v == c) for c in observed] for v in cells]
+        state = (rare, tuple(observed))
+        rows = [[float(v == c) for c in observed] for v in cells]
+        return [f"cat={c}" for c in observed], rows, state
     global_mean = sum(labels) / len(labels)
-    impact = {}
+    per_category = []
     for c in observed:
         ys = [y for v, y in zip(fit_cells, labels) if v == c]
-        impact[c] = sum(ys) / len(ys) - global_mean
-    return ["cat~impact"], [[impact.get(v, 0.0)] for v in cells]
+        per_category.append((c, (len(ys), sum(ys) / len(ys), sum(ys) / len(ys) - global_mean)))
+    impact = {c: entry[2] for c, entry in per_category}
+    state = (rare, per_category)
+    return ["cat~impact"], [[impact.get(v, 0.0)] for v in cells], state
+
+
+def fitted_state(enc):
+    """The fitted fields `fingerprint()` hashes: the rare mapping, and the
+    one-hot categories or the impact map's (category, (count, cond_mean,
+    impact)) pairs in their order."""
+    if enc.spec.method == "onehot":
+        return enc.rare_mapping, enc.categories
+    return enc.rare_mapping, list(enc.category_map.per_category.items())
 
 
 class TestFittedColumnEncoder:
@@ -349,8 +363,9 @@ class TestFittedColumnEncoder:
         spec = EncoderSpec("cat", method, min_count, grouping, mode)
 
         def block(d):
-            fm = encode(FittedColumnEncoder(spec).fit(train_d), d)
-            return list(fm.column_names), fm.values.tolist()
+            enc = FittedColumnEncoder(spec).fit(train_d)
+            fm = encode(enc, d)
+            return list(fm.column_names), fm.values.tolist(), fitted_state(enc)
 
         def reference(d):
             return reference_block(train_d, d, method, mode, min_count, grouping)
