@@ -112,17 +112,40 @@ class TestLoadCsv:
         assert d.column("target")[9:12] == [1, 0, 1]
 
     @pytest.mark.parametrize(
-        "setting,size,quoted",
-        [pytest.param("_CHUNK_ROWS", n, True, id=str(n)) for n in (1, 4, 1024)]
-        + [pytest.param("_BLOCK_BYTES", n, False, id=f"bytes{n}") for n in (1, 8, 1 << 20)],
+        "setting,size,quoted,tail",
+        [pytest.param("_CHUNK_ROWS", n, True, b"", id=str(n)) for n in (1, 4, 1024)]
+        + [pytest.param("_BLOCK_BYTES", n, False, b"", id=f"bytes{n}") for n in (1, 8, 1 << 20)]
+        + [
+            pytest.param(setting, 1 << 20, quoted, b"\xff,1\n", id=f"{setting}-non-utf8-after")
+            for setting, quoted in (("_CHUNK_ROWS", True), ("_BLOCK_BYTES", False))
+        ],
     )
-    def test_malformed_row_index_counts_across_blocks(self, tmp_path, monkeypatch, setting, size, quoted):
+    def test_malformed_row_index_counts_across_blocks(
+        self, tmp_path, monkeypatch, setting, size, quoted, tail
+    ):
         lines = ["gender,target"] + ['"m",1' if quoted else "m,1"] * 9 + ["m,1,extra"] + ["m"]
-        path = write(tmp_path, "\n".join(lines) + "\n")
+        path = tmp_path / "d.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode() + tail)
         monkeypatch.setattr(imbtab.data, setting, size)
         with pytest.raises(MalformedRow) as exc:
             load_csv(path, SCHEMA2)
         assert exc.value.row_index == 9
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+    @pytest.mark.parametrize("malformed_first", [True, False], ids=["malformed-first", "non-utf8-first"])
+    def test_the_first_fault_in_file_order_raises(self, tmp_path, quoted, malformed_first):
+        # one quoted cell hands the file to csv.reader; the error must not depend on it
+        faults = [b"m,1,extra\n", b"\xff,1\n"]
+        body = [b'"m",1\n' if quoted else b"m,1\n"] + faults[:: 1 if malformed_first else -1]
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"gender,target\n" + b"".join(body))
+        if malformed_first:
+            with pytest.raises(MalformedRow) as exc:
+                load_csv(str(path), SCHEMA2)
+            assert exc.value.row_index == 1
+        else:
+            with pytest.raises(UnicodeDecodeError):
+                load_csv(str(path), SCHEMA2)
 
     def test_a_cell_over_the_csv_field_limit_raises_as_csv_reader_does(self, tmp_path):
         path = write(tmp_path, "gender,target\n" + "m" * (csv.field_size_limit() + 1) + ",1\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import imbtab.resampling as resampling
 from imbtab import (
     FeatureMatrix,
     NeighborIndex,
@@ -54,8 +55,28 @@ class TestNearestNeighbors:
 
     def test_k_too_large(self):
         idx = NeighborIndex(np.array([[0.0], [1.0]]))
-        with pytest.raises(KTooLarge):
+        # k == n: the query at distance zero is skipped, so one point is eligible
+        with pytest.raises(KTooLarge, match="k=2 but only 1 eligible points"):
             nearest_neighbors(idx, [0.0], 2, exclude_self=True)
+        # no point at distance zero: none is skipped, and k == n is answered
+        assert nearest_neighbors(idx, [0.25], 2, exclude_self=True) == [0, 1]
+        with pytest.raises(KTooLarge, match="k=3 but only 2 eligible points"):
+            nearest_neighbors(idx, [0.25], 3, exclude_self=True)
+        with pytest.raises(KTooLarge, match="k=1 but only 0 eligible points"):
+            nearest_neighbors(NeighborIndex(np.empty((0, 1))), [0.0], 1, exclude_self=True)
+
+    @pytest.mark.parametrize("query", [[1.0, 0.0], [0.5, 0.5]], ids=["among-points", "apart"])
+    def test_exclude_self_without_self_index_searches_once(self, query, monkeypatch):
+        idx = NeighborIndex(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
+        expected = [nearest_neighbors(idx, query, k, exclude_self=True) for k in (1, 2, 3)]
+        calls = []
+        k_nearest = resampling._k_nearest
+        monkeypatch.setattr(
+            resampling, "_k_nearest", lambda *a, **kw: calls.append(a[2]) or k_nearest(*a, **kw)
+        )
+        assert [nearest_neighbors(idx, query, k, exclude_self=True) for k in (1, 2, 3)] == expected
+        assert calls == [2, 3, 4]
+        assert expected[2] == ([2, 0, 3] if query == [1.0, 0.0] else [0, 1, 2])
 
     def test_rejects_non_finite_points_and_query(self):
         with pytest.raises(NonFiniteFeature):
