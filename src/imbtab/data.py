@@ -10,19 +10,19 @@ tokens and a Dataset built in memory feeds `str(cell)` ("" for MISSING).
 sentinel. Datasets are treated as immutable; every operation returns a new
 Dataset.
 
-`load_csv` reads the body in byte blocks cut at line ends. A block with no
-`"` byte, no NUL byte and no CR outside CRLF is split into cells with numpy,
-and each distinct token of a column is decoded and parsed once per block.
-From the first block with any of those in it, `csv.reader`, the only path
-that handles quoting, reads the rest of the file `_CHUNK_ROWS` rows at a
-time. Both paths give the cells, and the malformed-row index, that
-`csv.reader` gives.
+`load_csv` reads the body in byte blocks cut at line ends. A UTF-8 block
+with no `"` byte, no NUL byte and no CR outside CRLF is split into cells with
+numpy, and each distinct token of a column is decoded and parsed once per
+block. From the first block that fails any of those, `csv.reader`, the only
+path that handles quoting, reads the rest of the same block stream, decoding
+one line and checking one row's width at a time. Both paths give the cells
+that `csv.reader` gives, and raise the first fault in file order: a
+malformed row, with its index, or bytes that are not UTF-8.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import random
@@ -126,19 +126,6 @@ class Column:
     def __init__(self, values, vocab=None):
         self.values = values
         self.vocab = vocab
-
-    @staticmethod
-    def from_codes(codes, vocab):
-        """The categorical Column whose cell i is vocab[codes[i]] (code -1: MISSING).
-
-        `vocab` may repeat cells; the Column's vocabulary holds each once, in
-        order of first appearance.
-        """
-        index = {}
-        remap = np.array([index.setdefault(v, len(index)) for v in vocab] + [-1], dtype=np.int32)
-        if len(index) == len(vocab):  # no repeats: codes stand
-            return Column(codes, tuple(vocab))
-        return Column(remap[codes], tuple(index))
 
     def __len__(self):
         return len(self.values)
@@ -388,13 +375,23 @@ def _token_ids(words, starts, lengths):
     return first, ids
 
 
+def _is_utf8(block):
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+    return True
+
+
 def _block_cells(block, width, start):
     """Start and length of each cell of `block`, a run of whole lines, as two
     (rows, width) arrays; None if csv.reader must read it (it holds a `"`, a
-    NUL byte, a CR outside CRLF or a cell over csv's field limit). Raises
-    MalformedRow, whose row index counts the `start` rows before the block."""
+    NUL byte, bytes that are not UTF-8, a CR outside CRLF or a cell over csv's
+    field limit). Raises MalformedRow, whose row index counts the `start` rows
+    before the block."""
     a = np.frombuffer(block, dtype=np.uint8)
-    if (a == ord('"')).any() or not a.all():
+    if (a == ord('"')).any() or not a.all() or not _is_utf8(block):
         return None
     cr = np.flatnonzero(a == ord("\r"))
     if (a[cr + 1] != ord("\n")).any():
@@ -415,15 +412,15 @@ def _block_cells(block, width, start):
     return starts.reshape(-1, width), lengths.reshape(-1, width)
 
 
-def _read_blocks(fh, width, parsers, order):
-    """Feed `parsers` the cells of `fh` from its current position, split with
-    numpy, up to the first block csv.reader must read; returns the row count
-    and the byte offset of that block, or None for the offset at the end."""
-    rows, offset = 0, fh.tell()
-    for block in _line_blocks(fh, _BLOCK_BYTES):
+def _read_blocks(blocks, width, parsers, order):
+    """Feed `parsers` the cells of `blocks`, split with numpy, up to the first
+    block csv.reader must read; returns the row count and the blocks from
+    that one on."""
+    rows = 0
+    for block in blocks:
         cells = _block_cells(block, width, rows)
         if cells is None:
-            return rows, offset
+            return rows, itertools.chain([block], blocks)
         words = np.ndarray(len(block), "<u8", block + bytes(7), 0, (1,))
         for parser, j in zip(parsers, order):
             starts, lengths = cells[0][:, j], cells[1][:, j]
@@ -432,8 +429,7 @@ def _read_blocks(fh, width, parsers, order):
             tokens = [block[s : s + n].decode("utf-8") for s, n in spans]
             parser.parts.append(parser.lookup(tokens)[ids])
         rows += len(cells[0])
-        offset += len(block)
-    return rows, None
+    return rows, ()
 
 
 def _header(line):
@@ -444,9 +440,20 @@ def _header(line):
     return text.split(",") if text else []
 
 
-def _csv_reader(fh, offset):
-    fh.seek(offset)
-    return csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+def _csv_reader(blocks):
+    """csv.reader over the lines of `blocks`, split after CR, LF or CRLF as
+    `newline=""` splits them, each decoded as it is read."""
+    lines = itertools.chain.from_iterable(block.splitlines(keepends=True) for block in blocks)
+    return csv.reader(map(bytes.decode, lines))  # UTF-8
+
+
+def _rows_of_width(reader, width, start):
+    """The rows of `reader`, each checked for `width` cells as it is read;
+    MalformedRow's row index counts the `start` rows before them."""
+    for i, row in enumerate(reader, start):
+        if len(row) != width:
+            raise MalformedRow(i, f"expected {width} cells, got {len(row)}")
+        yield row
 
 
 def load_csv(path, schema):
@@ -460,9 +467,11 @@ def load_csv(path, schema):
     schema = tuple(schema)
     validate_schema(schema)
     with open(path, "rb") as fh:
-        header, reader = _header(fh.readline()), None
+        first = fh.readline()
+        blocks = _line_blocks(fh, _BLOCK_BYTES)
+        header, reader = _header(first), None
         if header is None:
-            reader = _csv_reader(fh, 0)
+            reader = _csv_reader(itertools.chain([first], blocks))
             header = next(reader, [])
         header = [h.strip() for h in header]
         wanted = {c.name for c in schema}
@@ -474,16 +483,13 @@ def load_csv(path, schema):
         parsers = [_ColumnParser(c.kind) for c in schema]
         start = 0
         if reader is None:
-            start, offset = _read_blocks(fh, len(header), parsers, order)
-            reader = iter(()) if offset is None else _csv_reader(fh, offset)
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            if set(map(len, chunk)) != {len(header)}:
-                i = next(k for k, raw in enumerate(chunk) if len(raw) != len(header))
-                raise MalformedRow(start + i, f"expected {len(header)} cells, got {len(chunk[i])}")
+            start, blocks = _read_blocks(blocks, len(header), parsers, order)
+            reader = _csv_reader(blocks)
+        rows = _rows_of_width(reader, len(header), start)
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
             tokens = list(zip(*chunk))
             for parser, j in zip(parsers, order):
                 parser.add(tokens[j])
-            start += len(chunk)
     return Dataset.from_columns(schema, [p.column() for p in parsers])
 
 

@@ -4,9 +4,12 @@ One-hot indicators with a frozen vocabulary, rare-category merging, manual
 grouping, and impact encoding (Micci-Barreca's target statistic: per category,
 the conditional target mean minus the global target mean). `EncoderSpec` is
 the stage's config; `FittedColumnEncoder` is fitted on training rows only and
-writes a column's block, working on its int32 codes and vocabulary without
-rebuilding a Dataset; `build_features` is the one place a feature matrix is
-built, and the only way the library encodes a column.
+writes a column's block. It maps the column's vocabulary entries, not its
+rows: each entry to the category it is encoded as (grouping, then the rare
+merge), in one method. The int32 codes are read only to count them when
+fitting and to index one lookup table when writing, and no Dataset or Column
+is built. `build_features` is the one place a feature matrix is built, and
+the only way the library encodes a column.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CATEGORICAL, MISSING, NUMERIC, TARGET, Column, target_labels
+from .data import CATEGORICAL, MISSING, NUMERIC, TARGET, target_labels
 from .errors import (
     EmptyCategoryList,
     EmptyDataset,
@@ -115,55 +118,14 @@ def _categorical(d, column):
     return d.column_data(column)
 
 
-def _regroup(col, mapping, column, mode="lenient"):
-    """`col` with each vocabulary entry in `mapping` replaced by its group.
-
-    Unmapped entries pass through in lenient mode; in strict mode the first
-    row (in row order) with an unmapped value raises UnmappedCategory.
-    """
-    codes, vocab = col.values, col.vocab
-    if mode == "strict":
-        unmapped = np.array([v not in mapping for v in vocab] + [False])[codes]
-        if unmapped.any():
-            v = vocab[codes[np.argmax(unmapped)]]
-            raise UnmappedCategory(f"{column!r}: {v!r} has no group")
-    return Column.from_codes(codes, [mapping.get(v, v) for v in vocab])
-
-
-def _tallies(col, weights=None):
-    """Per vocabulary entry, its row count (or sum of `weights`); MISSING left out."""
-    return np.bincount(col.values + 1, weights, minlength=len(col.vocab) + 1)[1:]
-
-
-def _rare_mapping(col, min_count, column):
-    """{category: __OTHER__} for each category observed fewer than min_count times."""
-    pairs = [(v, n) for v, n in zip(col.vocab, _tallies(col).tolist()) if n]
-    if any(v == OTHER_TOKEN for v, _ in pairs):
-        raise ReservedCategory(f"{OTHER_TOKEN!r} occurs as a raw category in {column!r}")
-    return {v: OTHER_TOKEN for v, n in pairs if n < min_count}
-
-
-def _observed(col):
-    """Sorted vocabulary entries that occur in `col`."""
-    return sorted(v for v, n in zip(col.vocab, _tallies(col)) if n)
-
-
-def _impact_map(col, labels, column):
-    """CategoryMap of `col` against the {0,1} `labels` of its rows.
-
-    Counts and label sums come from one bincount each, exact for 0/1 labels.
-    MISSING cells count towards the global mean only.
-    """
-    if len(col) == 0:
-        raise EmptyDataset(f"cannot fit impact encoding for {column!r} on an empty dataset")
-    y = labels.astype(np.float64)
-    global_mean = float(y.mean())
-    counts, sums = _tallies(col).tolist(), _tallies(col, y).tolist()
-    per = OrderedDict()
-    for j in sorted((j for j, n in enumerate(counts) if n), key=col.vocab.__getitem__):
-        cond = sums[j] / counts[j]
-        per[col.vocab[j]] = (counts[j], cond, cond - global_mean)
-    return CategoryMap(column, global_mean, per, fallback_impact=0.0)
+def _totals(categories, tallies):
+    """{category: the sum of its entries' tallies}, given one category and one
+    tally per vocabulary entry; categories whose tallies are all zero are left out."""
+    totals = {}
+    for c, n in zip(categories, tallies):
+        if n:
+            totals[c] = totals.get(c, 0) + n
+    return totals
 
 
 @dataclass
@@ -175,25 +137,45 @@ class FittedColumnEncoder:
     categories: tuple = ()  # one-hot vocabulary
     category_map: object = None  # impact CategoryMap
 
-    def _column(self, d):
-        """d's column after the spec's grouping and the fitted rare merge."""
-        col = _categorical(d, self.spec.column)
-        if self.spec.grouping:
-            col = _regroup(col, self.spec.grouping, self.spec.column, self.spec.mode)
-        if self.rare_mapping:
-            col = _regroup(col, self.rare_mapping, self.spec.column)
-        return col
+    def _merged(self, col):
+        """Per vocabulary entry of `col`, the category it is encoded as: the
+        spec's grouping, then the fitted rare merge. In strict mode the first
+        row, in row order, whose value has no group raises UnmappedCategory."""
+        grouping, rare = self.spec.grouping, self.rare_mapping
+        if grouping and self.spec.mode == "strict":
+            unmapped = np.array([v not in grouping for v in col.vocab] + [False])[col.values]
+            if unmapped.any():
+                v = col.vocab[col.values[np.argmax(unmapped)]]
+                raise UnmappedCategory(f"{self.spec.column!r}: {v!r} has no group")
+        return [rare.get(g, g) for g in (grouping.get(v, v) for v in col.vocab)]
 
     def fit(self, train):
-        self.rare_mapping = {}
-        col = self._column(train)
-        if self.spec.min_count > 0:
-            self.rare_mapping = _rare_mapping(col, self.spec.min_count, self.spec.column)
-            col = _regroup(col, self.rare_mapping, self.spec.column)
-        if self.spec.method == "onehot":
-            self.categories = tuple(_observed(col))
-        else:
-            self.category_map = _impact_map(col, target_labels(train), self.spec.column)
+        """Fit on `train`'s column. Its codes are counted once; the counts, and
+        the label sums for impact (exact in float64), add up per category."""
+        spec, self.rare_mapping = self.spec, {}
+        col = _categorical(train, spec.column)
+        codes = col.values + 1  # MISSING at 0
+        counts = np.bincount(codes, minlength=len(col.vocab) + 1)[1:].tolist()
+        if spec.min_count > 0:
+            totals = _totals(self._merged(col), counts)
+            if OTHER_TOKEN in totals:
+                raise ReservedCategory(f"{OTHER_TOKEN!r} occurs as a raw category in {spec.column!r}")
+            self.rare_mapping = {c: OTHER_TOKEN for c, n in totals.items() if n < spec.min_count}
+        merged = self._merged(col)
+        totals = _totals(merged, counts)
+        if spec.method == "onehot":
+            self.categories = tuple(sorted(totals))
+            return self
+        labels = target_labels(train)
+        if len(col) == 0:
+            raise EmptyDataset(f"cannot fit impact encoding for {spec.column!r} on an empty dataset")
+        global_mean = float(labels.mean())  # MISSING cells count towards it only
+        sums = _totals(merged, np.bincount(codes, labels, len(col.vocab) + 1)[1:].tolist())
+        per = OrderedDict()
+        for c in sorted(totals):
+            cond = sums.get(c, 0.0) / totals[c]
+            per[c] = (totals[c], cond, cond - global_mean)
+        self.category_map = CategoryMap(spec.column, global_mean, per, fallback_impact=0.0)
         return self
 
     @property
@@ -208,20 +190,20 @@ class FittedColumnEncoder:
         the zeroed row-major `out`. A value outside the fitted vocabulary gets an
         all-zero one-hot row (UnseenCategory in strict mode) or, like MISSING,
         the fallback impact."""
-        col, column = self._column(d), self.spec.column
+        col, column = _categorical(d, self.spec.column), self.spec.column
+        merged = self._merged(col)
         if self.spec.method == "impact":
             cmap = self.category_map
-            table = [cmap.impact(v) for v in col.vocab] + [cmap.fallback_impact]
+            table = [cmap.impact(c) for c in merged] + [cmap.fallback_impact]
             out[:, start] = np.array(table, dtype=np.float64)[col.values]
             return
         if not self.categories:
             raise EmptyCategoryList(column)
         pos = {c: j for j, c in enumerate(self.categories)}
-        where = np.array([pos.get(v, -1) for v in col.vocab] + [-1], dtype=np.intp)[col.values]
+        where = np.array([pos.get(c, -1) for c in merged] + [-1], dtype=np.intp)[col.values]
         rows = np.flatnonzero(where >= 0)
         if self.spec.mode == "strict" and len(rows) < len(where):
-            code = col.values[np.argmax(where < 0)]
-            v = (col.vocab + (MISSING,))[code]
+            v = (merged + [MISSING])[col.values[np.argmax(where < 0)]]
             raise UnseenCategory(f"{column!r}: {v!r} not in fitted vocabulary")
         out.reshape(-1)[rows * out.shape[1] + start + where[rows]] = 1.0
 

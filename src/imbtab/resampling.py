@@ -18,8 +18,9 @@ their exact distances, ties to the lower index. Since the approximate values
 only choose which pairs get exact distances, no output depends on how the
 matrix product rounds. `_k_nearest` runs this search and returns each query's
 k indices and squared distances; SMOTE, NearMiss-1/2/3 and
-`nearest_neighbors` (a one-query block) all call it. At the row counts this
-toolkit targets (tens of thousands) a spatial index buys nothing.
+`nearest_neighbors` all call it; `nearest_neighbors` makes one query, for one
+neighbour more when it may have to skip a point at distance zero. At the row
+counts this toolkit targets (tens of thousands) a spatial index buys nothing.
 Every random draw comes from one seeded generator consumed in a fixed order,
 so a seed fully determines the output.
 """
@@ -233,20 +234,20 @@ def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
         raise DimensionMismatch(f"query shape {query.shape}, points {points.shape}")
     if not np.all(np.isfinite(query)):
         raise NonFiniteFeature("query must be finite")
-    if k == 0:  # nothing to search for, and an empty index has no k-th key
+    if k == 0:  # nothing to search for
         return []
-    exclude = []
-    if exclude_self and self_index is not None:
-        exclude = np.array([self_index])
-    elif exclude_self and len(points):
-        # the nearest point, ties to the lower index, if it is at distance zero
-        (hit,), (d2,) = _k_nearest(points, query[None], 1)
-        exclude = hit[d2 == 0.0]
-    n_eligible = len(points) - len(exclude)
-    if k > n_eligible:
-        raise KTooLarge(f"k={k} but only {n_eligible} eligible points")
-    (nearest,), _ = _k_nearest(points, query[None], k, exclude if len(exclude) else None)
-    return [int(i) for i in nearest]
+    exclude = np.array([self_index]) if exclude_self and self_index is not None else None
+    n_eligible = len(points) - (exclude is not None)
+    # Without self_index, one more is searched: nearest first, ties to the
+    # lower index, so the first is the point to skip if it is at distance zero.
+    extra = int(exclude_self and exclude is None)
+    nearest = d2 = ()
+    if n_eligible:  # an empty index has no k-th key
+        (nearest,), (d2,) = _k_nearest(points, query[None], min(k + extra, n_eligible), exclude)
+    skip = int(extra and len(d2) > 0 and d2[0] == 0.0)
+    if k > n_eligible - skip:
+        raise KTooLarge(f"k={k} but only {n_eligible - skip} eligible points")
+    return [int(i) for i in nearest[skip : skip + k]]
 
 
 def smote(minority, k, n_new, seed=0, mode="canonical"):
