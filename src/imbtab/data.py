@@ -83,8 +83,8 @@ _DTYPES = {NUMERIC: np.float64, TARGET: np.int8, CATEGORICAL: np.int32}
 # with 1 MiB blocks (the csv.reader loop: 18.6 MB) and at 83.5 MB with 16 MiB
 # blocks; 64 KiB blocks loaded it about 40% slower (2-vCPU Xeon).
 _BLOCK_BYTES = 1 << 20
-# Rows csv.reader parses per block, from the first byte block with quoting in
-# it on. Blocks bound the raw cell strings held at once; on a 2-vCPU Xeon,
+# Rows csv.reader parses per block, from the first byte block it must read
+# on. Blocks bound the raw cell strings held at once; on a 2-vCPU Xeon,
 # 32k-row blocks loaded 200k rows about 2x slower.
 _CHUNK_ROWS = 1 << 10
 # Distinct tokens a column's parse memo keeps before it starts over.
@@ -375,15 +375,6 @@ def _token_ids(words, starts, lengths):
     return first, ids
 
 
-def _is_utf8(block):
-    if not block.isascii():
-        try:
-            block.decode("utf-8")
-        except UnicodeDecodeError:
-            return False
-    return True
-
-
 def _block_cells(block, width, start):
     """Start and length of each cell of `block`, a run of whole lines, as two
     (rows, width) arrays; None if csv.reader must read it (it holds a `"`, a
@@ -391,8 +382,13 @@ def _block_cells(block, width, start):
     field limit). Raises MalformedRow, whose row index counts the `start` rows
     before the block."""
     a = np.frombuffer(block, dtype=np.uint8)
-    if (a == ord('"')).any() or not a.all() or not _is_utf8(block):
+    if (a == ord('"')).any() or not a.all():
         return None
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
     cr = np.flatnonzero(a == ord("\r"))
     if (a[cr + 1] != ord("\n")).any():
         return None
