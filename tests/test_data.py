@@ -20,7 +20,14 @@ from imbtab import (
     train_test_split,
 )
 from imbtab.data import LABELS
-from imbtab.errors import EmptyDataset, HeaderMismatch, MalformedRow, UncastTarget, UnknownColumn
+from imbtab.errors import (
+    EmptyDataset,
+    HeaderMismatch,
+    MalformedRow,
+    UncastTarget,
+    UnknownColumn,
+    ValidationError,
+)
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
 
 SCHEMA2 = (ColumnSchema("gender", CATEGORICAL), ColumnSchema("target", TARGET))
@@ -315,3 +322,29 @@ class TestFromColumns:
         }
         with pytest.raises(ValueError, match=repr(name)):
             Dataset.from_columns(SCHEMA3, [columns[c.name] for c in SCHEMA3])
+
+
+class TestGenerateDataset:
+    @pytest.mark.parametrize(
+        "kwargs, path",
+        [
+            (dict(rows=0), "rows"),
+            (dict(rows=2.5), "rows"),
+            (dict(rows=10, positive_rate=1.5), "positive_rate"),
+            (dict(rows=10, positive_rate=0), "positive_rate"),
+            (dict(rows=10, missing_rate=2), "missing_rate"),
+            (dict(rows=10, missing_rate=-1), "missing_rate"),
+            (dict(rows=10, missing_rate=float("nan")), "missing_rate"),
+            (dict(rows=10, seed=-1), "seed"),
+            (dict(rows=10, seed=1.5), "seed"),
+        ],
+    )
+    def test_a_bad_argument_is_named(self, kwargs, path):
+        with pytest.raises(ValidationError) as exc:
+            generate_dataset(**kwargs)
+        assert exc.value.path == path
+
+    def test_missing_rate_one_blanks_every_feature_cell(self):
+        d = generate_dataset(20, seed=np.int64(1), missing_rate=1)
+        assert drop_missing(d).row_count == 0
+        assert class_counts(d) == class_counts(generate_dataset(20, seed=1))

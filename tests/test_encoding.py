@@ -296,7 +296,10 @@ def reference_block(train, d, method, mode, min_count, grouping):
     observed = sorted({v for v in fit_cells if v is not MISSING})
     if method == "onehot":
         if not observed:
-            raise EmptyCategoryList("cat")
+            raise EmptyCategoryList(
+                "'cat': no category was fitted: the training split has no rows,"
+                " or none with a value in this column"
+            )
         unseen = [v for v in cells if v not in observed]
         if mode == "strict" and unseen:
             raise UnseenCategory(f"'cat': {unseen[0]!r} not in fitted vocabulary")

@@ -38,6 +38,11 @@ def base_config(csv_path, **overrides):
     return doc
 
 
+# the encoders an experiment on DEFAULT_SCHEMA gets when it names none
+DEFAULT_ENCODERS = tuple(EncoderSpec(c.name) for c in DEFAULT_SCHEMA if c.kind == "categorical")
+TWO_MS = (ModelConfig.for_family("lr", name="M"), ModelConfig.for_family("dt", name="M"))
+
+
 def assert_field(make, field, **kwargs):
     """make(**kwargs) raises a ValidationError whose path is the bare field."""
     with pytest.raises(ValidationError) as exc:
@@ -334,11 +339,49 @@ class TestParseConfig:
             ({"output_dir": ""}, "output"),
             ({"dataset_path": ""}, "dataset"),
             ({"schema": DEFAULT_SCHEMA[:-1]}, "schema"),
+            ({"encoders": DEFAULT_ENCODERS + (EncoderSpec("gender"),)}, "encoders[7].column"),
+            ({"encoders": (EncoderSpec("experience_years"),)}, "encoders[0].column"),
+            ({"encoders": (EncoderSpec("nope"),)}, "encoders[0].column"),
+            ({"models": TWO_MS}, "models[1].name"),
+            ({"models": ()}, "models"),
         ],
     )
     def test_replace_checks_the_experiment_config(self, data_csv, changes, field):
         cfg = parse_config(json.dumps(base_config(data_csv)))
         assert_field(functools.partial(dataclasses.replace, cfg), field, **changes)
+
+    def test_replace_fills_the_default_encoders(self, data_csv):
+        cfg = parse_config(json.dumps(base_config(data_csv)))
+        assert cfg.encoders == DEFAULT_ENCODERS
+        assert dataclasses.replace(cfg, encoders=()) == cfg
+        impact = {"column": "gender", "method": "impact"}
+        explicit = dataclasses.replace(cfg, encoders=(EncoderSpec(**impact),))
+        assert explicit == parse_config(json.dumps(base_config(data_csv, encoders=[impact])))
+        assert explicit.encoders == (EncoderSpec(**impact),) + DEFAULT_ENCODERS[1:]
+
+    @pytest.mark.parametrize(
+        "doc_changes, changes",
+        [
+            ({"encoders": [{"column": "gender"}] * 2}, {"encoders": (EncoderSpec("gender"),) * 2}),
+            ({"encoders": [{"column": "experience_years"}]}, {"encoders": (EncoderSpec("experience_years"),)}),
+            ({"encoders": [{"column": "nope"}]}, {"encoders": (EncoderSpec("nope"),)}),
+            ({"models": [{"family": "lr", "name": "M"}, {"family": "dt", "name": "M"}]}, {"models": TWO_MS}),
+            ({"models": []}, {"models": ()}),
+        ],
+        ids=["duplicate-encoder", "numeric-column", "unknown-column", "duplicate-model", "no-model"],
+    )
+    def test_a_cross_field_fault_reads_alike_from_json_and_library(self, data_csv, doc_changes, changes):
+        cfg = parse_config(json.dumps(base_config(data_csv)))
+        errors = []
+        for make in (
+            lambda: parse_config(json.dumps(base_config(data_csv, **doc_changes))),
+            lambda: pipeline.ExperimentConfig(**{**vars(cfg), **changes}),
+            lambda: dataclasses.replace(cfg, **changes),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                make()
+            errors.append(str(exc.value))
+        assert errors[1:] == errors[:1] * 2
 
     def test_numpy_integers_are_accepted(self):
         resampler = ResampleConfig(strategy="smote", k=np.int64(3), seed=np.int64(2))
@@ -777,6 +820,48 @@ class TestCli:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: formats: ")
         assert not out.exists()
+
+    def test_an_unreadable_config_is_a_config_error(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {tmp_path}: ")
+
+    @pytest.mark.parametrize(
+        "command, out", [("run", "file/x"), ("resample", "missing/x.csv"), ("generate-data", "missing/x.csv")]
+    )
+    def test_an_unwritable_output_path_is_a_runtime_error(self, data_csv, tmp_path, capsys, command, out):
+        (tmp_path / "file").write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(data_csv)))
+        args = ["--rows", "50"] if command == "generate-data" else ["--config", str(cfg_path)]
+        assert main([command, *args, "--out", str(tmp_path / out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert str(tmp_path / out) in err
+
+    @pytest.mark.parametrize(
+        "flag, value, path",
+        [
+            ("--rows", "0", "rows"),
+            ("--positive-rate", "1.5", "positive_rate"),
+            ("--seed", "-1", "seed"),
+            ("--missing-rate", "2", "missing_rate"),
+        ],
+    )
+    def test_a_bad_generate_data_argument_is_a_config_error(self, tmp_path, capsys, flag, value, path):
+        out = tmp_path / "d.csv"
+        assert main(["generate-data", "--rows", "10", flag, value, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+        assert not out.exists()
+
+    def test_an_empty_training_split_names_the_column_and_the_cause(self, data_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        doc = base_config(data_csv, split={"test_fraction": 1.0}, output=str(tmp_path / "out"))
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "runtime error: stage 'encode': 'gender': no category was fitted: "
+            "the training split has no rows, or none with a value in this column\n"
+        )
 
     def test_data_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
