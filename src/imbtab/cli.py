@@ -4,7 +4,9 @@
   imbtab generate-data --rows N [--positive-rate P] [--seed S] --out data.csv
   imbtab resample --config cfg.json --out resampled.csv
 
-Exit codes, for run and resample alike: 0 success, 2 config error, 3 data error, 4 runtime error.
+Exit codes, for every command: 0 success, 2 config error (an unreadable config
+file or a bad argument too), 3 data error (a dataset a stage cannot read), 4
+runtime error (an output path that cannot be written too).
 """
 
 from __future__ import annotations
@@ -31,17 +33,19 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
+# causes of a PipelineError that mean the dataset could not be read
 _DATA_ERRORS = (FileNotFoundError, HeaderMismatch, MalformedRow, UnicodeDecodeError)
 
 
 def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_config(fh.read())
-    except FileNotFoundError as exc:
-        raise ParseError(f"config file not found: {path}") from exc
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"config file is not UTF-8: {path}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read config file {path}: {exc.strerror}") from exc
+    return parse_config(text)
 
 
 def _cmd_run(args):
@@ -129,9 +133,8 @@ def main(argv=None):
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ImbtabError, *_DATA_ERRORS) as exc:
-        cause = exc.cause if isinstance(exc, PipelineError) else exc
-        if isinstance(cause, _DATA_ERRORS):
+    except (ImbtabError, OSError) as exc:
+        if isinstance(exc, PipelineError) and isinstance(exc.cause, _DATA_ERRORS):
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -198,7 +198,10 @@ class FittedColumnEncoder:
             out[:, start] = np.array(table, dtype=np.float64)[col.values]
             return
         if not self.categories:
-            raise EmptyCategoryList(column)
+            raise EmptyCategoryList(
+                f"{column!r}: no category was fitted: the training split has no rows,"
+                " or none with a value in this column"
+            )
         pos = {c: j for j, c in enumerate(self.categories)}
         where = np.array([pos.get(c, -1) for c in merged] + [-1], dtype=np.intp)[col.values]
         rows = np.flatnonzero(where >= 0)

@@ -3,8 +3,9 @@ resample -> fit -> evaluate -> report. The CLI `resample` command shares `prepar
 
 Each config dataclass (`ColumnSchema`, `SplitSpec`, `EncoderSpec`,
 `ResampleConfig`, each family's `ModelConfig`, `ExperimentConfig`) checks its
-own fields and raises ValidationError naming the bare field. `parse_config`
-checks only the JSON's shape and the rules that span fields, and puts the
+own fields and raises ValidationError naming the bare field; `ExperimentConfig`
+also checks the rules that span fields and fills in the default encoders,
+however it is built. `parse_config` checks only the JSON's shape and puts the
 object's path in front of a constructor's error (`k` becomes `resampler.k`).
 
 The encode stage (`EncoderSpec`, `FittedColumnEncoder`, `build_features`)
@@ -67,8 +68,28 @@ class ExperimentConfig:
     formats: tuple = ("json", "txt")
 
     def __post_init__(self):
-        # the paths are the config keys: schema, dataset, output, formats
+        # the paths are the config keys: schema, encoders, models, dataset, output, formats
         validate_schema(self.schema)
+        kinds = {c.name: c.kind for c in self.schema}
+        named = set()
+        for i, spec in enumerate(self.encoders):
+            path, column = f"encoders[{i}].column", spec.column
+            if column not in kinds:
+                raise ValidationError(path, f"column {column!r} not in schema")
+            if kinds[column] != CATEGORICAL:
+                raise ValidationError(path, f"column {column!r} is not categorical")
+            if column in named:
+                raise ValidationError(path, f"duplicate encoder for {column!r}")
+            named.add(column)
+        # categorical columns without an explicit spec default to lenient one-hot
+        defaults = [EncoderSpec(c.name) for c in self.schema if c.kind == CATEGORICAL and c.name not in named]
+        object.__setattr__(self, "encoders", (*self.encoders, *defaults))
+        if not self.models:
+            raise ValidationError("models", "must be a non-empty list")
+        names = [m.name for m in self.models]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValidationError(f"models[{i}].name", f"duplicate model name {name!r}")
         for path, value in (("dataset", self.dataset_path), ("output", self.output_dir)):
             if not isinstance(value, str) or not value:
                 raise ValidationError(path, "must be a non-empty string")
@@ -88,14 +109,13 @@ class RunResult:
 
 
 def _object(doc, path, allowed):
-    """`doc`, after checking that it is a JSON object whose keys are all in `allowed`."""
+    """Check that `doc` is a JSON object whose keys are all in `allowed`."""
     if not isinstance(doc, dict):
         raise ValidationError(path, "must be an object")
     for key in doc:
         if key not in allowed:
             field_path = f"{path}.{key}" if path else key
             raise ValidationError(field_path, f"unknown key; allowed: {sorted(allowed)}")
-    return doc
 
 
 def _list(doc, path, non_empty=False):
@@ -142,10 +162,9 @@ def _column_schema(name, kind):
 def parse_config(text):
     """Build an ExperimentConfig from JSON text; failures carry the offending field path.
 
-    This checks the JSON's shape (objects, lists, required and unknown keys) and
-    the rules that span fields: the target is the schema's binary-target column,
-    an encoder names a categorical column that no other encoder names, and model
-    names are unique. Each config dataclass checks its own fields' values.
+    This checks only the JSON's shape (objects, lists, required and unknown keys)
+    and that `target` names the schema's binary-target column; the dataclasses
+    check the values and the rules that span fields.
     """
     try:
         doc = json.loads(text)
@@ -168,41 +187,20 @@ def parse_config(text):
         raise ValidationError("target", f"column {target!r} not in schema")
     if column.kind != TARGET:
         raise ValidationError("target", f"column {target!r} must have kind {TARGET}")
-    validate_schema(schema)  # here too, before the encoders are checked against the schema
-    kinds = {c.name: c.kind for c in schema}
-
-    split = _build(SplitSpec, doc.get("split", {}), "split")
-
-    encoders = []
-    for i, enc in enumerate(_list(doc.get("encoders", []), "encoders")):
-        spec = _build(EncoderSpec, enc, f"encoders[{i}]")
-        if spec.column not in kinds:
-            raise ValidationError(f"encoders[{i}].column", f"column {spec.column!r} not in schema")
-        if kinds[spec.column] != CATEGORICAL:
-            raise ValidationError(f"encoders[{i}].column", f"column {spec.column!r} is not categorical")
-        if any(e.column == spec.column for e in encoders):
-            raise ValidationError(f"encoders[{i}].column", f"duplicate encoder for {spec.column!r}")
-        encoders.append(spec)
-    # categorical columns without an explicit spec default to lenient one-hot
-    named = {e.column for e in encoders}
-    encoders += [EncoderSpec(c.name) for c in schema if c.kind == CATEGORICAL and c.name not in named]
-
-    resampler = _build(ResampleConfig, doc.get("resampler", {}), "resampler")
-
-    models = []
-    for i, m in enumerate(_list(doc["models"], "models", non_empty=True)):
-        cfg = _model_config(m, f"models[{i}]")
-        if any(other.name == cfg.name for other in models):
-            raise ValidationError(f"models[{i}].name", f"duplicate model name {cfg.name!r}")
-        models.append(cfg)
 
     return ExperimentConfig(
         dataset_path=doc["dataset"],
         schema=schema,
-        split=split,
-        encoders=tuple(encoders),
-        resampler=resampler,
-        models=tuple(models),
+        split=_build(SplitSpec, doc.get("split", {}), "split"),
+        encoders=tuple(
+            _build(EncoderSpec, enc, f"encoders[{i}]")
+            for i, enc in enumerate(_list(doc.get("encoders", []), "encoders"))
+        ),
+        resampler=_build(ResampleConfig, doc.get("resampler", {}), "resampler"),
+        models=tuple(
+            _model_config(m, f"models[{i}]")
+            for i, m in enumerate(_list(doc["models"], "models", non_empty=True))
+        ),
         output_dir=doc.get("output", "out"),
         formats=tuple(_list(doc.get("formats", ["json", "txt"]), "formats")),
     )

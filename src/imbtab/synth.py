@@ -13,6 +13,7 @@ import csv
 import numpy as np
 
 from .data import CATEGORICAL, LABELS, NUMERIC, TARGET, Column, ColumnSchema, Dataset
+from .errors import check_integer, check_number
 
 DEFAULT_SCHEMA = (
     ColumnSchema("city_development_index", NUMERIC),
@@ -72,11 +73,15 @@ def _calibrate_intercept(scores, rate):
 
 
 def generate_dataset(rows, positive_rate=0.156, seed=0, missing_rate=0.0):
-    """Deterministic synthetic Dataset with the 10-column DEFAULT_SCHEMA."""
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
-    if not 0.0 < positive_rate < 1.0:
-        raise ValueError("positive_rate must be in (0,1)")
+    """Deterministic synthetic Dataset with the 10-column DEFAULT_SCHEMA.
+
+    A bad argument raises ValidationError naming it: `rows` must be an integer
+    >= 1, `positive_rate` a number in (0, 1), `missing_rate` one in [0, 1] and
+    `seed` an integer >= 0."""
+    check_integer(rows, "rows", minimum=1)
+    check_number(positive_rate, "positive_rate", 0, 1, exclusive=True)
+    check_number(missing_rate, "missing_rate", 0, 1)
+    check_integer(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
 
     city_dev = np.round(rng.beta(5, 2, size=rows), 3)
