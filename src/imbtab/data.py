@@ -8,7 +8,8 @@ parsed as CSV tokens by `_ColumnParser`, which `load_csv` feeds the file's
 tokens and a Dataset built in memory feeds `str(cell)` ("" for MISSING).
 `column()` and `rows` give the cells back as Python values, with the MISSING
 sentinel. Datasets are treated as immutable; every operation returns a new
-Dataset.
+Dataset. `train_test_split` shuffles each label group's rows with one seeded
+`random.Random` and puts the head of each shuffle in the test split.
 
 `load_csv` reads the body in byte blocks cut at line ends. A UTF-8 block
 with no `"` byte, no NUL byte and no CR outside CRLF is split into cells with
@@ -250,7 +251,7 @@ class SplitSpec:
 
     def __post_init__(self):
         check_number(self.test_fraction, "test_fraction", 0, 1)
-        check_integer(self.seed, "seed")
+        check_integer(self.seed, "seed", minimum=0)
         check_flag(self.stratified, "stratified")
 
 
@@ -509,14 +510,6 @@ def _round_half_up(x):
     return int(math.floor(x + 0.5))
 
 
-def _fisher_yates(n, rng):
-    idx = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.randint(0, i)
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx
-
-
 def target_labels(d):
     """The target column as int8 labels 0/1.
 
@@ -543,10 +536,10 @@ def train_test_split(d, spec):
     rng = random.Random(int(spec.seed))  # a numpy integer is not a valid seed
 
     if not spec.stratified:
-        groups, quotas = [np.arange(n)], [n_test]
+        groups, quotas = [list(range(n))], [n_test]
     else:
         labels = target_labels(d)
-        groups = [np.flatnonzero(labels == lab) for lab in (0, 1)]
+        groups = [np.flatnonzero(labels == lab).tolist() for lab in (0, 1)]
         # largest-remainder apportionment of n_test across labels
         shares = [spec.test_fraction * len(members) for members in groups]
         quotas = [math.floor(share) for share in shares]
@@ -554,9 +547,10 @@ def train_test_split(d, spec):
         for lab in by_remainder[: n_test - sum(quotas)]:
             quotas[lab] += 1
     in_test = np.zeros(n, dtype=bool)
-    # each group's quota from the head of its own shuffle, the groups in order
+    # shuffle each group's rows in turn; the head, up to the group's quota, is test
     for members, quota in zip(groups, quotas):
-        in_test[members[np.array(_fisher_yates(len(members), rng)[:quota], dtype=np.intp)]] = True
+        rng.shuffle(members)
+        in_test[np.array(members[:quota], dtype=np.intp)] = True
     return d._select(~in_test), d._select(in_test)
 
 

@@ -1,5 +1,6 @@
-"""Experiment runner: JSON config -> `prepare` (load, clean, split, encode) ->
-resample -> fit -> evaluate -> report. The CLI `resample` command shares `prepare`.
+"""Experiment runner: JSON config -> `prepare` (load, clean, split, encode the
+training rows) -> encode the test rows -> resample -> fit -> evaluate -> report.
+The CLI `resample` command shares `prepare` and never encodes the test rows.
 
 Each config dataclass (`ColumnSchema`, `SplitSpec`, `EncoderSpec`,
 `ResampleConfig`, each family's `ModelConfig`, `ExperimentConfig`) checks its
@@ -36,6 +37,7 @@ from .data import (
     CATEGORICAL,
     TARGET,
     ColumnSchema,
+    Dataset,
     SplitSpec,
     drop_missing,
     load_csv,
@@ -221,8 +223,7 @@ def _stage(name):
 class Prepared:
     X_train: FeatureMatrix
     y_train: np.ndarray
-    X_test: FeatureMatrix
-    y_test: np.ndarray
+    test: Dataset  # the test rows, cleaned and not encoded
     encoders: dict  # column -> FittedColumnEncoder
     rows_loaded: int
     rows_after_clean: int
@@ -233,7 +234,7 @@ def _label_counts(y):
 
 
 def prepare(cfg):
-    """load -> clean -> split -> encode: the feature matrices every run starts from."""
+    """load -> clean -> split -> encode the training rows; the test rows stay a Dataset."""
     with _stage("load"):
         raw = load_csv(cfg.dataset_path, cfg.schema)
     with _stage("clean"):
@@ -246,15 +247,16 @@ def prepare(cfg):
             spec.column: FittedColumnEncoder(spec).fit(train) for spec in cfg.encoders
         }
         X_train = build_features(train, cfg.schema, fitted)
-        X_test = build_features(test, cfg.schema, fitted)
         y_train = target_labels(train).astype(int)
-        y_test = target_labels(test).astype(int)
-    return Prepared(X_train, y_train, X_test, y_test, fitted, raw.row_count, clean.row_count)
+    return Prepared(X_train, y_train, test, fitted, raw.row_count, clean.row_count)
 
 
 def run_experiment(cfg):
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     data = prepare(cfg)
+    with _stage("encode"):
+        X_test = build_features(data.test, cfg.schema, data.encoders)
+        y_test = target_labels(data.test).astype(int)
 
     with _stage("resample"):
         resampled = rebalance(data.X_train, data.y_train, cfg.resampler)
@@ -266,9 +268,9 @@ def run_experiment(cfg):
             if model is None:  # its fit raised: raise the error again, in config order
                 model = fit_model(X_fit, y_fit, mcfg)
         with _stage(f"evaluate:{mcfg.name}"):
-            probs = model.predict_proba(data.X_test.values)
+            probs = model.predict_proba(X_test.values)
             preds = classify(probs, mcfg.threshold)
-            reports.append(compute_metrics(confusion_matrix(data.y_test, preds), mcfg.name))
+            reports.append(compute_metrics(confusion_matrix(y_test, preds), mcfg.name))
 
     metadata = {
         "started": started,
@@ -278,10 +280,10 @@ def run_experiment(cfg):
         "rows_loaded": data.rows_loaded,
         "rows_after_clean": data.rows_after_clean,
         "rows_train": len(data.y_train),
-        "rows_test": len(data.y_test),
+        "rows_test": len(y_test),
         "rows_train_resampled": int(len(resampled.labels)),
         "class_counts_train": _label_counts(data.y_train),
-        "class_counts_test": _label_counts(data.y_test),
+        "class_counts_test": _label_counts(y_test),
         "class_counts_train_resampled": _label_counts(resampled.labels),
         "encoder_fingerprints": {c: enc.fingerprint() for c, enc in data.encoders.items()},
     }

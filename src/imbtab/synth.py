@@ -65,6 +65,8 @@ def _calibrate_intercept(scores, rate):
     lo, hi = -30.0, 30.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
+        if mid in (lo, hi):  # a fixed point: every later step gives this same mid
+            break
         if np.mean(1.0 / (1.0 + np.exp(-(scores + mid)))) < rate:
             lo = mid
         else:

@@ -1,7 +1,11 @@
 import csv
+import random
+import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import imbtab.data
 from imbtab import (
@@ -28,9 +32,10 @@ from imbtab.errors import (
     UnknownColumn,
     ValidationError,
 )
-from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
+from imbtab.synth import DEFAULT_SCHEMA, _calibrate_intercept, generate_dataset, write_csv
 
 SCHEMA2 = (ColumnSchema("gender", CATEGORICAL), ColumnSchema("target", TARGET))
+SCHEMA_ID = (ColumnSchema("id", NUMERIC), ColumnSchema("target", TARGET))
 SCHEMA3 = (
     ColumnSchema("x", NUMERIC),
     ColumnSchema("gender", CATEGORICAL),
@@ -235,6 +240,28 @@ def make_labeled(n_pos, n_neg):
     return Dataset(SCHEMA2, rows)
 
 
+def _fisher_yates(n, rng):
+    """The split's earlier draw routine: a permutation of range(n) from one
+    `rng.randint(0, i)` per position i, from the last position down."""
+    idx = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randint(0, i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+class _Recording(random.Random):
+    """A `random.Random` that keeps its state from before each bounded draw."""
+
+    def __init__(self, seed):
+        self.states = []
+        super().__init__(seed)
+
+    def _randbelow(self, n):
+        self.states.append(self.getstate())
+        return super()._randbelow(n)
+
+
 class TestTrainTestSplit:
     def test_reference_split_sizes(self):
         d = make_labeled(1400, 7555)  # 8955 rows
@@ -275,6 +302,52 @@ class TestTrainTestSplit:
         d = Dataset(SCHEMA2, [])
         with pytest.raises(EmptyDataset):
             train_test_split(d, SplitSpec(0.2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from((0, 1)), min_size=1, max_size=60),
+        fraction=st.floats(0, 1),
+        seed=st.integers(0, 2**70),
+        stratified=st.booleans(),
+    )
+    def test_rows_match_fisher_yates_per_label_group(self, labels, fraction, seed, stratified):
+        d = Dataset(SCHEMA_ID, [(i, lab) for i, lab in enumerate(labels)])
+        made = []
+
+        def recording(x):
+            made.append(_Recording(x))
+            return made[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(imbtab.data, "random", types.SimpleNamespace(Random=recording))
+            _, test = train_test_split(d, SplitSpec(fraction, seed=seed, stratified=stratified))
+
+        # the reference: the same quotas, each label group's rows in turn
+        n = len(labels)
+        n_test = int(np.floor(fraction * n + 0.5))
+        if stratified:
+            groups = [[i for i, lab in enumerate(labels) if lab == g] for g in (0, 1)]
+            shares = [fraction * len(g) for g in groups]
+            quotas = [int(np.floor(share)) for share in shares]
+            ranked = sorted((0, 1), key=lambda g: (quotas[g] - shares[g], g))
+            for g in ranked[: n_test - sum(quotas)]:
+                quotas[g] += 1
+        else:
+            groups, quotas = [list(range(n))], [n_test]
+        ref = random.Random(seed)
+        expected, after_group = [], []
+        for group, quota in zip(groups, quotas):
+            expected += [group[j] for j in _fisher_yates(len(group), ref)[:quota]]
+            after_group.append(ref.getstate())
+        assert sorted(int(i) for i in test.column("id")) == sorted(expected)
+
+        (rng,) = made
+        first_draws = max(len(groups[0]) - 1, 0)
+        assert len(rng.states) == sum(max(len(g) - 1, 0) for g in groups)
+        if stratified:  # where the second group's shuffle starts
+            after_first = rng.states[first_draws] if len(rng.states) > first_draws else rng.getstate()
+            assert after_first == after_group[0]
+        assert rng.getstate() == after_group[-1]
 
 
 class TestClassCounts:
@@ -324,7 +397,32 @@ class TestFromColumns:
             Dataset.from_columns(SCHEMA3, [columns[c.name] for c in SCHEMA3])
 
 
+def _bisect_200_steps(scores, rate):
+    """The generator's intercept bisection, run for all of its 200 steps."""
+    lo, hi = -30.0, 30.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if np.mean(1.0 / (1.0 + np.exp(-(scores + mid)))) < rate:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
 class TestGenerateDataset:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(1, 400),
+        scale=st.sampled_from((0.0, 1e-3, 1.0, 5.0)),
+        rate=st.one_of(st.floats(1e-9, 0.99), st.sampled_from((1e-9, 0.156, 0.5, 0.99))),
+    )
+    @example(seed=0, n=5, scale=0.0, rate=0.5)
+    def test_the_intercept_is_the_200_step_bisection(self, seed, n, scale, rate):
+        # all-zero scores at rate 0.5: the root is exactly 0
+        scores = scale * np.random.default_rng(seed).normal(size=n)
+        assert _calibrate_intercept(scores, rate) == _bisect_200_steps(scores, rate)
+
     @pytest.mark.parametrize(
         "kwargs, path",
         [

@@ -3,8 +3,9 @@
 Three kinds of check hold any rework of how a `Dataset` stores its cells to
 the same results:
 
-- golden digests of `prepare`'s encoded matrices, labels, column names and
-  encoder fingerprints on a CSV full of awkward cells, and of the bytes
+- golden digests of `prepare`'s training matrix and test rows (encoded with
+  its fitted encoders), labels, column names and encoder fingerprints on a
+  CSV full of awkward cells, and of the bytes
   `write_csv` writes for a seeded synthetic dataset;
 - a property test of `load_csv(...).rows` against `_reference_load`, a copy
   of the row-at-a-time parser kept here as the reference, malformed-row
@@ -44,8 +45,8 @@ from imbtab import (
     load_csv,
     parse_config,
 )
-from imbtab.data import LABELS
-from imbtab.encoding import EncoderSpec, FittedColumnEncoder
+from imbtab.data import LABELS, target_labels
+from imbtab.encoding import EncoderSpec, FittedColumnEncoder, build_features
 from imbtab.errors import MalformedRow
 from imbtab.pipeline import prepare
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
@@ -170,14 +171,15 @@ GOLDEN_PREPARE = {
 GOLDEN_SYNTH_CSV = "8b353a7ecd231fd40fc21d417ff8a7a29bccfa6ef1504f273a1cce7f6e2079e7"
 
 
-def _prepare_digest(data):
+def _prepare_digest(data, schema):
+    X_test = build_features(data.test, schema, data.encoders)
     h = hashlib.sha256()
     for part in (
         data.X_train.values.tobytes(),
-        data.X_test.values.tobytes(),
+        X_test.values.tobytes(),
         np.asarray(data.y_train, dtype=np.int64).tobytes(),
-        np.asarray(data.y_test, dtype=np.int64).tobytes(),
-        json.dumps([data.X_train.column_names, data.X_test.column_names]).encode(),
+        np.asarray(target_labels(data.test), dtype=np.int64).tobytes(),
+        json.dumps([data.X_train.column_names, X_test.column_names]).encode(),
         json.dumps({c: e.fingerprint() for c, e in sorted(data.encoders.items())}).encode(),
         json.dumps([data.rows_loaded, data.rows_after_clean]).encode(),
     ):
@@ -197,8 +199,8 @@ def test_prepare_digest_on_awkward_csv(tmp_path, stratified):
         "encoders": AWKWARD_ENCODERS,
         "models": [{"family": "lr"}],
     }
-    data = prepare(parse_config(json.dumps(doc)))
-    assert _prepare_digest(data) == GOLDEN_PREPARE[stratified]
+    cfg = parse_config(json.dumps(doc))
+    assert _prepare_digest(prepare(cfg), cfg.schema) == GOLDEN_PREPARE[stratified]
 
 
 def test_write_csv_digest(tmp_path):

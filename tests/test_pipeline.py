@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from imbtab import parse_config, pipeline, run_experiment, emit_report
 from imbtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
-from imbtab.data import ColumnSchema, Dataset, SplitSpec, train_test_split
-from imbtab.errors import ParseError, PipelineError, StrategyUnknown, ValidationError
+from imbtab.data import ColumnSchema, Dataset, SplitSpec, load_csv, target_labels, train_test_split
+from imbtab.encoding import build_features
+from imbtab.errors import ParseError, PipelineError, StrategyUnknown, UnseenCategory, ValidationError
 from imbtab.models import ModelConfig, fanout, fit_model, forest
 from imbtab.pipeline import EncoderSpec, _stage, prepare
 from imbtab.resampling import ResampleConfig
@@ -48,6 +49,29 @@ def assert_field(make, field, **kwargs):
     with pytest.raises(ValidationError) as exc:
         make(**kwargs)
     assert exc.value.path == field
+
+
+def unseen_test_category_config(tmp_path):
+    """A config whose strict one-hot encoder meets the category "z" only in the
+    test rows: its split seed is the first that puts the one "z" row there."""
+    path = tmp_path / "unseen.csv"
+    rows = "".join(f"{i},{'ab'[i % 2]},{int(i % 3 == 0)}\n" for i in range(40))
+    path.write_text("x,c,target\n" + rows + "40,z,1\n")
+    doc = {
+        "dataset": str(path),
+        "schema": [
+            {"name": "x", "kind": "numeric"},
+            {"name": "c", "kind": "categorical"},
+            {"name": "target", "kind": "target"},
+        ],
+        "target": "target",
+        "encoders": [{"column": "c", "mode": "strict"}],
+        "models": [{"family": "lr", "iterations": 5}],
+    }
+    d = load_csv(str(path), parse_config(json.dumps(doc)).schema)
+    seed = next(s for s in range(100) if "z" in train_test_split(d, SplitSpec(0.25, seed=s))[1].column("c"))
+    doc["split"] = {"test_fraction": 0.25, "seed": seed}
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +202,7 @@ class TestParseConfig:
         self.assert_path(doc, "resampler.smote_mode")
         assert_field(ResampleConfig, "smote_mode", strategy="smote", smote_mode="literal")
 
-    @pytest.mark.parametrize("seed", [3.9, 3.0, "3", False, None])
+    @pytest.mark.parametrize("seed", [3.9, 3.0, "3", False, None, -1])
     def test_bad_split_seed_path(self, data_csv, seed):
         self.assert_path(base_config(data_csv, split={"seed": seed}), "split.seed")
         assert_field(SplitSpec, "seed", seed=seed)
@@ -197,11 +221,11 @@ class TestParseConfig:
     def test_integer_fields_are_kept(self, data_csv):
         doc = base_config(
             data_csv,
-            split={"test_fraction": 1, "seed": -4, "stratified": True},
+            split={"test_fraction": 1, "seed": 4, "stratified": True},
             resampler={"strategy": "smote", "amount": 0, "seed": 0, "k": 1},
         )
         cfg = parse_config(json.dumps(doc))
-        assert (cfg.split.test_fraction, cfg.split.seed, cfg.split.stratified) == (1.0, -4, True)
+        assert (cfg.split.test_fraction, cfg.split.seed, cfg.split.stratified) == (1.0, 4, True)
         assert (cfg.resampler.amount, cfg.resampler.seed, cfg.resampler.k) == (0, 0, 1)
 
     @pytest.mark.parametrize(
@@ -515,6 +539,17 @@ class TestRunExperiment:
         assert meta["rows_after_clean"] <= meta["rows_loaded"]
         assert meta["rows_train"] + meta["rows_test"] == meta["rows_after_clean"]
 
+    def test_an_unseen_strict_test_category_fails_encode_before_resample_and_fit(self, tmp_path, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("called after the test rows failed to encode")
+
+        monkeypatch.setattr(pipeline, "rebalance", refuse)
+        monkeypatch.setattr(pipeline, "fit_models", refuse)
+        with pytest.raises(PipelineError) as exc:
+            run_experiment(parse_config(json.dumps(unseen_test_category_config(tmp_path))))
+        assert exc.value.stage == "encode"
+        assert isinstance(exc.value.cause, UnseenCategory)
+
     def test_determinism_byte_identical_report(self, data_csv, tmp_path):
         cfg_doc = base_config(
             data_csv, resampler={"strategy": "smote", "k": 5, "amount": "balance", "seed": 3}
@@ -659,18 +694,20 @@ class TestPrepare:
     def test_encoded_splits_match_run_meta(self, data_csv):
         cfg = parse_config(json.dumps(base_config(data_csv)))
         data = prepare(cfg)
+        X_test = build_features(data.test, cfg.schema, data.encoders)
+        y_test = target_labels(data.test)
         assert data.X_train.n_rows == len(data.y_train)
-        assert data.X_test.n_rows == len(data.y_test)
-        assert data.X_train.column_names == data.X_test.column_names
+        assert X_test.n_rows == len(y_test)
+        assert data.X_train.column_names == X_test.column_names
         assert set(data.encoders) == {e.column for e in cfg.encoders}
         meta = run_experiment(cfg).metadata
         assert (meta["rows_loaded"], meta["rows_after_clean"]) == (
             data.rows_loaded,
             data.rows_after_clean,
         )
-        assert (meta["rows_train"], meta["rows_test"]) == (len(data.y_train), len(data.y_test))
+        assert (meta["rows_train"], meta["rows_test"]) == (len(data.y_train), len(y_test))
         assert meta["class_counts_train"]["1"] == int(data.y_train.sum())
-        assert meta["class_counts_test"]["0"] == int((data.y_test == 0).sum())
+        assert meta["class_counts_test"]["0"] == int((y_test == 0).sum())
         fingerprints = {c: enc.fingerprint() for c, enc in data.encoders.items()}
         assert meta["encoder_fingerprints"] == fingerprints
 
@@ -679,9 +716,11 @@ class TestPrepare:
         path.write_text("target\n" + "0\n1\n" * 10)
         doc = {"dataset": str(path), "schema": [{"name": "target", "kind": "binary-target"}]}
         doc.update(target="target", models=[{"family": "lr", "iterations": 5}])
-        data = prepare(parse_config(json.dumps(doc)))
+        cfg = parse_config(json.dumps(doc))
+        data = prepare(cfg)
+        X_test = build_features(data.test, cfg.schema, data.encoders)
         assert data.X_train.values.shape == (len(data.y_train), 0)
-        assert data.X_test.values.shape == (len(data.y_test), 0)
+        assert X_test.values.shape == (data.test.row_count, 0)
 
     def test_stage_wraps_other_errors_once(self):
         with pytest.raises(PipelineError) as exc:
@@ -887,6 +926,16 @@ class TestCli:
         assert audit.exists()
         header = audit.read_text().splitlines()[0]
         assert header == "base_index,neighbor_index,u"
+
+    def test_resample_never_encodes_the_test_rows(self, tmp_path):
+        # a strict encoder fails only on rows it encodes, and resample writes only training rows
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(unseen_test_category_config(tmp_path)))
+        out = tmp_path / "res.csv"
+        assert main(["resample", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 31  # the header, then the 41 - 10 training rows
+        assert lines[0].endswith(",label,original")
 
     def test_resample_command_writes_header_only_audit_when_smote_adds_nothing(self, tmp_path):
         data = tmp_path / "d.csv"

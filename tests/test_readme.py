@@ -7,6 +7,7 @@ from pathlib import Path
 
 import imbtab
 from imbtab.models import FAMILIES, ModelConfig
+from imbtab.pipeline import Prepared
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -50,6 +51,12 @@ def test_every_dotted_imbtab_name_in_readme_resolves():
 def test_readme_lists_the_model_families_in_order():
     bullet = re.search(r"^- Model families: (.*?)\.", README.read_text(encoding="utf-8"), re.M)
     assert tuple(re.findall(r"`(\w+)`", bullet.group(1))) == FAMILIES
+
+
+def test_readme_lists_the_fields_prepare_returns_in_order():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"returns\s+a\s+`Prepared`\s+whose\s+fields\s+are\s+(.*?):", text, re.S)
+    assert re.findall(r"`(\w+)`", listed.group(1)) == [f.name for f in dataclasses.fields(Prepared)]
 
 
 def family_keys(text):
