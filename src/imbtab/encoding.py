@@ -7,8 +7,9 @@ the stage's config; `FittedColumnEncoder` is fitted on training rows only and
 writes a column's block. It maps the column's vocabulary entries, not its
 rows: each entry to the category it is encoded as (grouping, then the rare
 merge), in one method. The int32 codes are read only to count them when
-fitting and to index one lookup table when writing, and no Dataset or Column
-is built. `build_features` is the one place a feature matrix is built, and
+fitting and to index one lookup table when checking and writing, and no
+Dataset or Column is built. `check` raises every error of writing, so a
+caller can check a whole split and write it a block of rows at a time. `build_features` is the one place a feature matrix is built, and
 the only way the library encodes a column.
 """
 
@@ -185,29 +186,43 @@ class FittedColumnEncoder:
             return tuple(f"{self.spec.column}={c}" for c in self.categories)
         return (f"{self.spec.column}~impact",)
 
-    def write(self, d, out, start):
-        """Encode d's column into out[:, start : start + len(column_names)] of
-        the zeroed row-major `out`. A value outside the fitted vocabulary gets an
-        all-zero one-hot row (UnseenCategory in strict mode) or, like MISSING,
-        the fallback impact."""
+    def check(self, d):
+        """d's column and the table `write` indexes with its codes: per
+        vocabulary entry, then MISSING, the entry's impact or its one-hot
+        position (-1 for none). Raises the errors `write` raises, which read
+        only the codes: UnmappedCategory (see `_merged`), EmptyCategoryList, and
+        in strict mode UnseenCategory for the first row, in row order, whose
+        category was not fitted."""
         col, column = _categorical(d, self.spec.column), self.spec.column
         merged = self._merged(col)
         if self.spec.method == "impact":
             cmap = self.category_map
-            table = [cmap.impact(c) for c in merged] + [cmap.fallback_impact]
-            out[:, start] = np.array(table, dtype=np.float64)[col.values]
-            return
+            return col, np.array([cmap.impact(c) for c in merged] + [cmap.fallback_impact])
         if not self.categories:
             raise EmptyCategoryList(
                 f"{column!r}: no category was fitted: the training split has no rows,"
                 " or none with a value in this column"
             )
         pos = {c: j for j, c in enumerate(self.categories)}
-        where = np.array([pos.get(c, -1) for c in merged] + [-1], dtype=np.intp)[col.values]
+        table = np.array([pos.get(c, -1) for c in merged] + [-1], dtype=np.intp)
+        if self.spec.mode == "strict":
+            unseen = (table < 0)[col.values]
+            if unseen.any():
+                v = (merged + [MISSING])[col.values[np.argmax(unseen)]]
+                raise UnseenCategory(f"{column!r}: {v!r} not in fitted vocabulary")
+        return col, table
+
+    def write(self, d, out, start):
+        """Encode d's column into out[:, start : start + len(column_names)] of
+        the zeroed row-major `out`, after `check`. A value outside the fitted
+        vocabulary gets an all-zero one-hot row or, like MISSING, the fallback
+        impact."""
+        col, table = self.check(d)
+        if self.spec.method == "impact":
+            out[:, start] = table[col.values]
+            return
+        where = table[col.values]
         rows = np.flatnonzero(where >= 0)
-        if self.spec.mode == "strict" and len(rows) < len(where):
-            v = (merged + [MISSING])[col.values[np.argmax(where < 0)]]
-            raise UnseenCategory(f"{column!r}: {v!r} not in fitted vocabulary")
         out.reshape(-1)[rows * out.shape[1] + start + where[rows]] = 1.0
 
     def fingerprint(self):

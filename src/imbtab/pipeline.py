@@ -1,6 +1,7 @@
 """Experiment runner: JSON config -> `prepare` (load, clean, split, encode the
-training rows) -> encode the test rows -> resample -> fit -> evaluate -> report.
-The CLI `resample` command shares `prepare` and never encodes the test rows.
+training rows) -> check the test rows -> resample -> fit -> score -> evaluate
+-> report. The CLI `resample` command shares `prepare` and never touches the
+test rows.
 
 Each config dataclass (`ColumnSchema`, `SplitSpec`, `EncoderSpec`,
 `ResampleConfig`, each family's `ModelConfig`, `ExperimentConfig`) checks its
@@ -15,12 +16,22 @@ the test split is encoded with the fitted artifacts and otherwise untouched.
 All randomness is seeded through the config, so a config fully determines
 the report.
 
-The models are fitted together by `fit_models`, which spreads them (and each
-forest's trees) over the CPUs the process may use; the reports do not depend
-on how many that is. Evaluation then walks the models in config order in this
-process. A model whose fit failed is fitted again here under its `fit:<name>`
-stage, so errors surface in the order and with the stage of a serial loop:
-`fit:A`, `evaluate:A`, `fit:B`, ...
+Under stage `encode`, before the resample, each encoder's `check` reads the
+codes of the whole test split, so a `strict` encoder's error names the same
+first row as encoding the split whole would. The models are fitted together
+by `fit_models`, which spreads them (and each forest's trees) over the CPUs
+the process may use; the reports do not depend on how many that is. One loop
+then encodes the test rows `_SCORE_ROWS` at a time, as slices of the test
+columns, and writes each model's probabilities for the block into that
+model's array, so scoring memory does not grow with the test size. A model
+predicts no block after its first error.
+
+Evaluation walks the models in config order. A model whose fit failed is
+fitted again under its `fit:<name>` stage (and, should that return a model,
+scored alone); a predict error, or one of thresholding or the metrics, is
+raised under `evaluate:<name>`. So errors surface in the order and with the
+stage of a serial loop: `fit:A`, `evaluate:A`, `fit:B`, ... With no test
+rows, the first model's `evaluate` raises EmptyInput.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ from .models import ModelConfig, classify, fit_model, fit_models
 from .resampling import ResampleConfig, rebalance
 
 REPORT_FORMATS = ("json", "txt")
+_SCORE_ROWS = 4096  # test rows encoded and scored at a time
 
 _CONFIG_KEYS = frozenset(
     ("dataset", "schema", "target", "split", "encoders", "resampler", "models", "output", "formats")
@@ -251,24 +263,50 @@ def prepare(cfg):
     return Prepared(X_train, y_train, test, fitted, raw.row_count, clean.row_count)
 
 
+def _score(test, schema, encoders, models):
+    """Per model, its probabilities on the test rows, scored a block of
+    `_SCORE_ROWS` rows at a time, and its first predict error (None if none).
+    A model predicts no block after its error; a None model predicts none."""
+    probs = [np.empty(test.row_count) for _ in models]
+    errors = [None] * len(models)
+    for start in range(0, test.row_count, _SCORE_ROWS):
+        rows = slice(start, start + _SCORE_ROWS)
+        with _stage("encode"):
+            X = build_features(test._select(rows), schema, encoders).values
+        for m, model in enumerate(models):
+            if model is not None and errors[m] is None:
+                try:
+                    probs[m][rows] = model.predict_proba(X)
+                except Exception as exc:  # raised under evaluate:<name>, in config order
+                    errors[m] = exc
+        del X  # so that the next block is not encoded while this one is alive
+    return list(zip(probs, errors))
+
+
 def run_experiment(cfg):
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     data = prepare(cfg)
     with _stage("encode"):
-        X_test = build_features(data.test, cfg.schema, data.encoders)
+        for col in cfg.schema:  # the columns in the order build_features writes them
+            if col.name in data.encoders:
+                data.encoders[col.name].check(data.test)
         y_test = target_labels(data.test).astype(int)
 
     with _stage("resample"):
         resampled = rebalance(data.X_train, data.y_train, cfg.resampler)
 
     X_fit, y_fit = resampled.features.values, resampled.labels
+    models = fit_models(X_fit, y_fit, cfg.models)
+    scored = _score(data.test, cfg.schema, data.encoders, models)
     reports = []
-    for mcfg, model in zip(cfg.models, fit_models(X_fit, y_fit, cfg.models)):
-        with _stage(f"fit:{mcfg.name}"):
-            if model is None:  # its fit raised: raise the error again, in config order
+    for mcfg, model, (probs, error) in zip(cfg.models, models, scored):
+        if model is None:  # its fit raised: raise the error again, in config order
+            with _stage(f"fit:{mcfg.name}"):
                 model = fit_model(X_fit, y_fit, mcfg)
+            [(probs, error)] = _score(data.test, cfg.schema, data.encoders, [model])
         with _stage(f"evaluate:{mcfg.name}"):
-            probs = model.predict_proba(X_test.values)
+            if error is not None:
+                raise error
             preds = classify(probs, mcfg.threshold)
             reports.append(compute_metrics(confusion_matrix(y_test, preds), mcfg.name))
 

@@ -15,6 +15,7 @@ import pytest
 from imbtab import parse_config, run_experiment
 from imbtab.cli import EXIT_OK, main
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
+from test_pipeline import BLOCK_IDS, BLOCK_SIZES, MIXED_MODELS, outputs_by_block_size
 
 ENCODERS = [
     {"column": "company_size", "method": "impact"},
@@ -105,3 +106,13 @@ def test_run_meta_ledger(data_csv):
     meta = run_experiment(cfg).metadata
     ledger = {k: v for k, v in meta.items() if k not in ("started", "finished")}
     assert ledger == GOLDEN_RUN_META
+
+
+@pytest.mark.parametrize("block_size", BLOCK_SIZES, ids=BLOCK_IDS)
+def test_run_meta_ledger_does_not_depend_on_the_block_size(data_csv, tmp_path, monkeypatch, block_size):
+    doc = config_doc(data_csv, RESAMPLERS["smote"])
+    doc["models"] = MIXED_MODELS
+    doc["encoders"] = [dict(e, mode="strict") if e["column"] == "gender" else e for e in ENCODERS]
+    one, blocks = outputs_by_block_size(parse_config(json.dumps(doc)), block_size, tmp_path, monkeypatch)
+    assert blocks == one
+    assert one[2] == GOLDEN_RUN_META

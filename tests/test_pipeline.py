@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,16 @@ from imbtab import parse_config, pipeline, run_experiment, emit_report
 from imbtab.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from imbtab.data import ColumnSchema, Dataset, SplitSpec, load_csv, target_labels, train_test_split
 from imbtab.encoding import build_features
-from imbtab.errors import ParseError, PipelineError, StrategyUnknown, UnseenCategory, ValidationError
-from imbtab.models import ModelConfig, fanout, fit_model, forest
+from imbtab.errors import (
+    EmptyInput,
+    ParseError,
+    PipelineError,
+    StrategyUnknown,
+    UnmappedCategory,
+    UnseenCategory,
+    ValidationError,
+)
+from imbtab.models import FittedModel, ModelConfig, fanout, fit_model, forest
 from imbtab.pipeline import EncoderSpec, _stage, prepare
 from imbtab.resampling import ResampleConfig
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
@@ -539,16 +548,26 @@ class TestRunExperiment:
         assert meta["rows_after_clean"] <= meta["rows_loaded"]
         assert meta["rows_train"] + meta["rows_test"] == meta["rows_after_clean"]
 
-    def test_an_unseen_strict_test_category_fails_encode_before_resample_and_fit(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "grouping, error",
+        [({}, UnseenCategory), ({"a": "g", "b": "g"}, UnmappedCategory)],
+        ids=["unseen", "unmapped"],
+    )
+    def test_a_strict_test_only_category_fails_encode_before_resample_and_fit(
+        self, tmp_path, monkeypatch, grouping, error
+    ):
         def refuse(*_):
             raise AssertionError("called after the test rows failed to encode")
 
         monkeypatch.setattr(pipeline, "rebalance", refuse)
         monkeypatch.setattr(pipeline, "fit_models", refuse)
+        doc = unseen_test_category_config(tmp_path)
+        doc["encoders"][0]["grouping"] = grouping
         with pytest.raises(PipelineError) as exc:
-            run_experiment(parse_config(json.dumps(unseen_test_category_config(tmp_path))))
+            run_experiment(parse_config(json.dumps(doc)))
         assert exc.value.stage == "encode"
-        assert isinstance(exc.value.cause, UnseenCategory)
+        assert isinstance(exc.value.cause, error)
+        assert "'z'" in str(exc.value)
 
     def test_determinism_byte_identical_report(self, data_csv, tmp_path):
         cfg_doc = base_config(
@@ -672,6 +691,126 @@ class TestFitFanOut:
         assert started.exists()
         cause = "no tree" if failing == "fit:B" else "no labels"
         assert errors == [(failing, f"stage '{failing}': {cause}")] * 2
+
+
+# test-row block sizes, given the number n of test rows
+BLOCK_SIZES = [lambda n: 1, lambda n: 7, lambda n: n - 1, lambda n: n, lambda n: n + 1]
+BLOCK_IDS = ["1", "7", "n-1", "n", "n+1"]
+
+
+def run_outputs(cfg, out):
+    """report.json, report.txt and run_meta.json (without its timestamps) of a run of cfg."""
+    emit_report(run_experiment(cfg), ["json", "txt"], out)
+    meta = json.loads((out / "run_meta.json").read_text())
+    del meta["started"], meta["finished"]
+    return (out / "report.json").read_bytes(), (out / "report.txt").read_bytes(), meta
+
+
+def outputs_by_block_size(cfg, block_size, tmp_path, monkeypatch):
+    """run_outputs of cfg with its test rows scored in one block, and in blocks
+    of block_size(n) rows."""
+    one = run_outputs(cfg, tmp_path / "one")
+    assert one[2]["rows_test"] <= pipeline._SCORE_ROWS
+    monkeypatch.setattr(pipeline, "_SCORE_ROWS", block_size(one[2]["rows_test"]))
+    return one, run_outputs(cfg, tmp_path / "blocks")
+
+
+class TestBlockScoring:
+    @pytest.mark.parametrize("block_size", BLOCK_SIZES, ids=BLOCK_IDS)
+    def test_outputs_do_not_depend_on_the_block_size(self, data_csv, tmp_path, monkeypatch, block_size):
+        doc = base_config(data_csv, models=MIXED_MODELS, encoders=[{"column": "gender", "mode": "strict"}])
+        one, blocks = outputs_by_block_size(parse_config(json.dumps(doc)), block_size, tmp_path, monkeypatch)
+        assert blocks == one
+        assert hashlib.sha256(one[0]).hexdigest() == MIXED_REPORT_SHA256
+
+    def test_no_block_encodes_more_than_score_rows(self, data_csv, monkeypatch):
+        rows = []
+        real_prepare, real_build = pipeline.prepare, pipeline.build_features
+
+        def spy(d, *args):
+            rows.append(d.row_count)
+            return real_build(d, *args)
+
+        def prepare_then_spy(cfg):  # prepare encodes the training rows
+            data = real_prepare(cfg)
+            monkeypatch.setattr(pipeline, "build_features", spy)
+            return data
+
+        monkeypatch.setattr(pipeline, "prepare", prepare_then_spy)
+        monkeypatch.setattr(pipeline, "_SCORE_ROWS", 64)
+        meta = run_experiment(parse_config(json.dumps(base_config(data_csv)))).metadata
+        assert max(rows) <= 64 < meta["rows_test"] == sum(rows)
+
+    def test_a_predict_error_in_a_later_block_keeps_the_serial_order(self, data_csv, monkeypatch):
+        # A's predict raises on the second of three blocks and B's fit fails
+        def no_tree(*args):
+            raise ValueError("no tree")
+
+        calls, real_predict = [], FittedModel.predict_proba
+
+        def predict(model, X):
+            if model.family == "lr":
+                calls.append(len(X))
+                if len(calls) == 2:
+                    raise ValueError("no probabilities")
+            return real_predict(model, X)
+
+        models = [{"family": "lr", "name": "A", "iterations": 50}, {"family": "rf", "name": "B"}]
+        cfg = parse_config(json.dumps(base_config(data_csv, models=models)))
+        monkeypatch.setattr(forest, "grow_tree", no_tree)
+        monkeypatch.setattr(fanout, "grow_tree", no_tree)
+        monkeypatch.setattr(FittedModel, "predict_proba", predict)
+        monkeypatch.setattr(pipeline, "_SCORE_ROWS", 50)  # 120 test rows
+        with pytest.raises(PipelineError) as exc:
+            run_experiment(cfg)
+        assert (exc.value.stage, str(exc.value)) == ("evaluate:A", "stage 'evaluate:A': no probabilities")
+        assert calls == [50, 50]  # no block after the error
+
+    def test_no_test_rows_fail_the_first_evaluate(self, data_csv):
+        doc = base_config(data_csv, models=MIXED_MODELS, split={"test_fraction": 0, "seed": 11})
+        with pytest.raises(PipelineError) as exc:
+            run_experiment(parse_config(json.dumps(doc)))
+        assert isinstance(exc.value.cause, EmptyInput)
+        assert str(exc.value) == "stage 'evaluate:LR': cannot build a confusion matrix from zero rows"
+
+    def test_a_refit_that_succeeds_is_scored(self, data_csv, tmp_path, monkeypatch):
+        real = pipeline.fit_models
+
+        def without_rf(*args):
+            return [None if model.family == "rf" else model for model in real(*args)]
+
+        monkeypatch.setattr(pipeline, "fit_models", without_rf)
+        monkeypatch.setattr(pipeline, "_SCORE_ROWS", 7, raising=False)
+        cfg = parse_config(json.dumps(base_config(data_csv, models=MIXED_MODELS)))
+        emit_report(run_experiment(cfg), ["json"], tmp_path)
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == MIXED_REPORT_SHA256
+
+    def test_scoring_memory_does_not_grow_with_the_test_rows(self, tmp_path, monkeypatch):
+        # tracemalloc counts numpy's allocations, so with the fit in this
+        # process the peak repeats exactly. It is taken from prepare's return,
+        # so a test matrix built at any later stage counts; the full one is 5 MB
+        path = tmp_path / "hr.csv"
+        write_csv(generate_dataset(20_000, seed=1), path)
+        models = [{"family": "lr", "iterations": 5}, {"family": "dt", "max_depth": 3}]
+        doc = base_config(path, split={"test_fraction": 0.9, "seed": 1}, models=models)
+        sizes, real_prepare = [], pipeline.prepare
+
+        def prepare_then_trace(cfg):
+            data = real_prepare(cfg)
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            sizes.extend((data.test.row_count, data.X_train.n_cols, tracemalloc.get_traced_memory()[0]))
+            return data
+
+        monkeypatch.setattr(fanout, "allowed_cpus", lambda: 1)
+        monkeypatch.setattr(pipeline, "prepare", prepare_then_trace)
+        try:
+            run_experiment(parse_config(json.dumps(doc)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_test, n_features, start = sizes
+        assert peak - start < n_test * n_features * 8 / 2
 
 
 class TestPrepare:
