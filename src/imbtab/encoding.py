@@ -9,8 +9,9 @@ rows: each entry to the category it is encoded as (grouping, then the rare
 merge), in one method. The int32 codes are read only to count them when
 fitting and to index one lookup table when checking and writing, and no
 Dataset or Column is built. `check` raises every error of writing, so a
-caller can check a whole split and write it a block of rows at a time. `build_features` is the one place a feature matrix is built, and
-the only way the library encodes a column.
+caller can check a whole split and write it a block of rows at a time.
+`build_features` is the one place a feature matrix is built, and the only
+way the library encodes a column.
 """
 
 from __future__ import annotations

@@ -3,20 +3,23 @@
 `fit_models` cuts the work into units: each LR, DT or XGB model is one unit,
 and so is each tree of a random forest. Whole models come first, in config
 order, and forest trees last: the trees are many and small, so they fill the
-gaps. A forest's rank codes and seed streams are computed once, before any
-unit runs.
+gaps. A forest's rank codes and seed streams are computed once, before the
+fork.
 
 The calling process forks one child per CPU in its affinity mask, capped by
 the number of units, and fits nothing while they run: which units a worker
 gets depends on timing, so a calling process that fitted some of them would
 end with a peak memory that changed from one run to the next. The children
 pull unit ranges from one pipe, written in full and closed before the fork,
-so a child that finishes early takes the next unit. A child keeps its
-results until the pipe is empty, pickles them back through a pipe of its own
-and ends with `os._exit`. The units of a child that died, or that returned
-nothing, are run by the parent. The fit runs in-process when there is one
-unit, when one CPU is allowed, when another thread is running (forking a
-threaded process is unsafe), or where `os.sched_getaffinity` does not exist.
+so a child that finishes early takes the next unit. A child keeps the
+results of its units that did not raise until the pipe is empty, pickles
+them back through a pipe of its own and ends with `os._exit`.
+
+One rule covers every model that the children did not return whole: one of
+its units raised, its child died, the system refused a pipe or a fork, or
+nothing was forked (one unit, one allowed CPU, another thread running, which
+makes forking unsafe, or no `os.sched_getaffinity`). The calling process
+fits that whole model once with `fit_model` and keeps the model or its error.
 
 Every unit runs the same code on the same arrays as `fit_model`, so the
 models are bit-identical whatever the number of workers. The children's
@@ -51,20 +54,20 @@ def allowed_cpus():
 
 
 def fit_models(X, y, cfgs):
-    """One FittedModel per config, in config order, each equal to
-    `fit_model(X, y, cfg)`. A model whose fit raised is None in its place:
-    `fit_model` on that config raises the same error again, so a caller can
-    report errors in the order a serial loop would."""
+    """For each config, in config order, what `fit_model(X, y, cfg)` gives:
+    the FittedModel, or the exception it raised, so a caller can report
+    errors in the order a serial loop would."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    cpus = allowed_cpus() if threading.active_count() == 1 else 1
     units = [(m, None) for m, cfg in enumerate(cfgs) if cfg.family != "rf"]
     plans = {}
     for m, cfg in enumerate(cfgs):
-        if cfg.family != "rf":
+        if cfg.family != "rf" or cpus == 1:
             continue
         try:
             plans[m] = plan_forest(X, y, cfg)
-        except Exception:  # the forest gets no units; fit_model raises this again
+        except Exception:  # the forest gets no units, so this process fits it whole
             continue
         units.extend((m, i) for i in range(cfg.n_trees))
 
@@ -74,20 +77,19 @@ def fit_models(X, y, cfgs):
             return fit_model(X, y, cfgs[m])
         return grow_tree(X, y, cfgs[m], plans[m], i)
 
-    workers = min(allowed_cpus(), len(units))
-    if workers > 1 and threading.active_count() == 1:
-        results, failed = _fan_out(len(units), workers, run)
-    else:
-        results, failed = _work([(0, len(units))], run)
-
+    workers = min(cpus, len(units))
+    results = _fan_out(len(units), workers, run) if workers > 1 else {}
     per_model = {}
     for k, (m, _) in enumerate(units):
         per_model.setdefault(m, []).append(k)
     models = []
     for m, cfg in enumerate(cfgs):
         ks = per_model.get(m, [])
-        if not ks or failed.intersection(ks):
-            models.append(None)
+        if not ks or any(k not in results for k in ks):  # not returned whole by the children
+            try:
+                models.append(fit_model(X, y, cfg))
+            except Exception as exc:  # kept in its place, for the caller to raise
+                models.append(exc)
         elif cfg.family == "rf":
             forest = forest_model(cfg, plans[m], [results[k] for k in ks])
             models.append(FittedModel(family="rf", model=forest, n_features=X.shape[1]))
@@ -97,15 +99,15 @@ def fit_models(X, y, cfgs):
 
 
 def _work(ranges, run):
-    """Run every unit of the ranges: ({unit: result}, {units that raised})."""
-    results, failed = {}, set()
+    """{unit: result} of every unit of the ranges that did not raise."""
+    results = {}
     for lo, hi in ranges:
         for k in range(lo, hi):
             try:
                 results[k] = run(k)
-            except Exception:  # the caller fits this model again to raise the error
-                failed.add(k)
-    return results, failed
+            except Exception:  # the calling process fits this unit's model whole
+                pass
+    return results
 
 
 def _pulled(fd):
@@ -115,12 +117,13 @@ def _pulled(fd):
 
 
 def _fan_out(n_units, workers, run):
-    """_work over all units by up to `workers` forked children; this process
-    runs only the units that no child returned."""
+    """_work over all units by up to `workers` forked children: {unit: result}
+    of the units that the children returned; {} if the system refused the
+    queue pipe. This process runs no unit."""
     try:
         queue_r, queue_w = os.pipe()
     except OSError:
-        return _work([(0, n_units)], run)
+        return {}
     children = {}  # pid -> file reading that child's results
     try:
         # Several units per item only when there are more units than the pipe holds.
@@ -133,20 +136,15 @@ def _fan_out(n_units, workers, run):
         for _ in range(workers):
             if not _fork_child(queue_r, run, children):
                 break
-        results, failed = {}, set()
+        results = {}
         for pid, fh in list(children.items()):
             payload = fh.read()
             fh.close()
             _, status = os.waitpid(pid, 0)
             del children[pid]
             if os.waitstatus_to_exitcode(status) == 0:  # the child wrote all of it
-                done, raised = pickle.loads(payload)
-                results.update(done)
-                failed |= raised
-        lost = [k for k in range(n_units) if k not in results and k not in failed]
-        redone, raised = _work([(k, k + 1) for k in lost], run)
-        results.update(redone)
-        return results, failed | raised
+                results.update(pickle.loads(payload))
+        return results
     finally:
         for pid, fh in children.items():
             fh.close()

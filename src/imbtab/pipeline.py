@@ -26,12 +26,12 @@ columns, and writes each model's probabilities for the block into that
 model's array, so scoring memory does not grow with the test size. A model
 predicts no block after its first error.
 
-Evaluation walks the models in config order. A model whose fit failed is
-fitted again under its `fit:<name>` stage (and, should that return a model,
-scored alone); a predict error, or one of thresholding or the metrics, is
-raised under `evaluate:<name>`. So errors surface in the order and with the
-stage of a serial loop: `fit:A`, `evaluate:A`, `fit:B`, ... With no test
-rows, the first model's `evaluate` raises EmptyInput.
+Evaluation walks the models in config order. Where a fit failed,
+`fit_models` gives the error it raised, and that error is raised under the
+model's `fit:<name>` stage; a predict error, or one of thresholding or the
+metrics, is raised under `evaluate:<name>`. So errors surface in the order
+and with the stage of a serial loop: `fit:A`, `evaluate:A`, `fit:B`, ...
+With no test rows, the first model's `evaluate` raises EmptyInput.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .data import (
 from .encoding import EncoderSpec, FeatureMatrix, FittedColumnEncoder, build_features
 from .errors import ParseError, PipelineError, ValidationError, check_choice
 from .metrics import compute_metrics, confusion_matrix, format_report_table, reports_to_json
-from .models import ModelConfig, classify, fit_model, fit_models
+from .models import ModelConfig, classify, fit_models
 from .resampling import ResampleConfig, rebalance
 
 REPORT_FORMATS = ("json", "txt")
@@ -266,7 +266,7 @@ def prepare(cfg):
 def _score(test, schema, encoders, models):
     """Per model, its probabilities on the test rows, scored a block of
     `_SCORE_ROWS` rows at a time, and its first predict error (None if none).
-    A model predicts no block after its error; a None model predicts none."""
+    A model predicts no block after its error; a fit error predicts none."""
     probs = [np.empty(test.row_count) for _ in models]
     errors = [None] * len(models)
     for start in range(0, test.row_count, _SCORE_ROWS):
@@ -274,7 +274,7 @@ def _score(test, schema, encoders, models):
         with _stage("encode"):
             X = build_features(test._select(rows), schema, encoders).values
         for m, model in enumerate(models):
-            if model is not None and errors[m] is None:
+            if not isinstance(model, Exception) and errors[m] is None:
                 try:
                     probs[m][rows] = model.predict_proba(X)
                 except Exception as exc:  # raised under evaluate:<name>, in config order
@@ -295,15 +295,13 @@ def run_experiment(cfg):
     with _stage("resample"):
         resampled = rebalance(data.X_train, data.y_train, cfg.resampler)
 
-    X_fit, y_fit = resampled.features.values, resampled.labels
-    models = fit_models(X_fit, y_fit, cfg.models)
+    models = fit_models(resampled.features.values, resampled.labels, cfg.models)
     scored = _score(data.test, cfg.schema, data.encoders, models)
     reports = []
     for mcfg, model, (probs, error) in zip(cfg.models, models, scored):
-        if model is None:  # its fit raised: raise the error again, in config order
+        if isinstance(model, Exception):  # the error its fit raised
             with _stage(f"fit:{mcfg.name}"):
-                model = fit_model(X_fit, y_fit, mcfg)
-            [(probs, error)] = _score(data.test, cfg.schema, data.encoders, [model])
+                raise model
         with _stage(f"evaluate:{mcfg.name}"):
             if error is not None:
                 raise error

@@ -13,11 +13,20 @@ def no_leaked_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
+@pytest.fixture(params=["1cpu", "2cpu", "2cpu-no-pipe"])
 def fit_cpus(request, monkeypatch):
-    """The number of CPUs the fit fan-out sees: 1 fits in-process, 2 forks two children."""
-    monkeypatch.setattr(fanout, "allowed_cpus", lambda: request.param)
-    return request.param
+    """The number of CPUs the fit fan-out sees: at 1 it fits in-process, at 2
+    it forks two children, and at 2 with `os.pipe` refused it forks nothing
+    and fits every model in-process."""
+    cpus = 1 if request.param == "1cpu" else 2
+    monkeypatch.setattr(fanout, "allowed_cpus", lambda: cpus)
+    if request.param == "2cpu-no-pipe":
+
+        def refuse():
+            raise OSError("no pipe")
+
+        monkeypatch.setattr(fanout.os, "pipe", refuse)
+    return cpus
 
 
 @pytest.fixture

@@ -510,7 +510,7 @@ class TestFitModels:
         assert in_parent == []
         assert self._digests(fitted) == [GOLDEN[n][1] for n in names]
 
-    @pytest.mark.parametrize("fit_cpus", [2], indirect=True, ids=["2cpu"])
+    @pytest.mark.parametrize("fit_cpus", ["2cpu"], indirect=True)
     def test_the_children_send_back_a_deep_tree(self, fit_cpus, monkeypatch):
         # a 599-level tree must pickle, or the parent fits it again itself
         parent, in_parent = os.getpid(), []
@@ -559,15 +559,17 @@ class TestFitModels:
         assert interrupted.exists()
         assert time.monotonic() - begun < 30
 
-    def test_failed_fits_are_none_wherever_they_failed(self, fit_cpus):
+    def test_failed_fits_give_the_error_fit_model_raises(self, fit_cpus):
         # the forest fails in rank_codes before any fork, DT and XGB in their units
         X, y = _tied_data()
         X[3, 2] = np.nan
         cfgs = [ModelConfig.for_family(f) for f in ("dt", "rf", "xgb")]
-        assert fit_models(X, y, cfgs) == [None, None, None]
-        for cfg in cfgs:
-            with pytest.raises(NonFiniteFeature):
+        fitted = fit_models(X, y, cfgs)
+        assert len(fitted) == len(cfgs)
+        for cfg, error in zip(cfgs, fitted):
+            with pytest.raises(NonFiniteFeature) as expected:
                 fit_model(X, y, cfg)
+            assert (type(error), str(error)) == (type(expected.value), str(expected.value))
 
     @pytest.mark.parametrize("case", ["one unit", "one cpu", "no affinity", "threads"])
     def test_in_process_cases_never_fork(self, case, monkeypatch):

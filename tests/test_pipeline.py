@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 
@@ -24,7 +25,7 @@ from imbtab.errors import (
     UnseenCategory,
     ValidationError,
 )
-from imbtab.models import FittedModel, ModelConfig, fanout, fit_model, forest
+from imbtab.models import FittedModel, ModelConfig, fanout, fit_model, forest, tree
 from imbtab.pipeline import EncoderSpec, _stage, prepare
 from imbtab.resampling import ResampleConfig
 from imbtab.synth import DEFAULT_SCHEMA, generate_dataset, write_csv
@@ -692,6 +693,23 @@ class TestFitFanOut:
         cause = "no tree" if failing == "fit:B" else "no labels"
         assert errors == [(failing, f"stage '{failing}': {cause}")] * 2
 
+    def test_a_failing_model_is_fitted_once_in_the_calling_process(self, data_csv, monkeypatch, fit_cpus):
+        # B's rank codes raise wherever B is fitted; only this process's calls count
+        parent, calls = os.getpid(), []
+
+        def no_codes(X):
+            if os.getpid() == parent:
+                calls.append(len(X))
+            raise ValueError("no codes")
+
+        models = [{"family": "lr", "name": "A", "iterations": 50}, {"family": "dt", "name": "B"}]
+        cfg = parse_config(json.dumps(base_config(data_csv, models=models)))
+        monkeypatch.setattr(tree, "rank_codes", no_codes)
+        with pytest.raises(PipelineError) as exc:
+            run_experiment(cfg)
+        assert (exc.value.stage, str(exc.value)) == ("fit:B", "stage 'fit:B': no codes")
+        assert len(calls) == 1
+
 
 # test-row block sizes, given the number n of test rows
 BLOCK_SIZES = [lambda n: 1, lambda n: 7, lambda n: n - 1, lambda n: n, lambda n: n + 1]
@@ -774,16 +792,30 @@ class TestBlockScoring:
         assert str(exc.value) == "stage 'evaluate:LR': cannot build a confusion matrix from zero rows"
 
     def test_a_refit_that_succeeds_is_scored(self, data_csv, tmp_path, monkeypatch):
-        real = pipeline.fit_models
+        # the forest's trees raise only in the forked children, so the calling
+        # process fits the whole forest once and scores it with the others
+        parent, in_parent = os.getpid(), []
+        real_grow, real_fit = forest.grow_tree, fanout.fit_model
 
-        def without_rf(*args):
-            return [None if model.family == "rf" else model for model in real(*args)]
+        def grow_in_parent(*args):
+            if os.getpid() != parent:
+                raise ValueError("no tree in a child")
+            return real_grow(*args)
 
-        monkeypatch.setattr(pipeline, "fit_models", without_rf)
-        monkeypatch.setattr(pipeline, "_SCORE_ROWS", 7, raising=False)
+        def recorded(X, y, cfg):
+            if os.getpid() == parent:
+                in_parent.append(cfg.name)
+            return real_fit(X, y, cfg)
+
+        monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
+        monkeypatch.setattr(forest, "grow_tree", grow_in_parent)
+        monkeypatch.setattr(fanout, "grow_tree", grow_in_parent)
+        monkeypatch.setattr(fanout, "fit_model", recorded)
+        monkeypatch.setattr(pipeline, "_SCORE_ROWS", 7)
         cfg = parse_config(json.dumps(base_config(data_csv, models=MIXED_MODELS)))
         emit_report(run_experiment(cfg), ["json"], tmp_path)
         assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == MIXED_REPORT_SHA256
+        assert in_parent == ["RF"]
 
     def test_scoring_memory_does_not_grow_with_the_test_rows(self, tmp_path, monkeypatch):
         # tracemalloc counts numpy's allocations, so with the fit in this
