@@ -5,8 +5,8 @@
   imbtab resample --config cfg.json --out resampled.csv
 
 Exit codes, for every command: 0 success, 2 config error (an unreadable config
-file or a bad argument too), 3 data error (a dataset a stage cannot read), 4
-runtime error (an output path that cannot be written too).
+file or a bad argument too), 3 data error (any error of the load stage, which
+reads the dataset), 4 runtime error (an output path that cannot be written too).
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ import csv
 import dataclasses
 import sys
 
-from .errors import (
-    HeaderMismatch,
-    ImbtabError,
-    MalformedRow,
-    ParseError,
-    PipelineError,
-    ValidationError,
-)
+from .errors import ImbtabError, ParseError, PipelineError, ValidationError
 from .pipeline import _stage, emit_report, parse_config, prepare, run_experiment
 from .resampling import rebalance
 from .synth import generate_dataset, write_csv
@@ -32,9 +25,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
-
-# causes of a PipelineError that mean the dataset could not be read
-_DATA_ERRORS = (FileNotFoundError, HeaderMismatch, MalformedRow, UnicodeDecodeError)
 
 
 def _load_config(path):
@@ -134,7 +124,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ImbtabError, OSError) as exc:
-        if isinstance(exc, PipelineError) and isinstance(exc.cause, _DATA_ERRORS):
+        if isinstance(exc, PipelineError) and exc.stage == "load":
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
         print(f"runtime error: {exc}", file=sys.stderr)

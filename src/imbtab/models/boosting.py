@@ -81,16 +81,18 @@ def fit_gbt(X, y, cfg):
     base = logit(min(max(float(y.mean()), _EPS), 1.0 - _EPS))
     raw = np.full(len(y), base)
     trees = []
-    for _ in range(cfg.rounds):
-        p = sigmoid(raw)
-        g = p - y
-        h = p * (1.0 - p)
-        criterion = GainCriterion(y, g, h, cfg.l2, cfg.min_samples_leaf)
-        tree = grow(X, codes, rows, criterion, cfg.max_depth)
-        raw = raw + cfg.learning_rate * tree_predict(tree, X)
-        if not np.all(np.isfinite(raw)):
-            raise NonFiniteScore("boosted raw scores became non-finite")
-        trees.append(tree)
+    # with l2 = 0, a node whose h sum is 0 has 0/0 gains and a +-inf or NaN leaf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(cfg.rounds):
+            p = sigmoid(raw)
+            g = p - y
+            h = p * (1.0 - p)
+            criterion = GainCriterion(y, g, h, cfg.l2, cfg.min_samples_leaf)
+            tree = grow(X, codes, rows, criterion, cfg.max_depth)
+            raw = raw + cfg.learning_rate * tree_predict(tree, X)
+            if not np.all(np.isfinite(raw)):
+                raise NonFiniteScore("boosted raw scores became non-finite")
+            trees.append(tree)
     return BoostedModel(
         base_score=base,
         trees=trees,

@@ -64,17 +64,19 @@ def fit_logistic(X, y, cfg):
     p = sigmoid(X @ w + b)
     loss = _loss(p, y, w, cfg.l2)
     it = 0
-    for it in range(1, cfg.iterations + 1):
-        gw, gb = _gradient(X, y, p, w, cfg.l2)
-        if max(np.max(np.abs(gw), initial=0.0), abs(gb)) < cfg.tolerance:
-            it -= 1
-            break
-        w -= cfg.learning_rate * gw
-        b -= cfg.learning_rate * gb
-        p = sigmoid(X @ w + b)
-        loss = _loss(p, y, w, cfg.l2)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"loss diverged at iteration {it}; lower the learning rate")
+    # a diverging fit overflows before its loss turns non-finite; NonFiniteLoss reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, cfg.iterations + 1):
+            gw, gb = _gradient(X, y, p, w, cfg.l2)
+            if max(np.max(np.abs(gw), initial=0.0), abs(gb)) < cfg.tolerance:
+                it -= 1
+                break
+            w -= cfg.learning_rate * gw
+            b -= cfg.learning_rate * gb
+            p = sigmoid(X @ w + b)
+            loss = _loss(p, y, w, cfg.l2)
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"loss diverged at iteration {it}; lower the learning rate")
     return LinearModel(weights=w, bias=b, final_loss=loss, iterations=it)
 
 

@@ -132,9 +132,8 @@ def best_split(X, codes, rows, feats, stats, loss, min_samples_leaf):
 
     Candidates leaving fewer than min_samples_leaf rows on a side are dropped,
     and so is a feature with no candidate left. A feature whose losses include
-    NaN is skipped, unless it is the first feature with a candidate: then its
-    first NaN candidate is the split, as a running strict-less minimum seeded
-    with it would decide.
+    NaN ends the search with no split if it is the first feature with a
+    candidate, and is skipped otherwise.
     """
     n = len(rows)
     if n < 2:
@@ -156,20 +155,17 @@ def best_split(X, codes, rows, feats, stats, loss, min_samples_leaf):
         cums = [np.cumsum(s[order], axis=1) for s in stats]
         values = loss([c[fi, at] for c in cums], [c[fi, -1] for c in cums], n_left)
         nan = np.isnan(values)
-        locked = False  # a NaN that seeds the running minimum: no loss is < NaN
         if nan.any():
-            locked = best is None and bool(nan[fi == fi[0]].any())
-            if not locked:
-                keep = ~np.isin(fi, fi[nan])
-                if not keep.any():
-                    continue
-                fi, at, values = fi[keep], at[keep], values[keep]
-        j = int(np.argmin(values))  # first minimum; the first NaN when locked
+            if best is None and nan[fi == fi[0]].any():
+                return None
+            keep = ~np.isin(fi, fi[nan])
+            if not keep.any():
+                continue
+            fi, at, values = fi[keep], at[keep], values[keep]
+        j = int(np.argmin(values))  # the first minimum
         if best is None or values[j] < best[0]:
             f, pos = fi[j], at[j]
             best = (float(values[j]), int(block[f]), order[f, pos], order[f, pos + 1])
-        if locked:
-            break
     if best is None:
         return None
     value, feature, lo, hi = best

@@ -4,6 +4,7 @@ import os
 import signal
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from imbtab.errors import (
     ImbtabError,
     NonFiniteFeature,
     NonFiniteLoss,
+    NonFiniteScore,
     ValidationError,
 )
 from imbtab.models import (
@@ -137,7 +139,7 @@ class TestLogistic:
 
     def test_divergence_names_its_iteration(self):
         X, y = self._scaled_data()
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss, match="iteration 52;"):
+        with pytest.raises(NonFiniteLoss, match="iteration 52;"):
             fit_logistic(X, y, lr_cfg(learning_rate=1e3, l2=1.0))
 
 
@@ -329,6 +331,27 @@ class TestBoosting:
         X = np.array([[0.0], [1.0]])
         m = fit_gbt(X, np.ones(2), ModelConfig.for_family("xgb", rounds=0))
         assert np.isfinite(m.base_score)
+
+    def test_zero_hessian_nodes_fit_without_warnings(self):
+        # l2 = 0: once sigmoid(raw) saturates, nodes with h sum 0 have 0/0 gains
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        cfg = ModelConfig.for_family("xgb", rounds=50, learning_rate=1.0, l2=0.0, max_depth=1)
+        documents = []
+        for action in ("ignore", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                documents.append(model_to_json(fit_model(X, y, cfg)))
+        assert documents[0] == documents[1]
+
+    def test_non_finite_raw_scores_raise(self):
+        X = np.array([[0.0], [0.0], [1.0], [1.0], [2.0]])
+        y = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
+        cfg = ModelConfig.for_family("xgb", rounds=5, learning_rate=5.0, l2=0.0, max_depth=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteScore):
+                fit_model(X, y, cfg)
 
 
 class TestContract:

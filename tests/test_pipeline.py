@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -1129,6 +1130,26 @@ class TestCli:
         cfg_path.write_text(json.dumps(base_config(data, output=str(tmp_path / "out"))))
         argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "res")]
         assert main(argv) == EXIT_DATA
+
+    @pytest.mark.parametrize("command", ["run", "resample"])
+    def test_a_cell_over_the_csv_field_limit_is_a_data_error(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        write_csv(generate_dataset(50, seed=1), data)
+        data.write_text(data.read_text().replace("male", "m" * (csv.field_size_limit() + 1), 1))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(data, output=str(tmp_path / "out"))))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "res")]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: stage 'load': field larger than")
+
+    @pytest.mark.parametrize("command", ["run", "resample"])
+    def test_a_dataset_path_that_is_a_directory_is_a_data_error(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(tmp_path, output=str(tmp_path / "out"))))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "res")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: stage 'load': [Errno 21] Is a directory")
 
     def test_non_utf8_config_is_a_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import imbtab
 from imbtab.models import FAMILIES, ModelConfig
-from imbtab.pipeline import Prepared
+from imbtab.pipeline import Prepared, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,6 +46,13 @@ def test_every_dotted_imbtab_name_in_readme_resolves():
     names = re.findall(r"`(imbtab(?:\.\w+)+)(?:\([^`]*\))?`", README.read_text(encoding="utf-8"))
     assert names
     assert [n for n in names if not resolves(n)] == []
+
+
+def test_readmes_minimal_config_parses():
+    text = README.read_text(encoding="utf-8")
+    example = re.search(r"A minimal config:\n\n```json\n(.*?)```", text, re.S)
+    cfg = parse_config(example.group(1))
+    assert [m.name for m in cfg.models] == ["SMOTE-LR", "SMOTE-RF"]
 
 
 def test_readme_lists_the_model_families_in_order():
