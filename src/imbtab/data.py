@@ -8,8 +8,10 @@ parsed as CSV tokens by `_ColumnParser`, which `load_csv` feeds the file's
 tokens and a Dataset built in memory feeds `str(cell)` ("" for MISSING).
 `column()` and `rows` give the cells back as Python values, with the MISSING
 sentinel. Datasets are treated as immutable; every operation returns a new
-Dataset. `train_test_split` shuffles each label group's rows with one seeded
-`random.Random` and puts the head of each shuffle in the test split.
+Dataset. `train_test_split` puts in the test split the rows that shuffling
+each label group's row numbers, held in an `array.array`, with one seeded
+`random.Random` would put at the head of the group; the last group makes only
+the draws that fix its training rows.
 
 `load_csv` reads the body in byte blocks cut at line ends. A UTF-8 block
 with no `"` byte, no NUL byte and no CR outside CRLF is split into cells with
@@ -23,6 +25,7 @@ malformed row, with its index, or bytes that are not UTF-8.
 
 from __future__ import annotations
 
+import array
 import csv
 import itertools
 import math
@@ -528,6 +531,15 @@ def train_test_split(d, spec):
     Stratified mode allocates per-label test counts by largest remainder so the
     total still matches and each label is within one row of its proportion.
     Within each side, original row order is preserved.
+
+    The test rows are those that `random.Random(spec.seed).shuffle` of each
+    label group's row numbers in turn (all rows unless stratified) puts at the
+    head of the group, up to its quota. A shuffle fixes position i at its step
+    i, from the last position down, and no later step moves it; so once the
+    steps down to the quota have run, the rows behind the quota are the
+    training rows, and the rows in front of it the test rows as a set. Every
+    group but the last is shuffled whole, since the next group's draws start
+    from the state its shuffle leaves; the last group makes only those steps.
     """
     n = d.row_count
     if n == 0:
@@ -536,21 +548,32 @@ def train_test_split(d, spec):
     rng = random.Random(int(spec.seed))  # a numpy integer is not a valid seed
 
     if not spec.stratified:
-        groups, quotas = [list(range(n))], [n_test]
+        groups, quotas = [np.arange(n)], [n_test]
     else:
         labels = target_labels(d)
-        groups = [np.flatnonzero(labels == lab).tolist() for lab in (0, 1)]
+        groups = [np.flatnonzero(labels == lab) for lab in (0, 1)]
         # largest-remainder apportionment of n_test across labels
         shares = [spec.test_fraction * len(members) for members in groups]
         quotas = [math.floor(share) for share in shares]
         by_remainder = sorted((0, 1), key=lambda lab: (-(shares[lab] - quotas[lab]), lab))
         for lab in by_remainder[: n_test - sum(quotas)]:
             quotas[lab] += 1
+    # each group's row numbers as an array.array (8 bytes a row, where a list
+    # holds an int object per row), copied from the numpy array's bytes
+    groups = [array.array("q", rows.astype(np.int64).tobytes()) for rows in groups]
     in_test = np.zeros(n, dtype=bool)
-    # shuffle each group's rows in turn; the head, up to the group's quota, is test
-    for members, quota in zip(groups, quotas):
+    for members, quota in zip(groups[:-1], quotas):
         rng.shuffle(members)
-        in_test[np.array(members[:quota], dtype=np.intp)] = True
+        in_test[np.frombuffer(members, np.int64)[:quota]] = True
+    members, quota = groups[-1], quotas[-1]
+    if quota:
+        # the steps of rng.shuffle(members) down to position `quota`, making
+        # the draws it makes: rng._randbelow is what shuffle calls
+        randbelow = rng._randbelow
+        for i in range(len(members) - 1, quota - 1, -1):
+            j = randbelow(i + 1)
+            members[i], members[j] = members[j], members[i]
+        in_test[np.frombuffer(members, np.int64)[:quota]] = True
     return d._select(~in_test), d._select(in_test)
 
 

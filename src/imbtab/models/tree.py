@@ -36,6 +36,7 @@ boosted models call it once per tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -87,7 +88,10 @@ class Tree:
             return NotImplemented
         return list(self.walk()) == list(other.walk())
 
-    @property
+    # The cached properties below are computed once per tree, on first use;
+    # they are not dataclass fields, so a model's JSON does not hold them.
+
+    @cached_property
     def depth(self):
         """The number of levels below the root."""
         depth, level = 0, np.zeros(1, dtype=np.intp)
@@ -95,6 +99,14 @@ class Tree:
             level = np.concatenate([level + 1, self.right[level]])
             depth += 1
         return depth
+
+    @cached_property
+    def _step(self):
+        """(feature, threshold) per node for `tree_predict`. A leaf compares
+        column 0 with NaN, which no value is <=, so a row there goes right:
+        to the leaf itself."""
+        leaf = self.feature < 0
+        return np.where(leaf, 0, self.feature), np.where(leaf, np.nan, self.threshold)
 
 
 def gini_impurity(y):
@@ -271,10 +283,7 @@ def tree_predict(tree, X):
     threshold, so a NaN value goes right. Every row takes one step per level
     of the tree, gathering its feature value from X's row-major buffer."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    leaf = tree.feature < 0
-    # a leaf compares column 0 with NaN, which no value is <=, and goes right: to itself
-    feature = np.where(leaf, 0, tree.feature)
-    threshold = np.where(leaf, np.nan, tree.threshold)
+    feature, threshold = tree._step
     cells = X.ravel()
     row_start = np.arange(len(X)) * X.shape[1]
     at = np.zeros(len(X), dtype=np.intp)

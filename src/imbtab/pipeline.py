@@ -246,13 +246,22 @@ def _label_counts(y):
 
 
 def prepare(cfg):
-    """load -> clean -> split -> encode the training rows; the test rows stay a Dataset."""
+    """load -> clean -> split -> encode the training rows; the test rows stay a Dataset.
+
+    Each Dataset is released as soon as the next stage has read it: the
+    loaded one when cleaning returns, the cleaned one when the split returns.
+    Only their row counts are kept, so the loaded rows are not alive during
+    the split, nor the cleaned rows during the encode."""
     with _stage("load"):
-        raw = load_csv(cfg.dataset_path, cfg.schema)
+        loaded = load_csv(cfg.dataset_path, cfg.schema)
+    rows_loaded = loaded.row_count
     with _stage("clean"):
-        clean = drop_missing(raw)
+        clean = drop_missing(loaded)
+    del loaded
+    rows_after_clean = clean.row_count
     with _stage("split"):
         train, test = train_test_split(clean, cfg.split)
+    del clean
 
     with _stage("encode"):
         fitted = {
@@ -260,7 +269,7 @@ def prepare(cfg):
         }
         X_train = build_features(train, cfg.schema, fitted)
         y_train = target_labels(train).astype(int)
-    return Prepared(X_train, y_train, test, fitted, raw.row_count, clean.row_count)
+    return Prepared(X_train, y_train, test, fitted, rows_loaded, rows_after_clean)
 
 
 def _score(test, schema, encoders, models):

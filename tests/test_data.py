@@ -250,15 +250,32 @@ def _fisher_yates(n, rng):
     return idx
 
 
+def _groups_and_quotas(labels, fraction, stratified):
+    """Each label group's row numbers (one group of all rows unless
+    stratified) and its test quota, by largest remainder."""
+    n = len(labels)
+    n_test = int(np.floor(fraction * n + 0.5))
+    if not stratified:
+        return [list(range(n))], [n_test]
+    groups = [[i for i, lab in enumerate(labels) if lab == g] for g in (0, 1)]
+    shares = [fraction * len(g) for g in groups]
+    quotas = [int(np.floor(share)) for share in shares]
+    ranked = sorted((0, 1), key=lambda g: (quotas[g] - shares[g], g))
+    for g in ranked[: n_test - sum(quotas)]:
+        quotas[g] += 1
+    return groups, quotas
+
+
 class _Recording(random.Random):
-    """A `random.Random` that keeps its state from before each bounded draw."""
+    """A `random.Random` that keeps the bound of each bounded draw and its
+    state from before the draw."""
 
     def __init__(self, seed):
-        self.states = []
+        self.draws = []
         super().__init__(seed)
 
     def _randbelow(self, n):
-        self.states.append(self.getstate())
+        self.draws.append((n, self.getstate()))
         return super()._randbelow(n)
 
 
@@ -323,31 +340,54 @@ class TestTrainTestSplit:
             _, test = train_test_split(d, SplitSpec(fraction, seed=seed, stratified=stratified))
 
         # the reference: the same quotas, each label group's rows in turn
-        n = len(labels)
-        n_test = int(np.floor(fraction * n + 0.5))
-        if stratified:
-            groups = [[i for i, lab in enumerate(labels) if lab == g] for g in (0, 1)]
-            shares = [fraction * len(g) for g in groups]
-            quotas = [int(np.floor(share)) for share in shares]
-            ranked = sorted((0, 1), key=lambda g: (quotas[g] - shares[g], g))
-            for g in ranked[: n_test - sum(quotas)]:
-                quotas[g] += 1
-        else:
-            groups, quotas = [list(range(n))], [n_test]
-        ref = random.Random(seed)
+        groups, quotas = _groups_and_quotas(labels, fraction, stratified)
+        ref = _Recording(seed)
         expected, after_group = [], []
         for group, quota in zip(groups, quotas):
             expected += [group[j] for j in _fisher_yates(len(group), ref)[:quota]]
             after_group.append(ref.getstate())
         assert sorted(int(i) for i in test.column("id")) == sorted(expected)
 
+        # each group but the last is shuffled whole; the last makes one draw
+        # per position from its end down to its quota, and none at quota 0
+        *earlier, last = groups
+        last_quota = quotas[-1]
+        bounds = [i + 1 for g in earlier for i in range(len(g) - 1, 0, -1)]
+        if last_quota:
+            bounds += [i + 1 for i in range(len(last) - 1, last_quota - 1, -1)]
         (rng,) = made
-        first_draws = max(len(groups[0]) - 1, 0)
-        assert len(rng.states) == sum(max(len(g) - 1, 0) for g in groups)
+        assert [bound for bound, _ in rng.draws] == bounds
+        # every draw starts from the reference's state before the same draw
+        assert rng.draws == ref.draws[: len(bounds)]
+        # and nothing else is drawn: the split ends where the reference stood
+        # after those draws
+        end = ref.draws[len(bounds)][1] if len(ref.draws) > len(bounds) else ref.getstate()
+        assert rng.getstate() == end
         if stratified:  # where the second group's shuffle starts
-            after_first = rng.states[first_draws] if len(rng.states) > first_draws else rng.getstate()
+            first_draws = max(len(groups[0]) - 1, 0)
+            after_first = rng.draws[first_draws][1] if len(rng.draws) > first_draws else rng.getstate()
             assert after_first == after_group[0]
-        assert rng.getstate() == after_group[-1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4097, 20_000])
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_rows_match_a_whole_shuffle_at_every_quota(self, n, stratified):
+        # the hypothesis test stops at 60 rows; here the quota also comes
+        # within one row of a large group's either end
+        labels = (np.random.default_rng(n).random(n) < 0.3).astype(np.int8)
+        labels[:2] = (0, 1)
+        columns = [Column(np.arange(n, dtype=np.float64)), Column(labels, LABELS)]
+        d = Dataset.from_columns(SCHEMA_ID, columns)
+        for fraction in (0.0, 1 / n, 0.2, 0.9, 1 - 1 / n, 1.0):
+            groups, quotas = _groups_and_quotas(labels.tolist(), fraction, stratified)
+            for seed in (0, 12345):
+                # the split as a whole shuffle of each group, its head the test rows
+                rng, expected = random.Random(seed), []
+                for group, quota in zip(groups, quotas):
+                    order = list(group)
+                    rng.shuffle(order)
+                    expected += order[:quota]
+                _, test = train_test_split(d, SplitSpec(fraction, seed=seed, stratified=stratified))
+                assert test.column_data("id").values.tolist() == sorted(expected)
 
 
 class TestClassCounts:

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -882,6 +883,47 @@ class TestPrepare:
         assert meta["class_counts_test"]["0"] == int((y_test == 0).sum())
         fingerprints = {c: enc.fingerprint() for c, enc in data.encoders.items()}
         assert meta["encoder_fingerprints"] == fingerprints
+
+    def test_each_dataset_is_released_when_its_stage_ends(self, tmp_path, monkeypatch):
+        path = tmp_path / "blank.csv"
+        rows = "".join(f"{i},{'ab'[i % 2]},{i % 3 == 0:d}\n" for i in range(40))
+        path.write_text("x,c,target\n,a,1\n" + rows)  # one blank cell: cleaning makes a copy
+        doc = {
+            "dataset": str(path),
+            "schema": [
+                {"name": "x", "kind": "numeric"},
+                {"name": "c", "kind": "categorical"},
+                {"name": "target", "kind": "target"},
+            ],
+            "target": "target",
+            "models": [{"family": "lr", "iterations": 5}],
+        }
+        refs, seen = {}, []
+        real_load, real_clean, real_split = pipeline.load_csv, pipeline.drop_missing, pipeline.train_test_split
+
+        def held(stage, d):  # its column arrays, which only the Dataset holds
+            refs[stage] = [weakref.ref(d.column_data(name).values) for name in d.column_names]
+            return d
+
+        def released(stage):
+            return all(ref() is None for ref in refs[stage])
+
+        def split(d, spec):
+            seen.append(("split: loaded released", released("load")))
+            return real_split(d, spec)
+
+        class Encoder(pipeline.FittedColumnEncoder):
+            def fit(self, d):
+                seen.append(("encode: cleaned released", released("clean")))
+                return super().fit(d)
+
+        monkeypatch.setattr(pipeline, "load_csv", lambda *args: held("load", real_load(*args)))
+        monkeypatch.setattr(pipeline, "drop_missing", lambda d: held("clean", real_clean(d)))
+        monkeypatch.setattr(pipeline, "train_test_split", split)
+        monkeypatch.setattr(pipeline, "FittedColumnEncoder", Encoder)
+        data = prepare(parse_config(json.dumps(doc)))
+        assert (data.rows_loaded, data.rows_after_clean) == (41, 40)
+        assert seen[:2] == [("split: loaded released", True), ("encode: cleaned released", True)]
 
     def test_no_feature_columns_keep_one_row_per_row(self, tmp_path):
         path = tmp_path / "labels.csv"
