@@ -10,8 +10,8 @@ tokens and a Dataset built in memory feeds `str(cell)` ("" for MISSING).
 sentinel. Datasets are treated as immutable; every operation returns a new
 Dataset. `train_test_split` puts in the test split the rows that shuffling
 each label group's row numbers, held in an `array.array`, with one seeded
-`random.Random` would put at the head of the group; the last group makes only
-the draws that fix its training rows.
+`random.Random` would put at the head of the group; each group makes only the
+swaps that fix its training rows, and the last only their draws.
 
 `load_csv` reads the body in byte blocks cut at line ends. A UTF-8 block
 with no `"` byte, no NUL byte and no CR outside CRLF is split into cells with
@@ -537,9 +537,10 @@ def train_test_split(d, spec):
     head of the group, up to its quota. A shuffle fixes position i at its step
     i, from the last position down, and no later step moves it; so once the
     steps down to the quota have run, the rows behind the quota are the
-    training rows, and the rows in front of it the test rows as a set. Every
-    group but the last is shuffled whole, since the next group's draws start
-    from the state its shuffle leaves; the last group makes only those steps.
+    training rows, and the rows in front of it the test rows as a set. Each
+    group makes only those steps. Every group but the last then makes the
+    rest of its shuffle's draws, without their swaps, since the next group's
+    draws start from the state its whole shuffle leaves.
     """
     n = d.row_count
     if n == 0:
@@ -562,18 +563,18 @@ def train_test_split(d, spec):
     # holds an int object per row), copied from the numpy array's bytes
     groups = [array.array("q", rows.astype(np.int64).tobytes()) for rows in groups]
     in_test = np.zeros(n, dtype=bool)
-    for members, quota in zip(groups[:-1], quotas):
-        rng.shuffle(members)
-        in_test[np.frombuffer(members, np.int64)[:quota]] = True
-    members, quota = groups[-1], quotas[-1]
-    if quota:
-        # the steps of rng.shuffle(members) down to position `quota`, making
-        # the draws it makes: rng._randbelow is what shuffle calls
-        randbelow = rng._randbelow
-        for i in range(len(members) - 1, quota - 1, -1):
-            j = randbelow(i + 1)
-            members[i], members[j] = members[j], members[i]
-        in_test[np.frombuffer(members, np.int64)[:quota]] = True
+    randbelow = rng._randbelow  # what rng.shuffle draws with
+    for members, quota in zip(groups, quotas):
+        if quota:
+            # the steps of rng.shuffle(members) from its last position down to `quota`
+            for i in range(len(members) - 1, quota - 1, -1):
+                j = randbelow(i + 1)
+                members[i], members[j] = members[j], members[i]
+            in_test[np.frombuffer(members, np.int64)[:quota]] = True
+        if members is not groups[-1]:
+            # the rest of the shuffle's draws, which the next group's start from
+            for bound in range(quota or len(members), 1, -1):
+                randbelow(bound)
     return d._select(~in_test), d._select(in_test)
 
 

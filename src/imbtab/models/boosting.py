@@ -4,8 +4,8 @@ Per round, with p = sigmoid(raw score): g = p - y, h = p(1-p). Leaves take
 -G/(H + lambda); a split is accepted only with strictly positive gain
 0.5 * [G_L^2/(H_L+l) + G_R^2/(H_R+l) - (G_L+G_R)^2/(H_L+H_R+l)].
 
-Each round's tree comes from tree.py's one grower over the rank codes computed
-once per fit, with `GainCriterion`: (g, h) are the row statistics and the
+Each round's tree comes from tree.py's one grower over the codes computed
+once per fit (`fit_codes`), with `GainCriterion`: (g, h) are the row statistics and the
 negated gain is the loss; min_samples_leaf drops candidates with a smaller
 side. Each round's training contributions are `tree_predict` of the tree on
 the training rows: the grower splits rows with the same `<=` comparison as
@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import EmptyInput, NonFiniteScore
 from .logistic import sigmoid
-from .tree import gini_impurity, grow, rank_codes, tree_predict
+from .tree import fit_codes, gini_impurity, grow, tree_predict
 
 _EPS = 1e-6
 
@@ -42,7 +42,7 @@ class BoostedModel:
 def _gain_loss(G, H, lam):
     """Negated second-order gain of each candidate split of a node with sums G, H."""
 
-    def loss(left, total, n_left):
+    def loss(left, n_left):
         GL, HL = left
         GR = G - GL
         HR = H - HL
@@ -76,7 +76,7 @@ def fit_gbt(X, y, cfg):
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise EmptyInput("cannot fit boosted trees on zero rows")
-    codes = rank_codes(X)
+    codes = fit_codes(X, X.shape[1])
     rows = np.arange(len(y))
     base = logit(min(max(float(y.mean()), _EPS), 1.0 - _EPS))
     raw = np.full(len(y), base)

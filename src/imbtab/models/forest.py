@@ -2,8 +2,10 @@
 
 Each tree gets its own RNG stream spawned from the forest seed, a bootstrap
 resample (when enabled), and a fresh sqrt-sized feature subset at every split.
-The features are rank-coded once per forest; a bootstrap sample is an array
-of row indices into X, not a copy of the rows.
+The features are coded once per forest (`fit_codes`); a bootstrap sample is
+an array of row indices into X, not a copy of the rows. Subsets of fewer than
+tree.py's `_BLOCK` (8) features never take the split search's two-valued
+path, so the codes of such a forest hold no matrix for it.
 
 `plan_forest` does the per-forest work and `grow_tree` grows one tree from
 it, so a caller can grow the trees of one plan in any order or process.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyInput
-from .tree import GiniCriterion, grow, rank_codes, tree_predict
+from .tree import GiniCriterion, fit_codes, grow, tree_predict
 
 
 @dataclass
@@ -30,8 +32,8 @@ class ForestModel:
 
 @dataclass
 class ForestPlan:
-    """What every tree of one forest shares: the rank codes, the subset size
-    and one spawned seed stream per tree."""
+    """What every tree of one forest shares: the feature codes, the subset
+    size and one spawned seed stream per tree."""
 
     codes: np.ndarray
     feature_subset_size: int
@@ -45,7 +47,7 @@ def plan_forest(X, y, cfg):
     subset = cfg.feature_subset_size
     if subset is None:
         subset = max(1, math.ceil(math.sqrt(X.shape[1])))
-    codes = rank_codes(X)
+    codes = fit_codes(X, subset)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
     return ForestPlan(codes=codes, feature_subset_size=subset, streams=streams)
 

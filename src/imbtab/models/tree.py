@@ -3,15 +3,28 @@ forest and the boosted trees share.
 
 Fitting is exact greedy split finding (Algorithm 1 of Chen & Guestrin 2016):
 
-- `rank_codes` codes each feature column once per fit as the rank of its
-  value among the column's distinct values. A stable argsort of the codes
-  orders a node's rows exactly as a stable argsort of the values would, and
-  numpy radix-sorts 16-bit keys.
-- `best_split` is the one split search. Per node and per block of features it
-  stable-argsorts the node's codes, takes the cumulative sums of the node's
-  row statistics in that order, and evaluates the split criterion only where
-  the code changes. CART minimises the weighted child Gini; boosting.py
-  minimises the negated second-order gain.
+- `fit_codes` codes each feature column once per fit (`rank_codes`) as the
+  rank of its value among the column's distinct values. A stable argsort of
+  the codes orders a node's rows exactly as a stable argsort of the values
+  would, and numpy radix-sorts 16-bit keys. One-hot encoding makes most
+  columns two-valued (codes 0 and 1); when some node of the fit can search
+  _BLOCK of them, `fit_codes` also keeps their code-0 flags as a row-major
+  (rows, features) bool matrix.
+- `best_split` is the one split search. It evaluates the split criterion
+  only where a feature's code changes in sorted order, given the sums of the
+  node's row statistics over the rows on the left, each added one row at a
+  time in that order. It finds them on two paths:
+  - sorting: per block of features, stable-argsort the node's codes and take
+    the cumulative sums of the statistics in that order;
+  - two-valued, taken for a node's two-valued features when it searches at
+    least _BLOCK of them: each has one candidate, its code-0 rows on the
+    left, and their sums are one masked sum down the rows of the flag matrix
+    for all those features at once. numpy adds such a sum one row at a time,
+    in node row order, which is the cumsum's order, so the two paths give
+    bit-identical losses. Below _BLOCK features the per-node calls cost more
+    than the sort they save.
+  CART minimises the weighted child Gini; boosting.py minimises the negated
+  second-order gain.
 - Candidate thresholds are midpoints between consecutive distinct values of a
   feature, read from X at the two rows either side of the boundary. The first
   optimum in (feature, position) order wins: ties break to the lowest feature
@@ -44,7 +57,8 @@ import numpy as np
 from ..errors import EmptyInput, NonFiniteFeature
 
 # Features searched together in one node: it bounds the size of the
-# (features, rows) arrays that one search holds at a time.
+# (features, rows) arrays that one search holds at a time. It is also the
+# fewest two-valued features for which a node takes the two-valued path.
 _BLOCK = 8
 
 
@@ -132,63 +146,156 @@ def rank_codes(X):
     return codes
 
 
+class Codes(NamedTuple):
+    """What the split searches of one fit read of its feature columns.
+
+    rank: the (n_features, n_rows) codes of `rank_codes`.
+    column: per feature, its column in low, or -1.
+    low: for the two-valued features (codes only 0 and 1), an (n_rows,
+    n_two) bool matrix in row-major order, true where the code is 0; None
+    when no node of the fit searches _BLOCK of them, so that none takes the
+    two-valued path of `best_split`."""
+
+    rank: np.ndarray
+    column: np.ndarray
+    low: np.ndarray | None
+
+
+def fit_codes(X, searched):
+    """The Codes of X for a fit whose nodes each search `searched` features."""
+    rank = rank_codes(X)
+    two = np.flatnonzero(rank.max(axis=1) == 1)
+    column = np.full(len(rank), -1)
+    if min(searched, len(two)) < _BLOCK:
+        return Codes(rank, column, None)
+    column[two] = np.arange(len(two))
+    return Codes(rank, column, np.ascontiguousarray((rank[two] == 0).T))
+
+
 def best_split(X, codes, rows, feats, stats, loss, min_samples_leaf):
     """(loss, feature, threshold) of the first split minimising `loss`, or None.
 
-    rows: the node's row indices into X and codes, in the node's row order
-    (ties in a feature keep this order). stats: per-row statistics of the
-    node, each aligned with rows. loss(left, total, n_left) gets, at every
-    candidate, the cumulative sum of each statistic over the left rows and over
-    all the node's rows, both summed in the candidate feature's sorted order,
-    and the left row count; it returns the loss to minimise.
+    codes: the fit's `Codes`. rows: the node's row indices into X and the
+    codes, in the node's row order (ties in a feature keep this order). stats:
+    per-row statistics of the node, each aligned with rows. loss(left, n_left)
+    gets, at every candidate, the sum of each statistic over the rows left of
+    it, added one row at a time in the feature's stable sorted order, and the
+    left row count; it returns the loss to minimise.
 
-    Candidates leaving fewer than min_samples_leaf rows on a side are dropped,
-    and so is a feature with no candidate left. A feature whose losses include
-    NaN ends the search with no split if it is the first feature with a
-    candidate, and is skipped otherwise.
+    A node that searches at least _BLOCK two-valued features finds their
+    candidates in one pass over codes.low and the others by sorting; any
+    other node sorts every feature. Both paths add the same values in the same
+    order, so they give the same losses bit for bit.
+
+    Candidates leaving fewer than min_samples_leaf (at least 1) rows on a
+    side are dropped, and so is a feature with no candidate left. A feature
+    whose losses include NaN ends the search with no split if it is the
+    lowest feature with a candidate, on either path, and is skipped
+    otherwise. The first minimum in (feature, position) order wins.
     """
     n = len(rows)
     if n < 2:
         return None
-    best = None  # (loss, feature, last row on the left, first row on the right)
+    batches = []
+    if codes.low is not None:
+        column = codes.column[feats]
+        two = column >= 0
+        if np.count_nonzero(two) >= _BLOCK:
+            args = feats[two], column[two], stats, loss, min_samples_leaf
+            batches.append(_two_valued_best(codes.low, rows, *args))
+            feats = feats[~two]
     for start in range(0, len(feats), _BLOCK):
-        block = feats[start : start + _BLOCK]
-        node_codes = np.take(codes, block[:, None] * codes.shape[1] + rows)
-        order = np.argsort(node_codes, axis=1, kind="stable")
-        sorted_codes = np.take(node_codes, order + np.arange(0, node_codes.size, n)[:, None])
-        # (feature, position) pairs where the code changes, in that order
-        fi, at = np.divmod(np.flatnonzero(sorted_codes[:, 1:] != sorted_codes[:, :-1]), n - 1)
-        n_left = at + 1
-        if min_samples_leaf > 1:
-            keep = (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
-            fi, at, n_left = fi[keep], at[keep], n_left[keep]
-        if len(at) == 0:
-            continue
-        cums = [np.cumsum(s[order], axis=1) for s in stats]
-        values = loss([c[fi, at] for c in cums], [c[fi, -1] for c in cums], n_left)
-        nan = np.isnan(values)
-        if nan.any():
-            if best is None and nan[fi == fi[0]].any():
-                return None
-            keep = ~np.isin(fi, fi[nan])
-            if not keep.any():
-                continue
-            fi, at, values = fi[keep], at[keep], values[keep]
-        j = int(np.argmin(values))  # the first minimum
-        if best is None or values[j] < best[0]:
-            f, pos = fi[j], at[j]
-            best = (float(values[j]), int(block[f]), order[f, pos], order[f, pos + 1])
-    if best is None:
+        args = feats[start : start + _BLOCK], stats, loss, min_samples_leaf
+        batches.append(_sorted_best(codes.rank, rows, *args))
+    found = [batch for batch in batches if batch is not None]
+    if not found:
         return None
-    value, feature, lo, hi = best
+    _, nan, _ = min(found)  # the batch holding the lowest feature with a candidate
+    if nan:
+        return None
+    # the first minimum in (feature, position) order: batches hold disjoint
+    # features, so a tie in loss goes to the lower feature
+    value, feature, lo, hi = min(best for *_, best in found if best is not None)
     threshold = (X[rows[lo], feature] + X[rows[hi], feature]) / 2.0
     return value, feature, float(threshold)
 
 
-def _gini_loss(n):
-    def loss(left, total, n_left):
+def _first_minimum(features, values):
+    """(lowest feature, whether its losses include NaN, j) of one batch of
+    candidates in (feature, position) order: j is the index of the first
+    minimum over the features with no NaN loss, or None if every feature has
+    one."""
+    nan = np.isnan(values)
+    if not nan.any():
+        return features[0], False, int(np.argmin(values))
+    kept = np.flatnonzero(~np.isin(features, features[nan]))
+    j = int(kept[np.argmin(values[kept])]) if len(kept) else None
+    return features[0], bool(nan[features == features[0]].any()), j
+
+
+def _sorted_best(rank, rows, block, stats, loss, min_samples_leaf):
+    """The sorting path over the features of block: stable-argsort the node's
+    codes, take the cumulative sums of the statistics in that order and
+    evaluate loss where the code changes.
+
+    None when no feature has a candidate; else (the lowest feature with one,
+    whether its losses include NaN, best), where best is None when every
+    feature has a NaN loss, and otherwise the first minimum of the others as
+    (loss, feature, the last row on the left, the first on the right), the
+    rows as positions in rows."""
+    n = len(rows)
+    node_codes = np.take(rank, block[:, None] * rank.shape[1] + rows)
+    order = np.argsort(node_codes, axis=1, kind="stable")
+    sorted_codes = np.take(node_codes, order + np.arange(0, node_codes.size, n)[:, None])
+    # (feature, position) pairs where the code changes, in that order
+    fi, at = np.divmod(np.flatnonzero(sorted_codes[:, 1:] != sorted_codes[:, :-1]), n - 1)
+    n_left = at + 1
+    if min_samples_leaf > 1:
+        keep = (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
+        fi, at, n_left = fi[keep], at[keep], n_left[keep]
+    if len(at) == 0:
+        return None
+    values = loss([np.cumsum(s[order], axis=1)[fi, at] for s in stats], n_left)
+    first, nan, j = _first_minimum(block[fi], values)
+    if j is None:
+        return first, nan, None
+    f, pos = fi[j], at[j]
+    return first, nan, (float(values[j]), int(block[f]), order[f, pos], order[f, pos + 1])
+
+
+def _two_valued_best(low, rows, feats, columns, stats, loss, min_samples_leaf):
+    """The two-valued path over feats, ascending, whose columns in low are
+    columns: each feature has one candidate, its code-0 rows on the left.
+    Returns what `_sorted_best` does.
+
+    The left sums reduce the node's (rows, features) flags times each
+    statistic down axis 0. That product is C-ordered and at least two
+    features wide, so numpy adds it one row at a time, in node row order,
+    which is the order the sorting path's cumsum adds the code-0 rows in. A
+    one-feature or F-ordered product would be summed pairwise instead."""
+    n = len(rows)
+    zero = low[rows]
+    if len(columns) < low.shape[1]:
+        zero = np.take(zero, columns, axis=1)  # stays C-ordered, where zero[:, columns] would not
+    n_left = zero.sum(axis=0)
+    keep = (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
+    if not keep.any():
+        return None
+    lefts = [np.multiply(zero, s[:, None]).sum(axis=0)[keep] for s in stats]
+    values = loss(lefts, n_left[keep])
+    first, nan, j = _first_minimum(feats[keep], values)
+    if j is None:
+        return first, nan, None
+    k = np.flatnonzero(keep)[j]
+    is_zero = zero[:, k]
+    lo = n - 1 - int(np.argmax(is_zero[::-1]))  # the last code-0 row
+    return first, nan, (float(values[j]), int(feats[k]), lo, int(np.argmin(is_zero)))
+
+
+def _gini_loss(n, positives):
+    def loss(left, n_left):
         pos_left = left[0]
-        pos_right = total[0] - pos_left
+        pos_right = positives - pos_left
         n_right = n - n_left
         p_l = pos_left / n_left
         p_r = pos_right / n_right
@@ -216,9 +323,10 @@ class GiniCriterion:
         loss is None when the node is not split."""
         y_node = self.y[rows]
         n = len(rows)
-        score = float(np.mean(y_node)) if n else 0.0
-        gini = gini_impurity(y_node)
-        loss = None if gini == 0.0 or n < self.min_samples_leaf else _gini_loss(n)
+        positives = float(np.sum(y_node))  # exact: the labels are 0 and 1
+        score = positives / n if n else 0.0
+        gini = 2.0 * score * (1.0 - score)
+        loss = None if gini == 0.0 or n < self.min_samples_leaf else _gini_loss(n, positives)
         return score, gini, (y_node,), loss
 
     def accepts(self, loss, gini):
@@ -275,7 +383,7 @@ def fit_tree(X, y, cfg):
     if len(y) == 0:
         raise EmptyInput("cannot fit a tree on zero rows")
     criterion = GiniCriterion(y, cfg.min_samples_leaf)
-    return grow(X, rank_codes(X), np.arange(len(y)), criterion, cfg.max_depth)
+    return grow(X, fit_codes(X, X.shape[1]), np.arange(len(y)), criterion, cfg.max_depth)
 
 
 def tree_predict(tree, X):

@@ -327,6 +327,8 @@ class TestTrainTestSplit:
         seed=st.integers(0, 2**70),
         stratified=st.booleans(),
     )
+    @example(labels=[0, 0, 1, 0, 0, 0, 1] * 8, fraction=0.2, seed=7, stratified=True)
+    @example(labels=[0, 0, 1, 0, 0, 0, 1] * 8, fraction=0.9, seed=7, stratified=True)
     def test_rows_match_fisher_yates_per_label_group(self, labels, fraction, seed, stratified):
         d = Dataset(SCHEMA_ID, [(i, lab) for i, lab in enumerate(labels)])
         made = []
@@ -348,8 +350,9 @@ class TestTrainTestSplit:
             after_group.append(ref.getstate())
         assert sorted(int(i) for i in test.column("id")) == sorted(expected)
 
-        # each group but the last is shuffled whole; the last makes one draw
-        # per position from its end down to its quota, and none at quota 0
+        # each group but the last makes every draw of its whole shuffle; the
+        # last makes one draw per position from its end down to its quota,
+        # and none at quota 0
         *earlier, last = groups
         last_quota = quotas[-1]
         bounds = [i + 1 for g in earlier for i in range(len(g) - 1, 0, -1)]

@@ -9,7 +9,9 @@ Two kinds of check:
   from the recursive grower before the iterative one), and the digests
   re-recorded from those same fits when the format became `model_v2`;
 - a property test against `_oracle_*`, a copy of that implementation kept
-  here as the reference.
+  here as the reference, and one on matrices wide and two-valued enough for
+  `best_split`'s two-valued path. The `-onehot` digests were recorded from
+  the sorting search before that path existed.
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imbtab.models import (
@@ -33,7 +35,8 @@ from imbtab.models import (
     tree_predict,
 )
 from imbtab.models.boosting import logit
-from imbtab.models.tree import rank_codes
+from imbtab.models.forest import plan_forest
+from imbtab.models.tree import _BLOCK, best_split, fit_codes, rank_codes
 
 
 # --- oracle: the per-node argsort search ------------------------------------
@@ -224,6 +227,26 @@ def _tied_data(n=400, seed=11):
     return X, y
 
 
+def _onehot_data(n=500, seed=17):
+    """Mostly one-hot columns, as the encoders make them: a near-continuous
+    column, three categories of 2, 4 and 5 levels one-hot (the first a
+    complement pair), a flag, a 4-valued column and another flag. 15 columns,
+    13 of them two-valued."""
+    rng = np.random.default_rng(seed)
+    levels = (2, 4, 5)
+    cats = [rng.integers(0, k, n) for k in levels]
+    onehot = [(c[:, None] == np.arange(k)).astype(np.float64) for c, k in zip(cats, levels)]
+    age = np.round(rng.normal(size=n), 1)
+    flags = rng.integers(0, 2, (n, 2))
+    score = rng.choice([0.0, 0.5, 1.5, 3.0], n)
+    X = np.column_stack([age, *onehot, flags[:, 0], score, flags[:, 1]])
+    signal = (
+        0.9 * cats[0] + 1.1 * (cats[1] == 2) - 0.8 * (cats[2] == 4) + 0.7 * flags[:, 0]
+        + 0.5 * age + 0.3 * score + rng.normal(scale=0.8, size=n)
+    )
+    return X, (signal > 1.2).astype(int)
+
+
 def _staircase(n):
     """x = the row index and y = x mod 2: every CART split peels off one row, so
     a tree with no depth limit is n - 1 levels deep."""
@@ -260,9 +283,26 @@ GOLDEN = {
         dict(family="dt", max_depth=None, min_samples_leaf=1),
         "d171376241634508162c117cfdba90340ed22aa7b5e132c781b2c2e993c573ab",
     ),
+    "dt-onehot": (
+        dict(family="dt"),
+        "01bfdca0e42db20ff6174d4ee707fa6be370687e55049679177d532664021a35",
+    ),
+    "xgb-onehot": (
+        dict(family="xgb", rounds=6),
+        "211554421ccad1fd34e163aa27b1d36da1b729016a329f08266369d313a17943",
+    ),
+    "rf-onehot-subset8": (
+        dict(family="rf", n_trees=4, feature_subset_size=8, seed=6),
+        "b3ec0cfa373d3c87bb4f3f33d489cc676f3e05631509dbc4db54e054465a0bb5",
+    ),
 }
 # the data of each GOLDEN entry not fitted on _tied_data()
-GOLDEN_DATA = {"dt-deep": lambda: _staircase(600)}
+GOLDEN_DATA = {
+    "dt-deep": lambda: _staircase(600),
+    "dt-onehot": _onehot_data,
+    "xgb-onehot": _onehot_data,
+    "rf-onehot-subset8": _onehot_data,
+}
 
 
 # a Tree's fields, which a model document writes for each tree
@@ -406,3 +446,196 @@ def test_saturated_boosting_matches_oracle(seed):
     with np.errstate(invalid="ignore", divide="ignore"):
         _, trees = _oracle_gbt(X, y, cfg)
     assert [_nodes(t) for t in model.trees] == [_nodes(t) for t in trees]
+
+
+# --- the two-valued path of best_split ---------------------------------------
+
+
+@st.composite
+def _two_valued_problem(draw):
+    """8-12 two-valued columns and 0-3 columns of up to 4 values, in a drawn
+    column order. Rows 0 and 1 differ in every two-valued column."""
+    n = draw(st.integers(2, 60))
+    values = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    columns = []
+    for _ in range(draw(st.integers(_BLOCK, 12))):
+        low, high = sorted(draw(st.lists(values, min_size=2, max_size=2, unique=True)))
+        high_rows = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+        columns.append(np.where([False, True, *high_rows], high, low))
+    for _ in range(draw(st.integers(0, 3))):
+        levels = draw(st.lists(values, min_size=1, max_size=4))
+        columns.append(np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))))
+    order = draw(st.permutations(range(len(columns))))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.column_stack([columns[c] for c in order]), np.array(y, dtype=np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=_two_valued_problem(),
+    max_depth=st.sampled_from([1, 2, 4, None]),
+    min_leaf=st.integers(1, 4),
+    seed=st.integers(0, 5),
+    subset=st.integers(_BLOCK, 15),
+)
+def test_two_valued_search_matches_argsort_oracle(problem, max_depth, min_leaf, seed, subset):
+    X, y = problem
+    assert fit_codes(X, X.shape[1]).low is not None  # DT and XGB take the two-valued path
+    dt = ModelConfig.for_family("dt", max_depth=max_depth, min_samples_leaf=min_leaf)
+    tree = fit_model(X, y, dt).model
+    assert _nodes(tree) == _nodes(_oracle_grow(X, y, 0, dt, np.random.default_rng(0), None))
+
+    for bootstrap in (True, False):
+        rf = ModelConfig.for_family(
+            "rf", n_trees=2, bootstrap=bootstrap, max_depth=max_depth,
+            min_samples_leaf=min_leaf, feature_subset_size=subset, seed=seed,
+        )
+        trees = fit_model(X, y, rf).model.trees
+        assert [_nodes(t) for t in trees] == [_nodes(t) for t in _oracle_forest(X, y, rf)]
+
+    for l2 in (0.0, 1.0):
+        xgb = ModelConfig.for_family(
+            "xgb", rounds=2, l2=l2, max_depth=max_depth or 3, min_samples_leaf=min_leaf
+        )
+        model = fit_model(X, y, xgb).model
+        base, trees = _oracle_gbt(X, y, xgb)
+        assert model.base_score == base
+        assert [_nodes(t) for t in model.trees] == [_nodes(t) for t in trees]
+
+
+# 1e16 + 1 rounds back to 1e16, so a sum of these depends on its order:
+# added one at a time, each 4-value group leaves 1; a pairwise sum does not
+_ORDERED = np.array([1e16, 1.0, -1e16, 1.0] * 8)
+
+
+def _recorded_left_sums(X, rows, feats, s):
+    """Every (left row count, left sum) that best_split hands its loss, over
+    the codes of X, searching feats; and the search's result."""
+    seen = []
+
+    def loss(left, n_left):
+        seen.extend(zip(n_left.tolist(), left[0].tolist()))
+        return -left[0]
+
+    found = best_split(X, fit_codes(X, X.shape[1]), rows, feats, (s[rows],), loss, 1)
+    return sorted(seen), found
+
+
+def _cumsum_left_sums(X, rows, feats, s):
+    """The same pairs from a stable argsort and cumsum of each feature."""
+    pairs = []
+    for f in feats:
+        col = X[rows, f]
+        order = np.argsort(col, kind="stable")
+        left = np.cumsum(s[rows][order])
+        for at in np.flatnonzero(col[order][1:] != col[order][:-1]):
+            pairs.append((int(at) + 1, float(left[at])))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("kept", [[7], [4, 6, 9], [5, 6, 7, 8, 9]])
+def test_two_valued_left_sums_add_rows_in_order(kept):
+    # 10 two-valued columns over 41 rows; on the node (rows 0-32) only the
+    # kept ones take both values, so the others have no candidate
+    rng = np.random.default_rng(len(kept))
+    X = np.zeros((41, 10))
+    X[33:] = 1.0
+    for f in kept:
+        X[1:32, f] = rng.integers(0, 2, 31)
+        X[32, f] = 1.0
+    s = np.concatenate([_ORDERED, np.zeros(9)])
+    rows, feats = np.arange(33), np.arange(10)
+    assert fit_codes(X, 10).low is not None
+    seen, _ = _recorded_left_sums(X, rows, feats, s)
+    expected = _cumsum_left_sums(X, rows, feats, s)
+    assert len(seen) == len(kept)
+    assert seen == expected
+    if kept == [7]:
+        # rows 0-31 on the left: added in order they sum to 1, where numpy's
+        # pairwise sum of the node's 33 masked values gives 0
+        X[:32, 7] = 0.0
+        seen, found = _recorded_left_sums(X, rows, feats, s)
+        assert seen == [(32, 1.0)] == _cumsum_left_sums(X, rows, feats, s)
+        assert found == (-1.0, 7, 0.5)
+        assert np.sum(s[rows]) == 0.0
+
+
+def test_two_valued_left_sums_over_a_feature_subset():
+    # the node searches 8 of 10 two-valued columns and a multi-valued one
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 2, (32, 11)).astype(np.float64)
+    X[:, 10] = rng.integers(0, 5, 32)
+    X[0, :10], X[1, :10] = 0.0, 1.0
+    feats = np.array([1, 2, 4, 5, 6, 7, 8, 9, 10])
+    rows = np.arange(32)
+    seen, _ = _recorded_left_sums(X, rows, feats, _ORDERED)
+    assert seen == _cumsum_left_sums(X, rows, feats, _ORDERED)
+    assert len(seen) >= 8 + 2
+
+
+def test_a_one_hot_pair_ties_with_a_lower_multi_valued_column():
+    # y is a, so splitting column 0 at 0.5, column 1 (a) or column 2 (1 - a)
+    # gives Gini 0; the lowest feature wins. Columns 3-8 are noise flags.
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 2, 60)
+    a[:2] = 0, 1
+    X = np.column_stack(
+        [np.where(a == 0, 0.0, rng.choice([1.0, 5.0], 60)), a, 1 - a, rng.integers(0, 2, (60, 6))]
+    ).astype(np.float64)
+    X[:2, 3:] = [[0.0] * 6, [1.0] * 6]
+    y = a.astype(np.float64)
+    assert fit_codes(X, X.shape[1]).low is not None
+    cfg = ModelConfig.for_family("dt", max_depth=1)
+    tree = fit_model(X, y, cfg).model
+    assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+    assert _nodes(tree) == _nodes(_oracle_grow(X, y, 0, cfg, np.random.default_rng(0), None))
+    # without column 0, the pair ties and column 1 wins
+    X1 = X[:, 1:]
+    tree = fit_model(X1, y, cfg).model
+    assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+    assert _nodes(tree) == _nodes(_oracle_grow(X1, y, 0, cfg, np.random.default_rng(0), None))
+
+
+@pytest.mark.parametrize("subset, built", [(None, False), (_BLOCK - 1, False), (_BLOCK, True)])
+def test_forest_builds_the_two_valued_matrix_only_for_wide_subsets(subset, built):
+    # 13 two-valued columns: a node searching fewer than _BLOCK features
+    # never takes the two-valued path, so its plan holds no matrix for it
+    X, y = _onehot_data()
+    cfg = ModelConfig.for_family("rf", n_trees=1, feature_subset_size=subset)
+    codes = plan_forest(X, y, cfg).codes
+    assert (codes.low is not None) == built
+    if built:
+        assert codes.low.flags.c_contiguous and codes.low.shape == (len(X), 13)
+
+
+@pytest.mark.parametrize(
+    "multi, nan, split",
+    [
+        (8, [0, 3], False),  # the lowest feature is two-valued, with a NaN loss
+        (0, [1, 3], True),  # the lowest is multi-valued; two-valued NaNs are skipped
+        (0, [0], False),  # the lowest is multi-valued, with a NaN loss
+    ],
+)
+def test_a_nan_loss_ends_the_search_only_on_the_lowest_feature(multi, nan, split):
+    # row 0's statistic is NaN, so a candidate with row 0 on its left has a
+    # NaN loss: that is where row 0 holds its column's lowest value
+    rng = np.random.default_rng(multi)
+    X = rng.integers(0, 2, (12, 9)).astype(np.float64)
+    X[:, multi] = rng.integers(0, 3, 12)
+    X[1:4, multi] = 0.0, 1.0, 2.0
+    X[0] = [0.0 if f in nan else 1.0 for f in range(9)]
+    X[0, multi] = 0.0 if multi in nan else 2.0
+    X[1, [f for f in range(9) if f != multi]] = 1.0 - X[0, [f for f in range(9) if f != multi]]
+    s = rng.normal(size=12)
+    s[0] = np.nan
+    rows, feats = np.arange(12), np.arange(9)
+    codes = fit_codes(X, 9)
+    assert codes.low is not None and (codes.column >= 0).sum() == 8
+
+    def loss(left, n_left):
+        return left[0]
+
+    found = best_split(X, codes, rows, feats, (s,), loss, 1)
+    assert (found is not None) == split
+    # the sorting path alone gives the same
+    assert found == best_split(X, fit_codes(X, 0), rows, feats, (s,), loss, 1)
