@@ -4,6 +4,13 @@ Per round, with p = sigmoid(raw score): g = p - y, h = p(1-p). Leaves take
 -G/(H + lambda); a split is accepted only with strictly positive gain
 0.5 * [G_L^2/(H_L+l) + G_R^2/(H_R+l) - (G_L+G_R)^2/(H_L+H_R+l)].
 
+With lambda 0, once sigmoid(raw) saturates to exactly 0 or 1, a node's H can
+be 0. As in XGBoost's CalcWeight and CalcGain (`src/tree/param.h`), a leaf
+value or gain term whose H + lambda is exactly 0 (of either sign) is 0, so
+no division by zero is left. A gain can still be NaN when a term overflows
+to inf at lambda near 1e-308; its loss is +inf, so it is never picked, and
+the loss handed to the split search is never NaN.
+
 Each round's tree comes from tree.py's one grower over the codes computed
 once per fit (`fit_codes`), with `GainCriterion`: (g, h) are the row statistics and the
 negated gain is the loss; min_samples_leaf drops candidates with a smaller
@@ -39,22 +46,32 @@ class BoostedModel:
     rounds: int
 
 
+def _ratio(num, den):
+    """num / den, and 0 where den is exactly 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0)
+
+
 def _gain_loss(G, H, lam):
-    """Negated second-order gain of each candidate split of a node with sums G, H."""
+    """Negated second-order gain of each candidate split of a node with sums G,
+    H; +inf where the gain is NaN."""
+    parent = _ratio(G * G, H + lam)
 
     def loss(left, n_left):
         GL, HL = left
         GR = G - GL
         HR = H - HL
-        return -(0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - G * G / (H + lam)))
+        values = -(0.5 * (_ratio(GL**2, HL + lam) + _ratio(GR**2, HR + lam) - parent))
+        values[np.isnan(values)] = np.inf
+        return values
 
     return loss
 
 
 class GainCriterion:
     """Boosting's rules for tree.py's `grow`: the row statistics are (g, h), a
-    leaf scores -G/(H + l2), every node within the depth limit is searched, and
-    a split needs strictly positive gain. A node's gini is that of its labels y."""
+    leaf scores -G/(H + l2) (0 where H + l2 is 0), every node within the depth
+    limit is searched, and a split needs strictly positive gain. A node's gini
+    is that of its labels y."""
 
     def __init__(self, y, g, h, l2, min_samples_leaf):
         self.y, self.g, self.h, self.l2 = y, g, h, l2
@@ -64,7 +81,7 @@ class GainCriterion:
         """(score, gini, row statistics, loss) of the node holding rows."""
         g_node, h_node = self.g[rows], self.h[rows]
         G, H = g_node.sum(), h_node.sum()
-        score = float(-G / (H + self.l2))
+        score = float(_ratio(-G, H + self.l2))
         return score, gini_impurity(self.y[rows]), (g_node, h_node), _gain_loss(G, H, self.l2)
 
     def accepts(self, loss, gini):
@@ -81,8 +98,9 @@ def fit_gbt(X, y, cfg):
     base = logit(min(max(float(y.mean()), _EPS), 1.0 - _EPS))
     raw = np.full(len(y), base)
     trees = []
-    # with l2 = 0, a node whose h sum is 0 has 0/0 gains and a +-inf or NaN leaf
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # with l2 near 1e-308, G^2/(H + l2) can overflow to inf, and so can the
+    # raw scores; inf - inf gains are NaN. NonFiniteScore reports such a fit.
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.rounds):
             p = sigmoid(raw)
             g = p - y

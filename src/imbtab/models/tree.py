@@ -180,7 +180,7 @@ def best_split(X, codes, rows, feats, stats, loss, min_samples_leaf):
     per-row statistics of the node, each aligned with rows. loss(left, n_left)
     gets, at every candidate, the sum of each statistic over the rows left of
     it, added one row at a time in the feature's stable sorted order, and the
-    left row count; it returns the loss to minimise.
+    left row count; it returns the loss to minimise, which must hold no NaN.
 
     A node that searches at least _BLOCK two-valued features finds their
     candidates in one pass over codes.low and the others by sorting; any
@@ -188,10 +188,8 @@ def best_split(X, codes, rows, feats, stats, loss, min_samples_leaf):
     order, so they give the same losses bit for bit.
 
     Candidates leaving fewer than min_samples_leaf (at least 1) rows on a
-    side are dropped, and so is a feature with no candidate left. A feature
-    whose losses include NaN ends the search with no split if it is the
-    lowest feature with a candidate, on either path, and is skipped
-    otherwise. The first minimum in (feature, position) order wins.
+    side are dropped, and so is a feature with no candidate left. The first
+    minimum in (feature, position) order wins.
     """
     n = len(rows)
     if n < 2:
@@ -210,27 +208,11 @@ def best_split(X, codes, rows, feats, stats, loss, min_samples_leaf):
     found = [batch for batch in batches if batch is not None]
     if not found:
         return None
-    _, nan, _ = min(found)  # the batch holding the lowest feature with a candidate
-    if nan:
-        return None
     # the first minimum in (feature, position) order: batches hold disjoint
     # features, so a tie in loss goes to the lower feature
-    value, feature, lo, hi = min(best for *_, best in found if best is not None)
+    value, feature, lo, hi = min(found)
     threshold = (X[rows[lo], feature] + X[rows[hi], feature]) / 2.0
     return value, feature, float(threshold)
-
-
-def _first_minimum(features, values):
-    """(lowest feature, whether its losses include NaN, j) of one batch of
-    candidates in (feature, position) order: j is the index of the first
-    minimum over the features with no NaN loss, or None if every feature has
-    one."""
-    nan = np.isnan(values)
-    if not nan.any():
-        return features[0], False, int(np.argmin(values))
-    kept = np.flatnonzero(~np.isin(features, features[nan]))
-    j = int(kept[np.argmin(values[kept])]) if len(kept) else None
-    return features[0], bool(nan[features == features[0]].any()), j
 
 
 def _sorted_best(rank, rows, block, stats, loss, min_samples_leaf):
@@ -238,11 +220,9 @@ def _sorted_best(rank, rows, block, stats, loss, min_samples_leaf):
     codes, take the cumulative sums of the statistics in that order and
     evaluate loss where the code changes.
 
-    None when no feature has a candidate; else (the lowest feature with one,
-    whether its losses include NaN, best), where best is None when every
-    feature has a NaN loss, and otherwise the first minimum of the others as
-    (loss, feature, the last row on the left, the first on the right), the
-    rows as positions in rows."""
+    None when no feature has a candidate; else the first minimum as (loss,
+    feature, the last row on the left, the first on the right), the rows as
+    positions in rows."""
     n = len(rows)
     node_codes = np.take(rank, block[:, None] * rank.shape[1] + rows)
     order = np.argsort(node_codes, axis=1, kind="stable")
@@ -256,11 +236,9 @@ def _sorted_best(rank, rows, block, stats, loss, min_samples_leaf):
     if len(at) == 0:
         return None
     values = loss([np.cumsum(s[order], axis=1)[fi, at] for s in stats], n_left)
-    first, nan, j = _first_minimum(block[fi], values)
-    if j is None:
-        return first, nan, None
+    j = int(np.argmin(values))
     f, pos = fi[j], at[j]
-    return first, nan, (float(values[j]), int(block[f]), order[f, pos], order[f, pos + 1])
+    return float(values[j]), int(block[f]), order[f, pos], order[f, pos + 1]
 
 
 def _two_valued_best(low, rows, feats, columns, stats, loss, min_samples_leaf):
@@ -283,13 +261,11 @@ def _two_valued_best(low, rows, feats, columns, stats, loss, min_samples_leaf):
         return None
     lefts = [np.multiply(zero, s[:, None]).sum(axis=0)[keep] for s in stats]
     values = loss(lefts, n_left[keep])
-    first, nan, j = _first_minimum(feats[keep], values)
-    if j is None:
-        return first, nan, None
+    j = int(np.argmin(values))
     k = np.flatnonzero(keep)[j]
     is_zero = zero[:, k]
     lo = n - 1 - int(np.argmax(is_zero[::-1]))  # the last code-0 row
-    return first, nan, (float(values[j]), int(feats[k]), lo, int(np.argmin(is_zero)))
+    return float(values[j]), int(feats[k]), lo, int(np.argmin(is_zero))
 
 
 def _gini_loss(n, positives):

@@ -37,6 +37,7 @@ from imbtab.models import (
     tree_predict,
 )
 from imbtab.models import fanout
+from imbtab.models.boosting import GainCriterion, _gain_loss
 
 
 LR_GOLDEN = [
@@ -333,7 +334,7 @@ class TestBoosting:
         assert np.isfinite(m.base_score)
 
     def test_zero_hessian_nodes_fit_without_warnings(self):
-        # l2 = 0: once sigmoid(raw) saturates, nodes with h sum 0 have 0/0 gains
+        # l2 = 0: once sigmoid(raw) saturates, nodes and sides with h sum 0 score 0
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         cfg = ModelConfig.for_family("xgb", rounds=50, learning_rate=1.0, l2=0.0, max_depth=1)
@@ -345,13 +346,63 @@ class TestBoosting:
         assert documents[0] == documents[1]
 
     def test_non_finite_raw_scores_raise(self):
+        # at l2 1e-308 a gain term G^2/(H + l2) overflows; with l2 0 this fit finishes
         X = np.array([[0.0], [0.0], [1.0], [1.0], [2.0]])
         y = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
-        cfg = ModelConfig.for_family("xgb", rounds=5, learning_rate=5.0, l2=0.0, max_depth=2)
+        cfg = ModelConfig.for_family("xgb", rounds=5, learning_rate=5.0, l2=1e-308, max_depth=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteScore):
                 fit_model(X, y, cfg)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_zero_hessian_sum_gives_zero_terms(self, zero):
+        # XGBoost's rule: a leaf value or gain term over H + l2 == 0 is 0
+        G, H = np.float64(3.0), np.float64(zero)
+        values = _gain_loss(G, H, zero)([np.array([1.0, -2.0]), np.array([zero, zero])], None)
+        assert values.tolist() == [0.0, 0.0]
+        # only the left side's divisor is 0: the others keep their terms
+        values = _gain_loss(G, np.float64(2.0), zero)([np.array([1.0]), np.array([zero])], None)
+        assert values.tolist() == [-0.5 * (2.0**2 / 2.0 - 3.0**2 / 2.0)]
+        y = np.array([0.0, 1.0])
+        criterion = GainCriterion(y, np.array([1.0, -3.0]), np.array([zero, zero]), zero, 1)
+        assert criterion.node(np.arange(2))[0] == 0.0
+
+    def test_a_nan_gain_is_an_infinite_loss(self):
+        # 2^2 / 1e-308 overflows on the left and for the parent: inf - inf
+        G, H = np.float64(2.0), np.float64(1e-308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _gain_loss(G, H, 1e-308)([np.array([2.0, 1.0]), np.array([0.0, 5e-309])], None)
+        assert values[0] == np.inf and not np.isnan(values).any()
+
+    def test_the_gain_is_the_second_order_formula_when_no_divisor_is_zero(self):
+        rng = np.random.default_rng(8)
+        g, h = rng.normal(size=50), rng.uniform(0.0, 0.25, size=50)
+        for lam in (1e-12, 0.5, 1.0):
+            G, H = g.sum(), h.sum()
+            GL, HL = np.cumsum(g)[:-1], np.cumsum(h)[:-1]
+            GR, HR = G - GL, H - HL
+            gain = GL**2 / (HL + lam) + GR**2 / (HR + lam) - G * G / (H + lam)
+            values = _gain_loss(G, H, lam)([GL, HL], None)
+            assert values.tobytes() == (-(0.5 * gain)).tobytes()
+            score = GainCriterion(g > 0, g, h, lam, 1).node(np.arange(50))[0]
+            assert score == float(-G / (H + lam))
+
+    def test_an_empty_leaf_scores_zero(self):
+        # (a + b) / 2 rounds to b, so a split sends every row left and the
+        # right leaf is empty: with l2 0 its H + l2 is 0, so it scores 0
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        X = np.array([[a], [b]] * 3)
+        y = np.array([0.0, 1.0] * 3)
+        cfg = ModelConfig.for_family("xgb", rounds=2, l2=0.0, max_depth=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = fit_model(X, y, cfg)
+            empty = [t.score[t.n == 0] for t in m.model.trees]
+            assert all(len(e) and not e.any() for e in empty)
+            assert "NaN" not in model_to_json(m)
+            assert m.predict_proba(np.array([[2.0]])).tolist() == [0.5]
 
 
 class TestContract:
