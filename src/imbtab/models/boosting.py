@@ -12,11 +12,12 @@ to inf at lambda near 1e-308; its loss is +inf, so it is never picked, and
 the loss handed to the split search is never NaN.
 
 Each round's tree comes from tree.py's one grower over the codes computed
-once per fit (`fit_codes`), with `GainCriterion`: (g, h) are the row statistics and the
-negated gain is the loss; min_samples_leaf drops candidates with a smaller
-side. Each round's training contributions are `tree_predict` of the tree on
-the training rows: the grower splits rows with the same `<=` comparison as
-prediction, so every row lands in the leaf it was grown into.
+once per fit (`fit_codes`), with `GainCriterion`: (g, h) are the row
+statistics and the negated gain is the loss, +inf for a candidate that
+leaves fewer than min_samples_leaf rows on a side. Each round's training
+contributions are `tree_predict` of the tree on the training rows: the
+grower splits rows with the same `<=` comparison as prediction, so every row
+lands in the leaf it was grown into.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0)
 
 
-def _gain_loss(G, H, lam):
+def _gain_loss(G, H, lam, n, min_samples_leaf):
     """Negated second-order gain of each candidate split of a node with sums G,
-    H; +inf where the gain is NaN."""
+    H over n rows; +inf where the gain is NaN or a side has fewer than
+    min_samples_leaf rows."""
     parent = _ratio(G * G, H + lam)
 
     def loss(left, n_left):
@@ -61,7 +63,8 @@ def _gain_loss(G, H, lam):
         GR = G - GL
         HR = H - HL
         values = -(0.5 * (_ratio(GL**2, HL + lam) + _ratio(GR**2, HR + lam) - parent))
-        values[np.isnan(values)] = np.inf
+        short = (n_left < min_samples_leaf) | (n - n_left < min_samples_leaf)
+        values[np.isnan(values) | short] = np.inf
         return values
 
     return loss
@@ -69,20 +72,22 @@ def _gain_loss(G, H, lam):
 
 class GainCriterion:
     """Boosting's rules for tree.py's `grow`: the row statistics are (g, h), a
-    leaf scores -G/(H + l2) (0 where H + l2 is 0), every node within the depth
-    limit is searched, and a split needs strictly positive gain. A node's gini
-    is that of its labels y."""
+    leaf scores -G/(H + l2) (0 where H + l2 is 0), every node of at least two
+    rows within the depth limit is searched, and a split needs strictly
+    positive gain. A node's gini is that of its labels y."""
 
     def __init__(self, y, g, h, l2, min_samples_leaf):
         self.y, self.g, self.h, self.l2 = y, g, h, l2
-        self.search_min_samples_leaf = min_samples_leaf
+        self.min_samples_leaf = min_samples_leaf
 
     def node(self, rows):
         """(score, gini, row statistics, loss) of the node holding rows."""
         g_node, h_node = self.g[rows], self.h[rows]
         G, H = g_node.sum(), h_node.sum()
         score = float(_ratio(-G, H + self.l2))
-        return score, gini_impurity(self.y[rows]), (g_node, h_node), _gain_loss(G, H, self.l2)
+        n = len(rows)
+        loss = None if n < 2 else _gain_loss(G, H, self.l2, n, self.min_samples_leaf)
+        return score, gini_impurity(self.y[rows]), (g_node, h_node), loss
 
     def accepts(self, loss, gini):
         return -loss > 0.0

@@ -408,6 +408,13 @@ class TestClassCounts:
             class_counts(d)
 
 
+class TestDatasetRows:
+    def test_a_row_of_the_wrong_width_raises_with_its_index(self):
+        with pytest.raises(MalformedRow, match="expected 2 cells, got 3") as exc:
+            Dataset(SCHEMA2, [("m", "1"), ("f", "0"), ("m", "1", "x")])
+        assert exc.value.row_index == 2
+
+
 class TestFromColumns:
     def test_typed_columns_are_used_as_they_are(self):
         x = Column(np.array([1.5, np.nan]))
@@ -438,6 +445,17 @@ class TestFromColumns:
         }
         with pytest.raises(ValueError, match=repr(name)):
             Dataset.from_columns(SCHEMA3, [columns[c.name] for c in SCHEMA3])
+
+    def test_a_wrong_column_count_is_rejected(self):
+        x = Column(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="expected 2 columns, got 1"):
+            Dataset.from_columns(SCHEMA_ID, [x])
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        x = Column(np.array([1.0, 2.0]))
+        target = Column(np.array([0, 1, 1], dtype=np.int8), LABELS)
+        with pytest.raises(ValueError, match="differ in length"):
+            Dataset.from_columns(SCHEMA_ID, [x, target])
 
 
 def _bisect_200_steps(scores, rate):

@@ -12,6 +12,7 @@ from imbtab import (
     TARGET,
     ColumnSchema,
     Dataset,
+    FeatureMatrix,
     drop_missing,
 )
 from imbtab.encoding import ENCODER_METHODS, ENCODER_MODES, OTHER_TOKEN
@@ -49,6 +50,21 @@ def encode(enc, d):
 def impacts(cats, ys):
     """The CategoryMap of an impact encoder fitted on `cats` with labels `ys`."""
     return fitted(ds(cats, ys), method="impact").category_map
+
+
+class TestFeatureMatrix:
+    @pytest.mark.parametrize(
+        "names, values, message",
+        [
+            (("a",), np.array([1.0, 2.0]), "must be 2-D"),
+            (("a", "b"), np.ones((2, 3)), "does not match matrix width"),
+            (("a",), np.array([[1.0], [np.nan]]), "non-finite"),
+            (("a",), np.array([[np.inf]]), "non-finite"),
+        ],
+    )
+    def test_a_malformed_matrix_is_rejected(self, names, values, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureMatrix(names, values)
 
 
 class TestOneHot:

@@ -50,6 +50,12 @@ class TestComputeMetrics:
         assert r.precision == 0.0
         assert "precision" in r.degenerate and "f1" in r.degenerate
 
+    def test_degenerate_recall(self):
+        # no positive labels: recall has no denominator
+        r = compute_metrics(ConfusionMatrix(tp=0, fp=2, tn=3, fn=0))
+        assert r.recall == 0.0
+        assert "recall" in r.degenerate
+
     def test_accuracy_definition(self):
         r = compute_metrics(ConfusionMatrix(tp=2, fp=1, tn=4, fn=3))
         assert r.accuracy == pytest.approx(6 / 10)

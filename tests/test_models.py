@@ -198,6 +198,11 @@ class TestTree:
         with pytest.raises(EmptyInput):
             fit_tree(np.empty((0, 1)), np.empty(0), dt_cfg())
 
+    def test_a_tree_equals_no_other_type(self):
+        X, y, cfg = np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), dt_cfg(min_samples_leaf=1)
+        assert fit_tree(X, y, cfg) == fit_tree(X, y, cfg)
+        assert (fit_tree(X, y, cfg) == object()) is False
+
     @pytest.mark.xfail(
         strict=True, reason="known defect: the Gini split search ignores min_samples_leaf"
     )
@@ -273,6 +278,10 @@ class TestForest:
         b = fit_forest(X, y, cfg)
         assert np.array_equal(forest_predict_proba(a, X), forest_predict_proba(b, X))
 
+    def test_empty_input(self):
+        with pytest.raises(EmptyInput):
+            fit_forest(np.empty((0, 1)), np.empty(0), ModelConfig.for_family("rf"))
+
 
 class TestBoosting:
     def test_zero_rounds_balanced_base(self):
@@ -328,6 +337,10 @@ class TestBoosting:
         assert np.array_equal(classify(m.predict_proba(X)), y)
         assert_model_document(m, model_to_json(m))
 
+    def test_empty_input(self):
+        with pytest.raises(EmptyInput):
+            fit_gbt(np.empty((0, 1)), np.empty(0), ModelConfig.for_family("xgb"))
+
     def test_degenerate_label_mean_clamped(self):
         X = np.array([[0.0], [1.0]])
         m = fit_gbt(X, np.ones(2), ModelConfig.for_family("xgb", rounds=0))
@@ -359,10 +372,12 @@ class TestBoosting:
     def test_a_zero_hessian_sum_gives_zero_terms(self, zero):
         # XGBoost's rule: a leaf value or gain term over H + l2 == 0 is 0
         G, H = np.float64(3.0), np.float64(zero)
-        values = _gain_loss(G, H, zero)([np.array([1.0, -2.0]), np.array([zero, zero])], None)
+        loss = _gain_loss(G, H, zero, 3, 1)
+        values = loss([np.array([1.0, -2.0]), np.array([zero, zero])], np.array([1, 2]))
         assert values.tolist() == [0.0, 0.0]
         # only the left side's divisor is 0: the others keep their terms
-        values = _gain_loss(G, np.float64(2.0), zero)([np.array([1.0]), np.array([zero])], None)
+        loss = _gain_loss(G, np.float64(2.0), zero, 2, 1)
+        values = loss([np.array([1.0]), np.array([zero])], np.array([1]))
         assert values.tolist() == [-0.5 * (2.0**2 / 2.0 - 3.0**2 / 2.0)]
         y = np.array([0.0, 1.0])
         criterion = GainCriterion(y, np.array([1.0, -3.0]), np.array([zero, zero]), zero, 1)
@@ -372,7 +387,8 @@ class TestBoosting:
         # 2^2 / 1e-308 overflows on the left and for the parent: inf - inf
         G, H = np.float64(2.0), np.float64(1e-308)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _gain_loss(G, H, 1e-308)([np.array([2.0, 1.0]), np.array([0.0, 5e-309])], None)
+            loss = _gain_loss(G, H, 1e-308, 3, 1)
+            values = loss([np.array([2.0, 1.0]), np.array([0.0, 5e-309])], np.array([1, 2]))
         assert values[0] == np.inf and not np.isnan(values).any()
 
     def test_the_gain_is_the_second_order_formula_when_no_divisor_is_zero(self):
@@ -383,10 +399,29 @@ class TestBoosting:
             GL, HL = np.cumsum(g)[:-1], np.cumsum(h)[:-1]
             GR, HR = G - GL, H - HL
             gain = GL**2 / (HL + lam) + GR**2 / (HR + lam) - G * G / (H + lam)
-            values = _gain_loss(G, H, lam)([GL, HL], None)
+            values = _gain_loss(G, H, lam, 50, 1)([GL, HL], np.arange(1, 50))
             assert values.tobytes() == (-(0.5 * gain)).tobytes()
             score = GainCriterion(g > 0, g, h, lam, 1).node(np.arange(50))[0]
             assert score == float(-G / (H + lam))
+
+    def test_a_side_short_of_min_samples_leaf_is_an_infinite_loss(self):
+        rng = np.random.default_rng(9)
+        g, h = rng.normal(size=8), rng.uniform(0.05, 0.25, size=8)
+        left = [np.cumsum(g)[:-1], np.cumsum(h)[:-1]]
+        n_left = np.arange(1, 8)
+        free = _gain_loss(g.sum(), h.sum(), 1.0, 8, 1)(left, n_left)
+        assert np.isfinite(free).all()
+        # 3 rows a side: the left is short at 1 and 2 rows, the right at 6 and 7
+        held = _gain_loss(g.sum(), h.sum(), 1.0, 8, 3)(left, n_left)
+        assert held[[0, 1, 5, 6]].tolist() == [np.inf] * 4
+        assert held[2:5].tobytes() == free[2:5].tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_node_of_fewer_than_two_rows_is_not_searched(self, n):
+        g, h = np.array([0.5, -0.5]), np.array([0.25, 0.25])
+        criterion = GainCriterion(np.array([1.0, 0.0]), g, h, 1.0, 1)
+        assert criterion.node(np.arange(n))[3] is None
+        assert criterion.node(np.arange(2))[3] is not None
 
     def test_an_empty_leaf_scores_zero(self):
         # (a + b) / 2 rounds to b, so a split sends every row left and the
@@ -679,6 +714,28 @@ class TestFitModels:
         monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
         X, y = _tied_data()
         fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN["rf-bootstrap"][0])])
+        assert self._digests(fitted) == [GOLDEN["rf-bootstrap"][1]]
+
+    def test_refused_result_pipe_fits_in_process(self, monkeypatch):
+        # the queue pipe opens; the first child's result pipe is refused, so
+        # nothing is forked and the calling process fits the forest whole
+        pipe, opened = os.pipe, []
+
+        def first_only():
+            if opened:
+                raise OSError("no pipe")
+            opened.append(pipe())
+            return opened[-1]
+
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(fanout.os, "pipe", first_only)
+        monkeypatch.setattr(fanout.os, "fork", refuse)
+        monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
+        X, y = _tied_data()
+        fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN["rf-bootstrap"][0])])
+        assert len(opened) == 1
         assert self._digests(fitted) == [GOLDEN["rf-bootstrap"][1]]
 
     def test_more_units_than_queue_slots(self, monkeypatch):

@@ -113,6 +113,16 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config("{nope")
 
+    def test_a_root_that_is_not_an_object(self):
+        with pytest.raises(ParseError, match="JSON object"):
+            parse_config("[]")
+
+    def test_target_naming_a_categorical_column_path(self, data_csv):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(base_config(data_csv, target="gender")))
+        assert exc.value.path == "target"
+        assert "must have kind" in exc.value.message
+
     def test_missing_target_field_path(self, data_csv):
         doc = base_config(data_csv)
         del doc["target"]

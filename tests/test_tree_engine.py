@@ -553,7 +553,7 @@ def _recorded_left_sums(X, rows, feats, s):
         seen.extend(zip(n_left.tolist(), left[0].tolist()))
         return -left[0]
 
-    found = best_split(X, fit_codes(X, X.shape[1]), rows, feats, (s[rows],), loss, 1)
+    found = best_split(X, fit_codes(X, X.shape[1]), rows, feats, (s[rows],), loss)
     return sorted(seen), found
 
 
