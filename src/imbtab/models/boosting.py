@@ -16,8 +16,8 @@ once per fit (`fit_codes`), with `GainCriterion`: (g, h) are the row
 statistics and the negated gain is the loss, +inf for a candidate that
 leaves fewer than min_samples_leaf rows on a side. Each round's training
 contributions are `tree_predict` of the tree on the training rows: the
-grower splits rows with the same `<=` comparison as prediction, so every row
-lands in the leaf it was grown into.
+grower splits rows by the same `<=` test as prediction, read from the
+codes, so every row lands in the leaf it was grown into.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def fit_gbt(X, y, cfg):
             g = p - y
             h = p * (1.0 - p)
             criterion = GainCriterion(y, g, h, cfg.l2, cfg.min_samples_leaf)
-            tree = grow(X, codes, rows, criterion, cfg.max_depth)
+            tree = grow(codes, rows, criterion, cfg.max_depth)
             raw = raw + cfg.learning_rate * tree_predict(tree, X)
             if not np.all(np.isfinite(raw)):
                 raise NonFiniteScore("boosted raw scores became non-finite")

@@ -75,7 +75,7 @@ def fit_models(X, y, cfgs):
         m, i = units[k]
         if i is None:
             return fit_model(X, y, cfgs[m])
-        return grow_tree(X, y, cfgs[m], plans[m], i)
+        return grow_tree(y, cfgs[m], plans[m], i)
 
     workers = min(cpus, len(units))
     results = _fan_out(len(units), workers, run) if workers > 1 else {}

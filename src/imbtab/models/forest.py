@@ -3,9 +3,9 @@
 Each tree gets its own RNG stream spawned from the forest seed, a bootstrap
 resample (when enabled), and a fresh sqrt-sized feature subset at every split.
 The features are coded once per forest (`fit_codes`); a bootstrap sample is
-an array of row indices into X, not a copy of the rows. Subsets of fewer than
-tree.py's `_BLOCK` (8) features never take the split search's two-valued
-path, so the codes of such a forest hold no matrix for it.
+an array of row indices into the codes, not a copy of the rows. Subsets of
+fewer than tree.py's `_BLOCK` (8) features never take the split search's
+two-valued path, so the codes of such a forest hold no matrix for it.
 
 `plan_forest` does the per-forest work and `grow_tree` grows one tree from
 it, so a caller can grow the trees of one plan in any order or process.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyInput
-from .tree import GiniCriterion, fit_codes, grow, tree_predict
+from .tree import Codes, GiniCriterion, fit_codes, grow, tree_predict
 
 
 @dataclass
@@ -35,7 +35,7 @@ class ForestPlan:
     """What every tree of one forest shares: the feature codes, the subset
     size and one spawned seed stream per tree."""
 
-    codes: np.ndarray
+    codes: Codes
     feature_subset_size: int
     streams: list
 
@@ -52,7 +52,7 @@ def plan_forest(X, y, cfg):
     return ForestPlan(codes=codes, feature_subset_size=subset, streams=streams)
 
 
-def grow_tree(X, y, cfg, plan, i):
+def grow_tree(y, cfg, plan, i):
     """Tree i of the forest: stream i draws the bootstrap rows, then every
     split's feature subset."""
     rng = np.random.default_rng(plan.streams[i])
@@ -61,7 +61,7 @@ def grow_tree(X, y, cfg, plan, i):
     else:
         rows = np.arange(len(y))
     criterion = GiniCriterion(y, cfg.min_samples_leaf)
-    return grow(X, plan.codes, rows, criterion, cfg.max_depth, rng, plan.feature_subset_size)
+    return grow(plan.codes, rows, criterion, cfg.max_depth, rng, plan.feature_subset_size)
 
 
 def forest_model(cfg, plan, trees):
@@ -78,7 +78,7 @@ def fit_forest(X, y, cfg):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     plan = plan_forest(X, y, cfg)
-    return forest_model(cfg, plan, [grow_tree(X, y, cfg, plan, i) for i in range(cfg.n_trees)])
+    return forest_model(cfg, plan, [grow_tree(y, cfg, plan, i) for i in range(cfg.n_trees)])
 
 
 def forest_predict_proba(model, X):

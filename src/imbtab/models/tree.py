@@ -3,13 +3,13 @@ forest and the boosted trees share.
 
 Fitting is exact greedy split finding (Algorithm 1 of Chen & Guestrin 2016):
 
-- `fit_codes` codes each feature column once per fit (`rank_codes`) as the
-  rank of its value among the column's distinct values. A stable argsort of
-  the codes orders a node's rows exactly as a stable argsort of the values
-  would, and numpy radix-sorts 16-bit keys. One-hot encoding makes most
-  columns two-valued (codes 0 and 1); when some node of the fit can search
-  _BLOCK of them, `fit_codes` also keeps their code-0 flags as a row-major
-  (rows, features) bool matrix.
+- `fit_codes` is the fit's one read of X: it codes each feature column as the
+  rank of its value among the column's sorted distinct values, and keeps
+  those. A stable argsort of the codes orders a node's rows exactly as a
+  stable argsort of the values would, and numpy radix-sorts 16-bit keys.
+  One-hot encoding makes most columns two-valued (codes 0 and 1); when some
+  node of the fit can search _BLOCK of them, `fit_codes` also keeps their
+  code-0 flags as a row-major (rows, features) bool matrix.
 - `best_split` is the one split search. It evaluates the split criterion
   only where a feature's code changes in sorted order, given the sums of the
   node's row statistics over the rows on the left, each added one row at a
@@ -26,12 +26,12 @@ Fitting is exact greedy split finding (Algorithm 1 of Chen & Guestrin 2016):
   CART minimises the weighted child Gini; boosting.py minimises the negated
   second-order gain.
 - Candidate thresholds are midpoints between consecutive distinct values of a
-  feature, read from X at the two rows either side of the boundary. The first
-  optimum in (feature, position) order wins: ties break to the lowest feature
-  index, then the lowest threshold, so growth is reproducible across
-  platforms.
-- A split sends a row left iff its value is <= the threshold, in fitting and
-  in prediction alike.
+  feature in the node: the values of the two codes either side of the
+  boundary. The first optimum in (feature, position) order wins: ties break
+  to the lowest feature index, then the lowest threshold, so growth is
+  reproducible across platforms.
+- A split sends a row left iff its value is <= the threshold, in fitting (read
+  from the codes) and in prediction alike.
 
 `grow` is the one grower. It keeps the nodes still to split on an explicit
 stack and pops the left child first, so it visits the nodes in preorder, draws
@@ -131,25 +131,14 @@ def gini_impurity(y):
     return 2.0 * p * (1.0 - p)
 
 
-def rank_codes(X):
-    """(n_features, n_rows) codes: codes[f, i] is the rank of X[i, f] among the
-    distinct values of column f. uint16 unless a column has more than 65536
-    distinct values."""
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteFeature("tree models need finite feature values (found NaN or inf)")
-    codes = np.empty((X.shape[1], X.shape[0]), dtype=np.uint16)
-    for f in range(X.shape[1]):
-        distinct, inverse = np.unique(X[:, f], return_inverse=True)
-        if len(distinct) > 1 << 16 and codes.dtype == np.uint16:
-            codes = codes.astype(np.uint32)
-        codes[f] = inverse
-    return codes
-
-
 class Codes(NamedTuple):
     """What the split searches of one fit read of its feature columns.
 
-    rank: the (n_features, n_rows) codes of `rank_codes`.
+    rank: (n_features, n_rows) codes: rank[f, i] is the rank of X[i, f]
+    among the distinct values of column f. uint16 unless a column has more
+    than 65536 distinct values.
+    values: per feature, its distinct values in ascending order, so that
+    values[f][rank[f]] == X[:, f].
     column: per feature, its column in low, or -1.
     low: for the two-valued features (codes only 0 and 1), an (n_rows,
     n_two) bool matrix in row-major order, true where the code is 0; None
@@ -157,26 +146,36 @@ class Codes(NamedTuple):
     two-valued path of `best_split`."""
 
     rank: np.ndarray
+    values: list
     column: np.ndarray
     low: np.ndarray | None
 
 
 def fit_codes(X, searched):
     """The Codes of X for a fit whose nodes each search `searched` features."""
-    rank = rank_codes(X)
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteFeature("tree models need finite feature values (found NaN or inf)")
+    rank = np.empty((X.shape[1], X.shape[0]), dtype=np.uint16)
+    values = []
+    for f in range(X.shape[1]):
+        distinct, inverse = np.unique(X[:, f], return_inverse=True)
+        if len(distinct) > 1 << 16 and rank.dtype == np.uint16:
+            rank = rank.astype(np.uint32)
+        rank[f] = inverse
+        values.append(distinct)
     two = np.flatnonzero(rank.max(axis=1) == 1)
     column = np.full(len(rank), -1)
     if min(searched, len(two)) < _BLOCK:
-        return Codes(rank, column, None)
+        return Codes(rank, values, column, None)
     column[two] = np.arange(len(two))
-    return Codes(rank, column, np.ascontiguousarray((rank[two] == 0).T))
+    return Codes(rank, values, column, np.ascontiguousarray((rank[two] == 0).T))
 
 
-def best_split(X, codes, rows, feats, stats, loss):
+def best_split(codes, rows, feats, stats, loss):
     """(loss, feature, threshold) of the first split minimising `loss`, or None.
 
-    codes: the fit's `Codes`. rows: the node's row indices into X and the
-    codes, at least two, in the node's row order (ties in a feature keep this
+    codes: the fit's `Codes`. rows: the node's row indices into the codes,
+    at least two, in the node's row order (ties in a feature keep this
     order). stats: per-row statistics of the node, each aligned with rows.
     loss(left, n_left) gets, at every candidate, the sum of each statistic
     over the rows left of it, added one row at a time in the feature's stable
@@ -208,7 +207,7 @@ def best_split(X, codes, rows, feats, stats, loss):
     # the first minimum in (feature, position) order: batches hold disjoint
     # features, so a tie in loss goes to the lower feature
     value, feature, lo, hi = min(found)
-    threshold = (X[rows[lo], feature] + X[rows[hi], feature]) / 2.0
+    threshold = (codes.values[feature][lo] + codes.values[feature][hi]) / 2.0
     return value, feature, float(threshold)
 
 
@@ -218,8 +217,7 @@ def _sorted_best(rank, rows, block, stats, loss):
     evaluate loss where the code changes.
 
     None when no feature has a candidate; else the first minimum as (loss,
-    feature, the last row on the left, the first on the right), the rows as
-    positions in rows."""
+    feature, the code on the left of it, the code on the right)."""
     n = len(rows)
     node_codes = np.take(rank, block[:, None] * rank.shape[1] + rows)
     order = np.argsort(node_codes, axis=1, kind="stable")
@@ -231,7 +229,7 @@ def _sorted_best(rank, rows, block, stats, loss):
     values = loss([np.cumsum(s[order], axis=1)[fi, at] for s in stats], at + 1)
     j = int(np.argmin(values))
     f, pos = fi[j], at[j]
-    return float(values[j]), int(block[f]), order[f, pos], order[f, pos + 1]
+    return float(values[j]), int(block[f]), sorted_codes[f, pos], sorted_codes[f, pos + 1]
 
 
 def _two_valued_best(low, rows, feats, columns, stats, loss):
@@ -255,10 +253,7 @@ def _two_valued_best(low, rows, feats, columns, stats, loss):
     lefts = [np.multiply(zero, s[:, None]).sum(axis=0)[keep] for s in stats]
     values = loss(lefts, n_left[keep])
     j = int(np.argmin(values))
-    k = np.flatnonzero(keep)[j]
-    is_zero = zero[:, k]
-    lo = n - 1 - int(np.argmax(is_zero[::-1]))  # the last code-0 row
-    return float(values[j]), int(feats[k]), lo, int(np.argmin(is_zero))
+    return float(values[j]), int(feats[np.flatnonzero(keep)[j]]), 0, 1
 
 
 def _gini_loss(n, positives):
@@ -300,16 +295,16 @@ class GiniCriterion:
         return loss < gini
 
 
-def grow(X, codes, rows, criterion, max_depth, rng=None, feature_subset_size=None):
-    """The Tree that criterion grows over X[rows] with best_split.
+def grow(codes, rows, criterion, max_depth, rng=None, feature_subset_size=None):
+    """The Tree that criterion grows over the rows of the codes with best_split.
 
     A node is a leaf at max_depth (None: no limit), when criterion.node gives
     it no loss (it must give none to a node of fewer than two rows), or when
     the best split is missing or not criterion.accepts.
-    With a feature_subset_size below X's width, each searched node draws that
-    many features from rng, in preorder; otherwise it searches them all and
-    rng is not used."""
-    n_features = X.shape[1]
+    With a feature_subset_size below the number of features, each searched
+    node draws that many features from rng, in preorder; otherwise it
+    searches them all and rng is not used."""
+    n_features = len(codes.rank)
     nodes = []  # [feature, threshold, right, score, gini, n] per node, in preorder
     stack = [(rows, 0, None)]  # (rows, depth, the node whose right child it is)
     while stack:
@@ -325,12 +320,13 @@ def grow(X, codes, rows, criterion, max_depth, rng=None, feature_subset_size=Non
             feats = np.sort(rng.choice(n_features, size=feature_subset_size, replace=False))
         else:
             feats = np.arange(n_features)
-        found = best_split(X, codes, rows, feats, stats, loss)
+        found = best_split(codes, rows, feats, stats, loss)
         if found is None or not criterion.accepts(found[0], gini):
             continue
         _, feature, threshold = found
         nodes[i][:2] = feature, threshold
-        mask = X[rows, feature] <= threshold
+        below = np.searchsorted(codes.values[feature], threshold, side="right")
+        mask = codes.rank[feature, rows] < below  # X[rows, feature] <= threshold
         stack.append((rows[~mask], depth + 1, i))
         stack.append((rows[mask], depth + 1, None))
     feature, threshold, right, score, gini, n = zip(*nodes)
@@ -351,7 +347,7 @@ def fit_tree(X, y, cfg):
     if len(y) == 0:
         raise EmptyInput("cannot fit a tree on zero rows")
     criterion = GiniCriterion(y, cfg.min_samples_leaf)
-    return grow(X, fit_codes(X, X.shape[1]), np.arange(len(y)), criterion, cfg.max_depth)
+    return grow(fit_codes(X, X.shape[1]), np.arange(len(y)), criterion, cfg.max_depth)
 
 
 def tree_predict(tree, X):

@@ -39,17 +39,20 @@ def on_child_unit(monkeypatch, tmp_path):
     marker = tmp_path / "child-started"
 
     def install(name=None, on_child=lambda cfg: None):
-        def wrap(unit):
-            def wrapped(X, y, cfg, *rest):
+        def wrap(unit, at):
+            """unit, whose positional argument number `at` is the cfg"""
+
+            def wrapped(*args):
+                cfg = args[at]
                 if os.getpid() != parent and name in (None, cfg.name):
                     marker.touch()
                     on_child(cfg)
-                return unit(X, y, cfg, *rest)
+                return unit(*args)
 
             return wrapped
 
-        monkeypatch.setattr(fanout, "fit_model", wrap(fanout.fit_model))
-        monkeypatch.setattr(fanout, "grow_tree", wrap(fanout.grow_tree))
+        monkeypatch.setattr(fanout, "fit_model", wrap(fanout.fit_model, 2))  # (X, y, cfg)
+        monkeypatch.setattr(fanout, "grow_tree", wrap(fanout.grow_tree, 1))  # (y, cfg, plan, i)
         return marker
 
     return install

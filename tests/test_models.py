@@ -602,17 +602,17 @@ class TestFitModels:
         # so its peak memory does not change from one run to the next
         parent, in_parent = os.getpid(), []
 
-        def wrap(unit):
+        def wrap(unit, at):
             def wrapped(*args):
                 if os.getpid() == parent:
-                    in_parent.append(args[2].family)
+                    in_parent.append(args[at].family)
                 return unit(*args)
 
             return wrapped
 
         monkeypatch.setattr(fanout, "allowed_cpus", lambda: 2)
-        monkeypatch.setattr(fanout, "fit_model", wrap(fanout.fit_model))
-        monkeypatch.setattr(fanout, "grow_tree", wrap(fanout.grow_tree))
+        monkeypatch.setattr(fanout, "fit_model", wrap(fanout.fit_model, 2))  # (X, y, cfg)
+        monkeypatch.setattr(fanout, "grow_tree", wrap(fanout.grow_tree, 1))  # (y, cfg, plan, i)
         X, y = _tied_data()
         names = TIED_GOLDEN
         fitted = fit_models(X, y, [ModelConfig.for_family(**GOLDEN[n][0]) for n in names])
@@ -669,7 +669,7 @@ class TestFitModels:
         assert time.monotonic() - begun < 30
 
     def test_failed_fits_give_the_error_fit_model_raises(self, fit_cpus):
-        # the forest fails in rank_codes before any fork, DT and XGB in their units
+        # the forest fails in fit_codes before any fork, DT and XGB in their units
         X, y = _tied_data()
         X[3, 2] = np.nan
         cfgs = [ModelConfig.for_family(f) for f in ("dt", "rf", "xgb")]

@@ -706,17 +706,17 @@ class TestFitFanOut:
         assert errors == [(failing, f"stage '{failing}': {cause}")] * 2
 
     def test_a_failing_model_is_fitted_once_in_the_calling_process(self, data_csv, monkeypatch, fit_cpus):
-        # B's rank codes raise wherever B is fitted; only this process's calls count
+        # B's codes raise wherever B is fitted; only this process's calls count
         parent, calls = os.getpid(), []
 
-        def no_codes(X):
+        def no_codes(X, searched):
             if os.getpid() == parent:
                 calls.append(len(X))
             raise ValueError("no codes")
 
         models = [{"family": "lr", "name": "A", "iterations": 50}, {"family": "dt", "name": "B"}]
         cfg = parse_config(json.dumps(base_config(data_csv, models=models)))
-        monkeypatch.setattr(tree, "rank_codes", no_codes)
+        monkeypatch.setattr(tree, "fit_codes", no_codes)
         with pytest.raises(PipelineError) as exc:
             run_experiment(cfg)
         assert (exc.value.stage, str(exc.value)) == ("fit:B", "stage 'fit:B': no codes")

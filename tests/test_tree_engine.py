@@ -38,7 +38,7 @@ from imbtab.models import (
 )
 from imbtab.models.boosting import logit
 from imbtab.models.forest import plan_forest
-from imbtab.models.tree import _BLOCK, best_split, fit_codes, rank_codes
+from imbtab.models.tree import _BLOCK, best_split, fit_codes
 
 
 # --- oracle: the per-node argsort search ------------------------------------
@@ -368,6 +368,28 @@ def test_midpoint_rounding_onto_upper_value_matches_oracle():
     assert _nodes(tree) == _nodes(_oracle_grow(X, y, 0, cfg, np.random.default_rng(0), None))
 
 
+@pytest.mark.xfail(
+    strict=True, reason="known defect: a midpoint of two values near the float limit overflows"
+)
+@pytest.mark.parametrize("family", ["dt", "xgb"])
+def test_midpoint_overflow_grows_one_split(family):
+    # (1e308 + 1.5e308) / 2 overflows to inf, so `X <= threshold` sends every
+    # row left; the fit warns (DT; XGB is under errstate), repeats the empty
+    # split down to max_depth and predicts 0.5 for both values. The correct
+    # tree splits once, at a threshold between the two values.
+    X = np.array([[1e308], [1.5e308]] * 3)
+    y = np.array([0.0, 1.0] * 3)
+    rounds = {"rounds": 2} if family == "xgb" else {}
+    cfg = ModelConfig.for_family(family, min_samples_leaf=1, **rounds)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit_model(X, y, cfg).model
+    assert [str(w.message) for w in caught] == []
+    for tree in [model] if family == "dt" else model.trees:
+        assert len(tree.feature) == 3 and tree.n.min() > 0
+        assert 1e308 <= tree.threshold[0] < 1.5e308
+
+
 # --- property test against the oracle ----------------------------------------
 
 
@@ -377,7 +399,7 @@ def test_wide_codes_match_oracle():
     n = 70_000
     X = np.column_stack([rng.permutation(n) / 7.0, rng.integers(0, 2, n)])
     y = (X[:, 0] + 2000.0 * X[:, 1] + rng.normal(scale=2000.0, size=n) > 6000.0).astype(float)
-    codes = rank_codes(X)
+    codes = fit_codes(X, X.shape[1]).rank
     assert codes.dtype == np.uint32
     assert np.array_equal(codes[0], np.argsort(np.argsort(X[:, 0])))
     cfg = ModelConfig.for_family("dt", max_depth=2)
@@ -385,11 +407,14 @@ def test_wide_codes_match_oracle():
     assert _nodes(tree) == _nodes(_oracle_grow(X, y, 0, cfg, np.random.default_rng(0), None))
 
 
+_LEVELS = [-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]
+
+
 @st.composite
-def _tied_problem(draw):
+def _tied_problem(draw, values=_LEVELS):
     n = draw(st.integers(1, 50))
     d = draw(st.integers(1, 4))
-    values = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    values = st.sampled_from(values)
     levels = draw(st.lists(values, min_size=1, max_size=4))
     cells = draw(st.lists(st.sampled_from(levels), min_size=n * d, max_size=n * d))
     y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
@@ -488,11 +513,11 @@ def test_saturated_boosting_finishes_or_raises_only_on_overflow(seed, l2):
 
 
 @st.composite
-def _two_valued_problem(draw):
+def _two_valued_problem(draw, values=_LEVELS):
     """8-12 two-valued columns and 0-3 columns of up to 4 values, in a drawn
     column order. Rows 0 and 1 differ in every two-valued column."""
     n = draw(st.integers(2, 60))
-    values = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    values = st.sampled_from(values)
     columns = []
     for _ in range(draw(st.integers(_BLOCK, 12))):
         low, high = sorted(draw(st.lists(values, min_size=2, max_size=2, unique=True)))
@@ -539,6 +564,51 @@ def test_two_valued_search_matches_argsort_oracle(problem, max_depth, min_leaf, 
         assert [_nodes(t) for t in model.trees] == [_nodes(t) for t in trees]
 
 
+# values where routing a node by its codes could drift from `X <= threshold`:
+# both zeros, adjacent doubles whose midpoint rounds onto the upper one, and
+# magnitudes near the float limit (of opposite signs, so no midpoint overflows)
+_A = np.nextafter(1.0, 2.0)
+_EDGE_VALUES = [-0.0, 0.0, _A, np.nextafter(_A, 2.0), -1e308, 1e308, -2.0, 3.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_tied_problem(_EDGE_VALUES))
+def test_fit_codes_keep_each_columns_sorted_values(problem):
+    X, _ = problem
+    X = np.vstack([X, np.full_like(X[:1], -0.0), np.zeros_like(X[:1])])  # both zeros in each column
+    codes = fit_codes(X, X.shape[1])
+    for f in range(X.shape[1]):
+        assert np.all(codes.values[f][1:] > codes.values[f][:-1])
+        assert np.array_equal(codes.values[f][codes.rank[f]], X[:, f])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    problem=st.one_of(_tied_problem(_EDGE_VALUES), _two_valued_problem(_EDGE_VALUES)),
+    max_depth=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 5),
+)
+def test_edge_values_match_argsort_oracle(problem, max_depth, seed):
+    # no depth limit is left out: there an empty split repeats without end
+    X, y = problem
+    dt = ModelConfig.for_family("dt", max_depth=max_depth, min_samples_leaf=1)
+    tree = fit_model(X, y, dt).model
+    oracle = _oracle_grow(X, y, 0, dt, np.random.default_rng(0), None)
+    assert _nodes(tree) == _nodes(oracle)
+    assert np.array_equal(tree_predict(tree, X), _oracle_predict(oracle, X))
+
+    rf = ModelConfig.for_family("rf", n_trees=2, max_depth=max_depth, min_samples_leaf=1, seed=seed)
+    trees = fit_model(X, y, rf).model.trees
+    assert [_nodes(t) for t in trees] == [_nodes(t) for t in _oracle_forest(X, y, rf)]
+
+    for l2 in (0.0, 1.0):
+        xgb = ModelConfig.for_family("xgb", rounds=2, l2=l2, max_depth=max_depth, min_samples_leaf=1)
+        model = fit_model(X, y, xgb).model
+        base, trees = _oracle_gbt(X, y, xgb)
+        assert model.base_score == base
+        assert [_nodes(t) for t in model.trees] == [_nodes(t) for t in trees]
+
+
 # 1e16 + 1 rounds back to 1e16, so a sum of these depends on its order:
 # added one at a time, each 4-value group leaves 1; a pairwise sum does not
 _ORDERED = np.array([1e16, 1.0, -1e16, 1.0] * 8)
@@ -553,7 +623,7 @@ def _recorded_left_sums(X, rows, feats, s):
         seen.extend(zip(n_left.tolist(), left[0].tolist()))
         return -left[0]
 
-    found = best_split(X, fit_codes(X, X.shape[1]), rows, feats, (s[rows],), loss)
+    found = best_split(fit_codes(X, X.shape[1]), rows, feats, (s[rows],), loss)
     return sorted(seen), found
 
 
