@@ -83,6 +83,10 @@ class NonFiniteLoss(ImbtabError):
     pass
 
 
+class LabelOutOfRange(ImbtabError):
+    """A model was given a label that is NaN or outside [0, 1]."""
+
+
 class NonFiniteScore(ImbtabError):
     pass
 

@@ -15,9 +15,10 @@ Each round's tree comes from tree.py's one grower over the codes computed
 once per fit (`fit_codes`), with `GainCriterion`: (g, h) are the row
 statistics and the negated gain is the loss, +inf for a candidate that
 leaves fewer than min_samples_leaf rows on a side. Each round's training
-contributions are `tree_predict` of the tree on the training rows: the
-grower splits rows by the same `<=` test as prediction, read from the
-codes, so every row lands in the leaf it was grown into.
+contributions are read from the grower: it records the leaf of every
+training row as it writes that leaf, by the same `<=` test (read from the
+codes) as `tree_predict`, so the leaf's score is what `tree_predict` of the
+tree gives that row, and a fit reads X only in `fit_codes`.
 """
 
 from __future__ import annotations
@@ -94,12 +95,13 @@ class GainCriterion:
 
 
 def fit_gbt(X, y, cfg):
-    X = np.ascontiguousarray(X, dtype=np.float64)  # converted once, not per round
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise EmptyInput("cannot fit boosted trees on zero rows")
     codes = fit_codes(X, X.shape[1])
     rows = np.arange(len(y))
+    leaf = np.empty(len(y), dtype=np.intp)  # each row's leaf in this round's tree
     base = logit(min(max(float(y.mean()), _EPS), 1.0 - _EPS))
     raw = np.full(len(y), base)
     trees = []
@@ -111,8 +113,8 @@ def fit_gbt(X, y, cfg):
             g = p - y
             h = p * (1.0 - p)
             criterion = GainCriterion(y, g, h, cfg.l2, cfg.min_samples_leaf)
-            tree = grow(codes, rows, criterion, cfg.max_depth)
-            raw = raw + cfg.learning_rate * tree_predict(tree, X)
+            tree = grow(codes, rows, criterion, cfg.max_depth, leaf=leaf)
+            raw = raw + cfg.learning_rate * tree.score[leaf]
             if not np.all(np.isfinite(raw)):
                 raise NonFiniteScore("boosted raw scores became non-finite")
             trees.append(tree)

@@ -1,4 +1,9 @@
-"""L2-regularized logistic regression fitted by full-batch gradient descent."""
+"""L2-regularized logistic regression fitted by full-batch gradient descent.
+
+`fit_logistic` computes the loss once, after its last step. Each step tests
+only that the loss would be finite (the probabilities sum to a finite value
+and the L2 term is finite), which for labels in [0, 1] is the same test.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInput, NonFiniteLoss
+from ..errors import EmptyInput, LabelOutOfRange, NonFiniteLoss
 
 _CLIP = 1e-12
 
@@ -23,11 +28,16 @@ class LinearModel:
     iterations: int
 
 
+def _penalty(w, l2):
+    """The L2 term of logistic_loss."""
+    return 0.5 * l2 * np.dot(w, w)
+
+
 def _loss(p, y, w, l2):
     """logistic_loss from the probabilities p = sigmoid(X @ w + b)."""
     p = np.clip(p, _CLIP, 1.0 - _CLIP)
     nll = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    return float(nll + 0.5 * l2 * np.dot(w, w))
+    return float(nll + _penalty(w, l2))
 
 
 def _gradient(X, y, p, w, l2):
@@ -52,17 +62,24 @@ def fit_logistic(X, y, cfg):
     """Zero-initialized gradient descent; stops when the gradient inf-norm
     drops below cfg.tolerance or cfg.iterations is exhausted.
 
-    The probabilities behind each step's loss are reused for the next
-    step's gradient, so X @ w is computed once per iteration.
+    The probabilities p of each step are reused for the next step's
+    gradient, so X @ w is computed once per iteration. The loss is computed
+    once, from the final p and w; each step only tests that it would be
+    finite. With every label in [0, 1], each clipped log term lies in
+    [log(1e-12), 0], so the mean log-loss is finite unless some p is NaN, and
+    adding it to a finite L2 term cannot overflow: the loss is finite exactly
+    when p.sum() and the L2 term are. NonFiniteLoss names the first step
+    where they are not.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(y) == 0:
         raise EmptyInput("cannot fit logistic regression on zero rows")
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise LabelOutOfRange("logistic regression needs every label in [0, 1], none NaN")
     w = np.zeros(X.shape[1])
     b = 0.0
     p = sigmoid(X @ w + b)
-    loss = _loss(p, y, w, cfg.l2)
     it = 0
     # a diverging fit overflows before its loss turns non-finite; NonFiniteLoss reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -74,10 +91,9 @@ def fit_logistic(X, y, cfg):
             w -= cfg.learning_rate * gw
             b -= cfg.learning_rate * gb
             p = sigmoid(X @ w + b)
-            loss = _loss(p, y, w, cfg.l2)
-            if not np.isfinite(loss):
+            if not (np.isfinite(p.sum()) and np.isfinite(_penalty(w, cfg.l2))):
                 raise NonFiniteLoss(f"loss diverged at iteration {it}; lower the learning rate")
-    return LinearModel(weights=w, bias=b, final_loss=loss, iterations=it)
+    return LinearModel(weights=w, bias=b, final_loss=_loss(p, y, w, cfg.l2), iterations=it)
 
 
 def linear_predict_proba(model, X):

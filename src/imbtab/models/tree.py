@@ -18,11 +18,13 @@ Fitting is exact greedy split finding (Algorithm 1 of Chen & Guestrin 2016):
     the cumulative sums of the statistics in that order;
   - two-valued, taken for a node's two-valued features when it searches at
     least _BLOCK of them: each has one candidate, its code-0 rows on the
-    left, and their sums are one masked sum down the rows of the flag matrix
-    for all those features at once. numpy adds such a sum one row at a time,
-    in node row order, which is the cumsum's order, so the two paths give
-    bit-identical losses. Below _BLOCK features the per-node calls cost more
-    than the sort they save.
+    left, and the sums of a statistic are one `np.einsum("ij,i->j")` of the
+    node's rows of the flag matrix with it, for all those features at once.
+    Each product is the statistic times 0 or 1, so it is exact, and only the
+    order of the adds could change the bits: einsum adds a row-major flag
+    matrix one row at a time, in node row order, which is the cumsum's
+    order, so the two paths give bit-identical losses. Below _BLOCK features
+    the per-node calls cost more than the sort they save.
   CART minimises the weighted child Gini; boosting.py minimises the negated
   second-order gain.
 - Candidate thresholds are midpoints between consecutive distinct values of a
@@ -237,11 +239,16 @@ def _two_valued_best(low, rows, feats, columns, stats, loss):
     columns: each feature has one candidate, its code-0 rows on the left.
     Returns what `_sorted_best` does.
 
-    The left sums reduce the node's (rows, features) flags times each
-    statistic down axis 0. That product is C-ordered and at least two
-    features wide, so numpy adds it one row at a time, in node row order,
-    which is the order the sorting path's cumsum adds the code-0 rows in. A
-    one-feature or F-ordered product would be summed pairwise instead."""
+    The left sums are `np.einsum("ij,i->j", zero, s)` of the node's
+    (rows, features) flags and each statistic s: no (rows, features) float
+    temporary is made. Each product is s[i] times 0 or 1, which is exact
+    whatever the SIMD tier, so only the order of the adds matters. The flags
+    are C-ordered and at least _BLOCK features wide, so einsum's iterator
+    keeps the features innermost and adds one row at a time into each
+    feature's total, in node row order, which is the order the sorting
+    path's cumsum adds the code-0 rows in. A reduction with the rows
+    innermost (one feature, F-ordered flags, or `s @ zero`) would be summed
+    in blocks instead; `test_two_valued_left_sums_*` pin the order."""
     n = len(rows)
     zero = low[rows]
     if len(columns) < low.shape[1]:
@@ -250,7 +257,7 @@ def _two_valued_best(low, rows, feats, columns, stats, loss):
     keep = (n_left > 0) & (n_left < n)
     if not keep.any():
         return None
-    lefts = [np.multiply(zero, s[:, None]).sum(axis=0)[keep] for s in stats]
+    lefts = [np.einsum("ij,i->j", zero, s)[keep] for s in stats]
     values = loss(lefts, n_left[keep])
     j = int(np.argmin(values))
     return float(values[j]), int(feats[np.flatnonzero(keep)[j]]), 0, 1
@@ -295,7 +302,7 @@ class GiniCriterion:
         return loss < gini
 
 
-def grow(codes, rows, criterion, max_depth, rng=None, feature_subset_size=None):
+def grow(codes, rows, criterion, max_depth, rng=None, feature_subset_size=None, leaf=None):
     """The Tree that criterion grows over the rows of the codes with best_split.
 
     A node is a leaf at max_depth (None: no limit), when criterion.node gives
@@ -303,7 +310,11 @@ def grow(codes, rows, criterion, max_depth, rng=None, feature_subset_size=None):
     the best split is missing or not criterion.accepts.
     With a feature_subset_size below the number of features, each searched
     node draws that many features from rng, in preorder; otherwise it
-    searches them all and rng is not used."""
+    searches them all and rng is not used.
+    leaf: None, or an array indexed like the codes' rows into which each leaf
+    writes its preorder index at its rows. A node's rows are split by the
+    same test as `tree_predict`'s, so leaf[r] is the leaf that `tree_predict`
+    takes row r of the fitted X to."""
     n_features = len(codes.rank)
     nodes = []  # [feature, threshold, right, score, gini, n] per node, in preorder
     stack = [(rows, 0, None)]  # (rows, depth, the node whose right child it is)
@@ -314,14 +325,16 @@ def grow(codes, rows, criterion, max_depth, rng=None, feature_subset_size=None):
             nodes[parent][2] = i
         score, gini, stats, loss = criterion.node(rows)
         nodes.append([-1, 0.0, i, score, gini, len(rows)])
-        if loss is None or (max_depth is not None and depth >= max_depth):
-            continue
-        if feature_subset_size is not None and feature_subset_size < n_features:
-            feats = np.sort(rng.choice(n_features, size=feature_subset_size, replace=False))
-        else:
-            feats = np.arange(n_features)
-        found = best_split(codes, rows, feats, stats, loss)
+        found = None
+        if loss is not None and (max_depth is None or depth < max_depth):
+            if feature_subset_size is not None and feature_subset_size < n_features:
+                feats = np.sort(rng.choice(n_features, size=feature_subset_size, replace=False))
+            else:
+                feats = np.arange(n_features)
+            found = best_split(codes, rows, feats, stats, loss)
         if found is None or not criterion.accepts(found[0], gini):
+            if leaf is not None:
+                leaf[rows] = i
             continue
         _, feature, threshold = found
         nodes[i][:2] = feature, threshold

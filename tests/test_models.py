@@ -14,6 +14,7 @@ from imbtab.errors import (
     DimensionMismatch,
     EmptyInput,
     ImbtabError,
+    LabelOutOfRange,
     NonFiniteFeature,
     NonFiniteLoss,
     NonFiniteScore,
@@ -38,6 +39,7 @@ from imbtab.models import (
 )
 from imbtab.models import fanout
 from imbtab.models.boosting import GainCriterion, _gain_loss
+from imbtab.models.logistic import _gradient, _loss
 
 
 LR_GOLDEN = [
@@ -134,6 +136,8 @@ class TestLogistic:
         X, y = self._scaled_data()
         fitted = fit_model(X[:, :columns], y, lr_cfg(**overrides))
         assert fitted.model.iterations == iterations
+        m = fitted.model
+        assert m.final_loss == logistic_loss(X[:, :columns], y, m.weights, m.bias, lr_cfg().l2)
         text = model_to_json(fitted)
         assert_model_document(fitted, text)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -142,6 +146,61 @@ class TestLogistic:
         X, y = self._scaled_data()
         with pytest.raises(NonFiniteLoss, match="iteration 52;"):
             fit_logistic(X, y, lr_cfg(learning_rate=1e3, l2=1.0))
+
+    @pytest.mark.parametrize("label", [np.nan, 2.0, -0.5])
+    def test_labels_outside_the_unit_interval_are_refused(self, label):
+        X, y = self._scaled_data()
+        y = y.astype(float)
+        y[7] = label
+        with pytest.raises(LabelOutOfRange):
+            fit_logistic(X, y, lr_cfg(iterations=3))
+        assert issubclass(LabelOutOfRange, ImbtabError)
+
+    @staticmethod
+    def _oracle_fit(X, y, cfg):
+        """fit_logistic as it was when it evaluated the loss after every step:
+        (weights, bias, final loss, iterations), or the iteration at which the
+        loss turned non-finite."""
+        w, b = np.zeros(X.shape[1]), 0.0
+        p = sigmoid(X @ w + b)
+        loss = _loss(p, y, w, cfg.l2)
+        it = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in range(1, cfg.iterations + 1):
+                gw, gb = _gradient(X, y, p, w, cfg.l2)
+                if max(np.max(np.abs(gw), initial=0.0), abs(gb)) < cfg.tolerance:
+                    it -= 1
+                    break
+                w -= cfg.learning_rate * gw
+                b -= cfg.learning_rate * gb
+                p = sigmoid(X @ w + b)
+                loss = _loss(p, y, w, cfg.l2)
+                if not np.isfinite(loss):
+                    return it
+        return w, b, loss, it
+
+    # At learning rate 1e200 the weights pass 1e154, so their squared norm
+    # overflows: the L2 term is inf, or 0 * inf = NaN at l2 0. l2 1e300 makes
+    # the L2 term overflow at moderate weights. On X scaled by 1e204, learning
+    # rate 1e-100 makes X @ w sum inf and -inf, so p is NaN while the L2 term
+    # is finite.
+    @pytest.mark.parametrize("scale", [1.0, 1e204])
+    @pytest.mark.parametrize("l2", [0.0, 1e-4, 1.0, 1e300])
+    @pytest.mark.parametrize("learning_rate", [1e-100, 0.1, 30.0, 1e3, 1e200])
+    def test_fit_matches_a_loss_every_step_oracle(self, learning_rate, l2, scale):
+        X, y = self._scaled_data()
+        X, y = X * scale, y.astype(float)
+        cfg = lr_cfg(learning_rate=learning_rate, l2=l2, iterations=120)
+        expected = self._oracle_fit(X, y, cfg)
+        if isinstance(expected, int):
+            with pytest.raises(NonFiniteLoss, match=f"iteration {expected};"):
+                fit_logistic(X, y, cfg)
+            return
+        model = fit_logistic(X, y, cfg)
+        w, b, loss, it = expected
+        assert np.array_equal(model.weights, w) and model.bias == b
+        assert model.final_loss == loss and model.iterations == it
+        assert model.final_loss == logistic_loss(X, y, model.weights, model.bias, cfg.l2)
 
 
 class TestTree:

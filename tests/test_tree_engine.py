@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,9 +37,10 @@ from imbtab.models import (
     sigmoid,
     tree_predict,
 )
+from imbtab.models import boosting
 from imbtab.models.boosting import logit
 from imbtab.models.forest import plan_forest
-from imbtab.models.tree import _BLOCK, best_split, fit_codes
+from imbtab.models.tree import _BLOCK, best_split, fit_codes, grow
 
 
 # --- oracle: the per-node argsort search ------------------------------------
@@ -474,6 +476,25 @@ def _saturated_problem(seed, l2):
     return X, y, cfg
 
 
+def _fit_checking_leaves(X, y, cfg):
+    """fit_model(X, y, cfg) of an xgb cfg, checking after every round that the
+    leaf the grower recorded for each training row is a leaf and scores the
+    row as `tree_predict` does; the fitted model."""
+    rounds = []
+
+    def checked(codes, rows, criterion, max_depth, leaf):
+        tree = grow(codes, rows, criterion, max_depth, leaf=leaf)
+        assert np.all(tree.feature[leaf] < 0)
+        assert np.array_equal(tree.score[leaf], tree_predict(tree, X))
+        rounds.append(tree)
+        return tree
+
+    with mock.patch.object(boosting, "grow", checked):
+        model = fit_model(X, y, cfg).model
+    assert rounds == model.trees
+    return model
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 4, 5, 48, 51, 113, 176, 461])
 def test_saturated_boosting_matches_oracle(seed):
     # With l2 = 0, saturated rows have h = 0, so some nodes and candidate
@@ -483,7 +504,7 @@ def test_saturated_boosting_matches_oracle(seed):
     # and 113 grew other trees, and seeds 48, 176 and 461 had NaN gains that
     # did not change their trees.
     X, y, cfg = _saturated_problem(seed, 0.0)
-    model = fit_model(X, y, cfg).model
+    model = _fit_checking_leaves(X, y, cfg)
     _, trees = _oracle_gbt(X, y, cfg)
     assert [_nodes(t) for t in model.trees] == [_nodes(t) for t in trees]
 
@@ -558,7 +579,7 @@ def test_two_valued_search_matches_argsort_oracle(problem, max_depth, min_leaf, 
         xgb = ModelConfig.for_family(
             "xgb", rounds=2, l2=l2, max_depth=max_depth or 3, min_samples_leaf=min_leaf
         )
-        model = fit_model(X, y, xgb).model
+        model = _fit_checking_leaves(X, y, xgb)
         base, trees = _oracle_gbt(X, y, xgb)
         assert model.base_score == base
         assert [_nodes(t) for t in model.trees] == [_nodes(t) for t in trees]
@@ -677,6 +698,39 @@ def test_two_valued_left_sums_over_a_feature_subset():
     seen, _ = _recorded_left_sums(X, rows, feats, _ORDERED)
     assert seen == _cumsum_left_sums(X, rows, feats, _ORDERED)
     assert len(seen) >= 8 + 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 20_480),
+    width=st.integers(_BLOCK, 40),
+    searched=st.sampled_from(["all", "subset"]),
+    node=st.sampled_from(["all", "subset", "bootstrap"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=20_480, width=40, searched="all", node="all", seed=0)
+@example(n=20_000, width=40, searched="subset", node="bootstrap", seed=1)
+@example(n=8_193, width=_BLOCK, searched="all", node="subset", seed=2)
+def test_two_valued_left_sums_add_rows_in_order_past_the_buffer(n, width, searched, node, seed):
+    # numpy's einsum runs through an iterator whose buffer holds 8192
+    # elements; nodes of up to 20480 rows by up to 40 flags span many such
+    # buffers, and every left sum must still add its rows one at a time
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n, width)) < rng.uniform(0.05, 0.95, width)).astype(np.float64)
+    X[0], X[1] = 0.0, 1.0  # every column two-valued over the fit
+    s = rng.choice(_ORDERED[:4], n) * rng.choice([1.0, 3.0], n)
+    if node == "all":
+        rows = np.arange(n)
+    elif node == "subset":
+        rows = np.flatnonzero(rng.random(n) < 0.7)
+        rows = rows if len(rows) >= 2 else np.arange(n)
+    else:
+        rows = rng.integers(n, size=n)  # a bootstrap sample: repeats, out of order
+    feats = np.arange(width)
+    if searched == "subset":  # np.take picks the searched columns of the flags
+        feats = np.sort(rng.choice(width, size=int(rng.integers(_BLOCK, width + 1)), replace=False))
+    seen, _ = _recorded_left_sums(X, rows, feats, s)
+    assert seen == _cumsum_left_sums(X, rows, feats, s)
 
 
 def test_a_one_hot_pair_ties_with_a_lower_multi_valued_column():
