@@ -13,7 +13,9 @@ each label group's row numbers, held in an `array.array`, with one seeded
 `random.Random` would put at the head of the group; each group makes only the
 swaps that fix its training rows, and the last only their draws.
 
-`load_csv` reads the body in byte blocks cut at line ends. A UTF-8 block
+`load_csv` reads the header with `csv.reader`; if that reads past the first
+line end (a quoted line break or a lone CR), the same reader reads the rest.
+Otherwise the body is read in byte blocks cut at line ends. A UTF-8 block
 with no `"` byte, no NUL byte and no CR outside CRLF is split into cells with
 numpy, and each distinct token of a column is decoded and parsed once per
 block. From the first block that fails any of those, `csv.reader`, the only
@@ -432,14 +434,6 @@ def _read_blocks(blocks, width, parsers, order):
     return rows, ()
 
 
-def _header(line):
-    """The cells of a header line that csv.reader need not read, else None."""
-    if b'"' in line or b"\0" in line or b"\r" in line.removesuffix(b"\r\n"):
-        return None
-    text = line.decode("utf-8").removesuffix("\n").removesuffix("\r")
-    return text.split(",") if text else []
-
-
 def _csv_reader(blocks):
     """csv.reader over the lines of `blocks`, split after CR, LF or CRLF as
     `newline=""` splits them, each decoded as it is read."""
@@ -469,11 +463,8 @@ def load_csv(path, schema):
     with open(path, "rb") as fh:
         first = fh.readline()
         blocks = _line_blocks(fh, _BLOCK_BYTES)
-        header, reader = _header(first), None
-        if header is None:
-            reader = _csv_reader(itertools.chain([first], blocks))
-            header = next(reader, [])
-        header = [h.strip() for h in header]
+        reader = _csv_reader(itertools.chain([first], blocks))
+        header = [h.strip() for h in next(reader, [])]
         wanted = {c.name for c in schema}
         got = set(header)
         repeated = {h for h in got if header.count(h) > 1}
@@ -482,7 +473,7 @@ def load_csv(path, schema):
         order = [header.index(c.name) for c in schema]
         parsers = [_ColumnParser(c.kind) for c in schema]
         start = 0
-        if reader is None:
+        if reader.line_num <= 1 and len(first.splitlines()) == 1:  # the header read no block
             start, blocks = _read_blocks(blocks, len(header), parsers, order)
             reader = _csv_reader(blocks)
         rows = _rows_of_width(reader, len(header), start)

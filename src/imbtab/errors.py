@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all imbtab modules, and the value checks that
-the config dataclasses raise ValidationError from."""
+"""Exception hierarchy shared by all imbtab modules, the value checks that the
+config dataclasses raise ValidationError from, and every fitter's input check."""
 
 import numbers
 
@@ -92,7 +92,7 @@ class NonFiniteScore(ImbtabError):
 
 
 class NonFiniteFeature(ImbtabError):
-    """A tree model or a neighbour search was given a NaN or infinite feature value."""
+    """A model fit or a neighbour search was given a NaN or infinite feature value."""
 
 
 class EmptyInput(ImbtabError):
@@ -172,6 +172,24 @@ def check_choice(value, path, choices, error=ValidationError):
     """Raise `error(path, ...)` unless `value` is one of the strings `choices`."""
     if not isinstance(value, str) or value not in choices:
         raise error(path, f"allowed: {list(choices)}")
+
+
+def check_fit_inputs(X, y):
+    """X and y as float64 arrays (not copied if they are), checked for what
+    every model fitter needs, in this order: X 2-D and y 1-D with a label per
+    row (else DimensionMismatch), a row (EmptyInput), finite features
+    (NonFiniteFeature), and labels in [0, 1], none NaN (LabelOutOfRange)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.shape != (len(X),):
+        raise DimensionMismatch(f"a fit needs a 2-D X and a label per row: {X.shape}, {y.shape}")
+    if len(y) == 0:
+        raise EmptyInput("cannot fit a model on zero rows")
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteFeature("a fit needs finite feature values (found NaN or inf)")
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise LabelOutOfRange("a fit needs every label in [0, 1], none NaN")
+    return X, y
 
 
 class PipelineError(ImbtabError):

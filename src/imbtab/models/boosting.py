@@ -18,7 +18,8 @@ leaves fewer than min_samples_leaf rows on a side. Each round's training
 contributions are read from the grower: it records the leaf of every
 training row as it writes that leaf, by the same `<=` test (read from the
 codes) as `tree_predict`, so the leaf's score is what `tree_predict` of the
-tree gives that row, and a fit reads X only in `fit_codes`.
+tree gives that row, and after `check_fit_inputs` a fit reads X only in
+`fit_codes`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInput, NonFiniteScore
+from ..errors import NonFiniteScore, check_fit_inputs
 from .logistic import sigmoid
 from .tree import fit_codes, gini_impurity, grow, tree_predict
 
@@ -95,10 +96,7 @@ class GainCriterion:
 
 
 def fit_gbt(X, y, cfg):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(y) == 0:
-        raise EmptyInput("cannot fit boosted trees on zero rows")
+    X, y = check_fit_inputs(X, y)
     codes = fit_codes(X, X.shape[1])
     rows = np.arange(len(y))
     leaf = np.empty(len(y), dtype=np.intp)  # each row's leaf in this round's tree

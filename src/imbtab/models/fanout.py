@@ -37,6 +37,7 @@ import threading
 
 import numpy as np
 
+from ..errors import check_fit_inputs
 from .common import FittedModel, fit_model
 from .forest import forest_model, grow_tree, plan_forest
 
@@ -66,7 +67,7 @@ def fit_models(X, y, cfgs):
         if cfg.family != "rf" or cpus == 1:
             continue
         try:
-            plans[m] = plan_forest(X, y, cfg)
+            plans[m] = plan_forest(*check_fit_inputs(X, y), cfg)
         except Exception:  # the forest gets no units, so this process fits it whole
             continue
         units.extend((m, i) for i in range(cfg.n_trees))

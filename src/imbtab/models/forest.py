@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInput
+from ..errors import check_fit_inputs
 from .tree import Codes, GiniCriterion, fit_codes, grow, tree_predict
 
 
@@ -41,9 +41,7 @@ class ForestPlan:
 
 
 def plan_forest(X, y, cfg):
-    """The ForestPlan of fitting cfg's forest on float64 arrays X, y."""
-    if len(y) == 0:
-        raise EmptyInput("cannot fit a forest on zero rows")
+    """The ForestPlan of fitting cfg's forest on X, y that passed `check_fit_inputs`."""
     subset = cfg.feature_subset_size
     if subset is None:
         subset = max(1, math.ceil(math.sqrt(X.shape[1])))
@@ -75,8 +73,7 @@ def forest_model(cfg, plan, trees):
 
 
 def fit_forest(X, y, cfg):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X, y = check_fit_inputs(X, y)
     plan = plan_forest(X, y, cfg)
     return forest_model(cfg, plan, [grow_tree(y, cfg, plan, i) for i in range(cfg.n_trees)])
 

@@ -2,7 +2,8 @@
 
 `fit_logistic` computes the loss once, after its last step. Each step tests
 only that the loss would be finite (the probabilities sum to a finite value
-and the L2 term is finite), which for labels in [0, 1] is the same test.
+and the L2 term is finite), which for the finite features and [0, 1] labels
+that `check_fit_inputs` lets through is the same test.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInput, LabelOutOfRange, NonFiniteLoss
+from ..errors import NonFiniteLoss, check_fit_inputs
 
 _CLIP = 1e-12
 
@@ -60,7 +61,8 @@ def logistic_gradient(X, y, w, b, l2):
 
 def fit_logistic(X, y, cfg):
     """Zero-initialized gradient descent; stops when the gradient inf-norm
-    drops below cfg.tolerance or cfg.iterations is exhausted.
+    drops below cfg.tolerance or cfg.iterations is exhausted. Inputs that
+    `check_fit_inputs` refuses raise its error.
 
     The probabilities p of each step are reused for the next step's
     gradient, so X @ w is computed once per iteration. The loss is computed
@@ -71,12 +73,7 @@ def fit_logistic(X, y, cfg):
     when p.sum() and the L2 term are. NonFiniteLoss names the first step
     where they are not.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(y) == 0:
-        raise EmptyInput("cannot fit logistic regression on zero rows")
-    if not np.all((y >= 0.0) & (y <= 1.0)):
-        raise LabelOutOfRange("logistic regression needs every label in [0, 1], none NaN")
+    X, y = check_fit_inputs(X, y)
     w = np.zeros(X.shape[1])
     b = 0.0
     p = sigmoid(X @ w + b)

@@ -3,13 +3,14 @@ forest and the boosted trees share.
 
 Fitting is exact greedy split finding (Algorithm 1 of Chen & Guestrin 2016):
 
-- `fit_codes` is the fit's one read of X: it codes each feature column as the
-  rank of its value among the column's sorted distinct values, and keeps
-  those. A stable argsort of the codes orders a node's rows exactly as a
-  stable argsort of the values would, and numpy radix-sorts 16-bit keys.
-  One-hot encoding makes most columns two-valued (codes 0 and 1); when some
-  node of the fit can search _BLOCK of them, `fit_codes` also keeps their
-  code-0 flags as a row-major (rows, features) bool matrix.
+- `fit_codes` is the fit's one read of X after `check_fit_inputs`: it codes
+  each feature column as the rank of its value among the column's sorted
+  distinct values, and keeps those. A stable argsort of the codes orders a
+  node's rows exactly as a stable argsort of the values would, and numpy
+  radix-sorts 16-bit keys. One-hot encoding makes most columns two-valued
+  (codes 0 and 1); when some node of the fit can search _BLOCK of them,
+  `fit_codes` also keeps their code-0 flags as a row-major (rows, features)
+  bool matrix.
 - `best_split` is the one split search. It evaluates the split criterion
   only where a feature's code changes in sorted order, given the sums of the
   node's row statistics over the rows on the left, each added one row at a
@@ -56,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import EmptyInput, NonFiniteFeature
+from ..errors import check_fit_inputs
 
 # Features searched together in one node: it bounds the size of the
 # (features, rows) arrays that one search holds at a time. It is also the
@@ -154,9 +155,7 @@ class Codes(NamedTuple):
 
 
 def fit_codes(X, searched):
-    """The Codes of X for a fit whose nodes each search `searched` features."""
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteFeature("tree models need finite feature values (found NaN or inf)")
+    """The Codes of a checked X (`check_fit_inputs`) for nodes that search `searched` features."""
     rank = np.empty((X.shape[1], X.shape[0]), dtype=np.uint16)
     values = []
     for f in range(X.shape[1]):
@@ -292,7 +291,7 @@ class GiniCriterion:
         loss is None when the node is not split."""
         y_node = self.y[rows]
         n = len(rows)
-        positives = float(np.sum(y_node))  # exact: the labels are 0 and 1
+        positives = float(np.sum(y_node))  # labels in [0, 1], exact for 0/1
         score = positives / n if n else 0.0
         gini = 2.0 * score * (1.0 - score)
         loss = None if gini == 0.0 or n < self.min_samples_leaf else _gini_loss(n, positives)
@@ -355,10 +354,7 @@ def grow(codes, rows, criterion, max_depth, rng=None, feature_subset_size=None, 
 
 def fit_tree(X, y, cfg):
     """Grow a CART tree over every feature; leaf score is the positive-label fraction."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(y) == 0:
-        raise EmptyInput("cannot fit a tree on zero rows")
+    X, y = check_fit_inputs(X, y)
     criterion = GiniCriterion(y, cfg.min_samples_leaf)
     return grow(fit_codes(X, X.shape[1]), np.arange(len(y)), criterion, cfg.max_depth)
 

@@ -164,6 +164,64 @@ class TestLoadCsv:
         with pytest.raises(csv.Error, match="field limit"):
             load_csv(path, SCHEMA2)
 
+    def test_a_quoted_header_leaves_an_unquoted_body_to_the_blocks(self, tmp_path, monkeypatch):
+        path = write(tmp_path, '"x y","gen,der",target\n0.5,m,1\n,f,0\n2,m,\n')
+        schema = (
+            ColumnSchema("x y", NUMERIC),
+            ColumnSchema("gen,der", CATEGORICAL),
+            ColumnSchema("target", TARGET),
+        )
+        read, rows_read = imbtab.data._read_blocks, []
+
+        def spy(*args):
+            rows, rest = read(*args)
+            rows_read.append(rows)
+            return rows, rest
+
+        monkeypatch.setattr(imbtab.data, "_read_blocks", spy)
+        d = load_csv(path, schema)
+        assert rows_read == [3]
+        with open(path, newline="") as fh:
+            assert d.rows == Dataset(schema, list(csv.reader(fh))[1:]).rows
+
+    @pytest.mark.parametrize(
+        "text, first_name",
+        [('"x\ny",gender,target\n0.5,m,1\n,f,0\n', "x\ny"), ("x,gender,target\r0.5,m,1\n,f,0\n", "x")],
+        ids=["quoted-line-break", "lone-cr"],
+    )
+    def test_a_header_past_the_first_line_leaves_the_body_to_csv_reader(
+        self, tmp_path, monkeypatch, text, first_name
+    ):
+        # reading the header takes csv.reader past the first line end, so that
+        # reader reads the body too; the numpy blocks never run
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        schema = (ColumnSchema(first_name, NUMERIC),) + SCHEMA3[1:]
+        monkeypatch.setattr(imbtab.data, "_read_blocks", None)
+        d = load_csv(str(path), schema)
+        with open(path, newline="") as fh:
+            assert d.rows == Dataset(schema, list(csv.reader(fh))[1:]).rows
+        assert d.rows == ((0.5, "m", 1), (MISSING, "f", 0))
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("x,gen\rder,target\n0.5,m,1\n", HeaderMismatch),
+            ('"x\ny",gender,target\n0.5,m,1,extra\n', MalformedRow),
+        ],
+        ids=["lone-cr", "quoted-line-break"],
+    )
+    def test_a_header_past_the_first_line_raises_as_csv_reader_reads(self, tmp_path, text, error):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        schema = (ColumnSchema("x\ny", NUMERIC),) + SCHEMA3[1:]
+        with pytest.raises(error) as exc:
+            load_csv(str(path), schema)
+        if error is HeaderMismatch:  # csv.reader ends the header at the CR
+            assert (exc.value.missing, exc.value.extra) == (["gender", "target", "x\ny"], ["gen", "x"])
+        else:
+            assert exc.value.row_index == 0
+
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_a_blank_line_is_a_malformed_row(self, tmp_path, eol):
         path = write(tmp_path, eol.join(["target", "1", "0", "", "1"]) + eol)

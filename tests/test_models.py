@@ -19,8 +19,10 @@ from imbtab.errors import (
     NonFiniteLoss,
     NonFiniteScore,
     ValidationError,
+    check_fit_inputs,
 )
 from imbtab.models import (
+    FAMILIES,
     ModelConfig,
     classify,
     fit_forest,
@@ -154,6 +156,9 @@ class TestLogistic:
         y[7] = label
         with pytest.raises(LabelOutOfRange):
             fit_logistic(X, y, lr_cfg(iterations=3))
+        for family in FAMILIES:
+            with pytest.raises(LabelOutOfRange):
+                fit_model(X, y, ModelConfig.for_family(family))
         assert issubclass(LabelOutOfRange, ImbtabError)
 
     @staticmethod
@@ -275,7 +280,7 @@ class TestTree:
 
 class TestNonFiniteFeatures:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("family", ["dt", "rf", "xgb"])
+    @pytest.mark.parametrize("family", ["dt", "rf", "xgb", "lr"])
     def test_fit_rejects_non_finite(self, family, bad):
         X = np.array([[0.0, 1.0], [1.0, bad], [2.0, 0.0], [3.0, 1.0]])
         y = np.array([0, 1, 0, 1])
@@ -499,6 +504,15 @@ class TestBoosting:
             assert m.predict_proba(np.array([[2.0]])).tolist() == [0.5]
 
 
+# (X, y) of a wrong shape
+SHAPE_FAULTS = {
+    "1-d-X": (np.arange(6.0), np.array([0, 1] * 3)),
+    "X-longer": (np.arange(20.0).reshape(10, 2), np.array([0, 1] * 3)),
+    "X-shorter": (np.arange(12.0).reshape(6, 2), np.array([0, 1] * 5)),
+    "2-d-y": (np.arange(12.0).reshape(6, 2), np.array([[0], [1]] * 3)),
+}
+
+
 class TestContract:
     def test_model_config_is_frozen(self):
         cfg = lr_cfg()
@@ -532,6 +546,30 @@ class TestContract:
         m = fit_model(X, [0, 1], lr_cfg())
         with pytest.raises(DimensionMismatch):
             m.predict_proba(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("case", list(SHAPE_FAULTS))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_fit_needs_2d_x_and_one_label_per_row(self, family, case):
+        X, y = SHAPE_FAULTS[case]
+        with pytest.raises(DimensionMismatch):
+            fit_model(X, y, ModelConfig.for_family(family))
+
+    def test_the_input_checks_run_in_order_and_copy_no_float64_array(self):
+        X, y = np.array([[0.0, np.nan], [1.0, 2.0]]), np.array([0.0, 3.0])
+        faults = [
+            (DimensionMismatch, X[:0], y),
+            (EmptyInput, X[:0], y[:0]),
+            (NonFiniteFeature, X, y),
+            (LabelOutOfRange, np.nan_to_num(X), y),
+        ]
+        for error, X_case, y_case in faults:
+            with pytest.raises(error):
+                check_fit_inputs(X_case, y_case)
+        X_ok, y_ok = np.nan_to_num(X), y / 3
+        X_out, y_out = check_fit_inputs(X_ok, y_ok)
+        assert X_out is X_ok and y_out is y_ok
+        X_out, y_out = check_fit_inputs(X_ok.astype(np.float32), [0, 1])
+        assert X_out.dtype == y_out.dtype == np.float64
 
     @pytest.mark.parametrize(
         "family, overrides",
@@ -626,6 +664,28 @@ class TestFamilyConfigs:
         turned = dataclasses.replace(base, threshold=0.2)
         probs = fit_model(X, y, base).predict_proba(X)
         assert not np.array_equal(classify(probs, turned.threshold), classify(probs, base.threshold))
+
+
+def _with_label(label):
+    def bad(X, y):
+        y[5] = label
+        return X, y
+
+    return bad
+
+
+def _nan_feature(X, y):
+    X[9, 1] = np.nan
+    return X, y
+
+
+# bad fit inputs: a callable making one from good (X, y), and the error every fitter raises
+BAD_INPUTS = {
+    "label-2": (_with_label(2.0), LabelOutOfRange),
+    "label-nan": (_with_label(np.nan), LabelOutOfRange),
+    "feature-nan": (_nan_feature, NonFiniteFeature),
+    "X-one-row-longer": (lambda X, y: (X, y[:-1]), DimensionMismatch),
+}
 
 
 class TestFitModels:
@@ -728,7 +788,7 @@ class TestFitModels:
         assert time.monotonic() - begun < 30
 
     def test_failed_fits_give_the_error_fit_model_raises(self, fit_cpus):
-        # the forest fails in fit_codes before any fork, DT and XGB in their units
+        # the forest fails in check_fit_inputs before any fork, DT and XGB in their units
         X, y = _tied_data()
         X[3, 2] = np.nan
         cfgs = [ModelConfig.for_family(f) for f in ("dt", "rf", "xgb")]
@@ -738,6 +798,22 @@ class TestFitModels:
             with pytest.raises(NonFiniteFeature) as expected:
                 fit_model(X, y, cfg)
             assert (type(error), str(error)) == (type(expected.value), str(expected.value))
+
+    @pytest.mark.parametrize("fault", list(BAD_INPUTS))
+    def test_each_bad_input_gives_every_slot_the_error_of_its_fitter(self, fit_cpus, fault):
+        make, raised = BAD_INPUTS[fault]
+        X, y = _tied_data()
+        X, y = make(X, y.astype(float))
+        cfgs = [ModelConfig.for_family(f) for f in ("lr", "dt", "rf", "xgb")]
+        fitters = [fit_logistic, fit_tree, fit_forest, fit_gbt]
+        fitted = fit_models(X, y, cfgs)
+        assert len(fitted) == len(cfgs)
+        for cfg, fitter, error in zip(cfgs, fitters, fitted):
+            with pytest.raises(raised) as expected:
+                fit_model(X, y, cfg)
+            assert (type(error), str(error)) == (raised, str(expected.value))
+            with pytest.raises(raised):
+                fitter(X, y, cfg)
 
     @pytest.mark.parametrize("case", ["one unit", "one cpu", "no affinity", "threads"])
     def test_in_process_cases_never_fork(self, case, monkeypatch):
