@@ -33,6 +33,7 @@ from .errors import (
     UnseenCategory,
     ValidationError,
     check_choice,
+    check_features,
     check_integer,
 )
 
@@ -63,19 +64,15 @@ class EncoderSpec:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
+    """Named columns over a matrix that `check_features` accepts with one column
+    per name (else its error); a float64 array is kept, not copied."""
+
     column_names: tuple
-    values: np.ndarray  # row-major float64, all finite
+    values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "column_names", tuple(self.column_names))
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ValueError("feature matrix must be 2-D")
-        if vals.shape[1] != len(self.column_names):
-            raise ValueError("column_names length does not match matrix width")
-        if vals.size and not np.all(np.isfinite(vals)):
-            raise ValueError("feature matrix contains non-finite values")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", check_features(self.values, len(self.column_names)))
 
     @property
     def n_rows(self):

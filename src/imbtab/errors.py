@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all imbtab modules, the value checks that the
-config dataclasses raise ValidationError from, and every fitter's input check."""
+config dataclasses raise ValidationError from, the one feature-matrix check
+(`check_features`) and every fitter's input check."""
 
 import numbers
 
@@ -84,7 +85,7 @@ class NonFiniteLoss(ImbtabError):
 
 
 class LabelOutOfRange(ImbtabError):
-    """A model was given a label that is NaN or outside [0, 1]."""
+    """A label NaN or outside [0, 1] (a fit), or not 0 or 1 (rebalance)."""
 
 
 class NonFiniteScore(ImbtabError):
@@ -92,7 +93,7 @@ class NonFiniteScore(ImbtabError):
 
 
 class NonFiniteFeature(ImbtabError):
-    """A model fit or a neighbour search was given a NaN or infinite feature value."""
+    """A feature matrix holds a NaN or infinite value (`check_features`)."""
 
 
 class EmptyInput(ImbtabError):
@@ -174,19 +175,30 @@ def check_choice(value, path, choices, error=ValidationError):
         raise error(path, f"allowed: {list(choices)}")
 
 
+def check_features(X, width=None):
+    """X as float64 (not copied if it is), checked by the one rule for a feature
+    matrix, in this order: 2-D, with `width` columns when a width is given
+    (else DimensionMismatch), and every value finite (NonFiniteFeature)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or (width is not None and X.shape[1] != width):
+        columns = "" if width is None else f" with {width} columns"
+        raise DimensionMismatch(f"a feature matrix must be 2-D{columns}, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteFeature("a feature matrix must be finite (found NaN or inf)")
+    return X
+
+
 def check_fit_inputs(X, y):
     """X and y as float64 arrays (not copied if they are), checked for what
-    every model fitter needs, in this order: X 2-D and y 1-D with a label per
-    row (else DimensionMismatch), a row (EmptyInput), finite features
-    (NonFiniteFeature), and labels in [0, 1], none NaN (LabelOutOfRange)."""
-    X = np.asarray(X, dtype=np.float64)
+    every model fitter needs, in this order: X a feature matrix
+    (`check_features`), y 1-D with a label per row (else DimensionMismatch),
+    a row (EmptyInput), and labels in [0, 1], none NaN (LabelOutOfRange)."""
+    X = check_features(X)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.shape != (len(X),):
-        raise DimensionMismatch(f"a fit needs a 2-D X and a label per row: {X.shape}, {y.shape}")
+    if y.shape != (len(X),):
+        raise DimensionMismatch(f"a fit needs a label per row: {X.shape}, {y.shape}")
     if len(y) == 0:
         raise EmptyInput("cannot fit a model on zero rows")
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteFeature("a fit needs finite feature values (found NaN or inf)")
     if not np.all((y >= 0.0) & (y <= 1.0)):
         raise LabelOutOfRange("a fit needs every label in [0, 1], none NaN")
     return X, y

@@ -36,11 +36,12 @@ from .errors import (
     DimensionMismatch,
     EmptyMinority,
     KTooLarge,
-    NonFiniteFeature,
+    LabelOutOfRange,
     StrategyUnknown,
     TooFewMinoritySamples,
     ValidationError,
     check_choice,
+    check_features,
     check_integer,
 )
 
@@ -85,12 +86,7 @@ class NeighborIndex:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise DimensionMismatch(f"points must be a 2-D array, got shape {pts.shape}")
-        if pts.size and not np.all(np.isfinite(pts)):
-            raise NonFiniteFeature("points must be finite")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", check_features(self.points))
 
 
 @dataclass(frozen=True)
@@ -224,16 +220,12 @@ def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
     otherwise the lowest-index point at distance zero.
     """
     points = index.points
-    query = np.asarray(query, dtype=np.float64)
     check_integer(k, "k", minimum=0)
     if self_index is not None:
         check_integer(self_index, "self_index", minimum=0)
         if self_index >= len(points):
             raise ValidationError("self_index", f"must be < {len(points)}, the number of points")
-    if query.shape != points.shape[1:]:
-        raise DimensionMismatch(f"query shape {query.shape}, points {points.shape}")
-    if not np.all(np.isfinite(query)):
-        raise NonFiniteFeature("query must be finite")
+    queries = check_features([query], points.shape[1])
     if k == 0:  # nothing to search for
         return []
     exclude = np.array([self_index]) if exclude_self and self_index is not None else None
@@ -243,7 +235,7 @@ def nearest_neighbors(index, query, k, exclude_self=False, self_index=None):
     extra = int(exclude_self and exclude is None)
     nearest = d2 = ()
     if n_eligible:  # an empty index has no k-th key
-        (nearest,), (d2,) = _k_nearest(points, query[None], min(k + extra, n_eligible), exclude)
+        (nearest,), (d2,) = _k_nearest(points, queries, min(k + extra, n_eligible), exclude)
     skip = int(extra and len(d2) > 0 and d2[0] == 0.0)
     if k > n_eligible - skip:
         raise KTooLarge(f"k={k} but only {n_eligible - skip} eligible points")
@@ -256,23 +248,19 @@ def smote(minority, k, n_new, seed=0, mode="canonical"):
     canonical: s = x + u * (neighbor - x), one u per synthetic row.
     paper_literal: s_j = x_j + u * |x_j - neighbor_j| per coordinate (never
     moves a coordinate downward); kept as a documented alternative geometry.
-    Neighbor draws are with replacement, so n_new may exceed k.
+    Neighbor draws are with replacement, so n_new may exceed k. The minority
+    is checked by `check_features` before its row count.
 
     Returns (synthetic rows array, SyntheticProvenance over minority rows).
     """
     check_integer(k, "k", minimum=1)
     check_integer(n_new, "n_new", minimum=0)
     check_choice(mode, "mode", SMOTE_MODES)
-    pts = np.asarray(minority, dtype=np.float64)
-    if pts.ndim != 2:
-        raise DimensionMismatch(f"minority must be a 2-D array, got shape {pts.shape}")
+    pts = check_features(minority)
     if len(pts) < 2:
         raise TooFewMinoritySamples(f"need >= 2 minority rows, got {len(pts)}")
     if k > len(pts) - 1:
         raise KTooLarge(f"k={k} but only {len(pts) - 1} candidate neighbors")
-
-    if not np.all(np.isfinite(pts)):
-        raise NonFiniteFeature("smote features must be finite")
     neighbors = _k_nearest(pts, pts, k, exclude=np.arange(len(pts)))[0]
     rng = np.random.default_rng(seed)
     base = np.repeat(np.arange(len(pts)), n_new)
@@ -301,7 +289,8 @@ def nearmiss(majority, minority, variant, k, n=None):
     1: n majority points with smallest mean distance to their k nearest
        minority points. 2: same but against the k farthest minority points.
     3: union of each minority point's k nearest majority points (n ignored).
-    Ties always resolve to the lower index.
+    Ties always resolve to the lower index. `check_features` checks the
+    majority, then the minority at its width, before an empty minority.
     """
     check_integer(variant, "variant", minimum=1)
     if variant > 3:
@@ -309,16 +298,10 @@ def nearmiss(majority, minority, variant, k, n=None):
     check_integer(k, "k", minimum=1)
     if n is not None:
         check_integer(n, "n", minimum=0)
-    majority = np.asarray(majority, dtype=np.float64)
-    minority = np.asarray(minority, dtype=np.float64)
-    if majority.ndim != 2 or minority.ndim != 2 or majority.shape[1] != minority.shape[1]:
-        raise DimensionMismatch(
-            f"majority {majority.shape} and minority {minority.shape} must be 2-D of one width"
-        )
+    majority = check_features(majority)
+    minority = check_features(minority, majority.shape[1])
     if len(minority) == 0:
         raise EmptyMinority("nearmiss requires at least one minority row")
-    if not (np.all(np.isfinite(majority)) and np.all(np.isfinite(minority))):
-        raise NonFiniteFeature("nearmiss features must be finite")
 
     searched, name = (majority, "majority") if variant == 3 else (minority, "minority")
     if k > len(searched):
@@ -345,12 +328,19 @@ def _split_by_label(labels):
 def rebalance(features, labels, config):
     """Apply the configured strategy to a training feature matrix.
 
-    Returns a RebalanceResult carrying the resampled matrix, labels, an
+    labels must be one per row (else DimensionMismatch), each 0 or 1 (else
+    LabelOutOfRange); bool and float labels are read as ints. Returns a
+    RebalanceResult carrying the resampled matrix, labels, an
     original-vs-synthetic row mask, and SMOTE provenance when applicable.
     Only training data should ever pass through here.
     """
     X = features.values
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
+    if labels.shape != (len(X),):
+        raise DimensionMismatch(f"rebalance needs a label per row: {X.shape}, {labels.shape}")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise LabelOutOfRange("rebalance needs every label 0 or 1")
+    labels = labels.astype(int, copy=False)
     if config.strategy == "none":
         return RebalanceResult(features, labels, np.ones(len(labels), dtype=bool))
 

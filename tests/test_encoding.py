@@ -17,8 +17,10 @@ from imbtab import (
 )
 from imbtab.encoding import ENCODER_METHODS, ENCODER_MODES, OTHER_TOKEN
 from imbtab.errors import (
+    DimensionMismatch,
     EmptyCategoryList,
     EmptyDataset,
+    NonFiniteFeature,
     NotCategorical,
     ReservedCategory,
     UnmappedCategory,
@@ -54,16 +56,17 @@ def impacts(cats, ys):
 
 class TestFeatureMatrix:
     @pytest.mark.parametrize(
-        "names, values, message",
+        "names, values, error",
         [
-            (("a",), np.array([1.0, 2.0]), "must be 2-D"),
-            (("a", "b"), np.ones((2, 3)), "does not match matrix width"),
-            (("a",), np.array([[1.0], [np.nan]]), "non-finite"),
-            (("a",), np.array([[np.inf]]), "non-finite"),
+            (("a",), np.array([1.0, 2.0]), DimensionMismatch),
+            (("a", "b"), np.ones((2, 3)), DimensionMismatch),
+            (("a",), np.array([[1.0], [np.nan]]), NonFiniteFeature),
+            (("a",), np.array([[np.inf]]), NonFiniteFeature),
         ],
+        ids=["1-D", "wrong-width", "nan", "inf"],
     )
-    def test_a_malformed_matrix_is_rejected(self, names, values, message):
-        with pytest.raises(ValueError, match=message):
+    def test_a_malformed_matrix_is_rejected(self, names, values, error):
+        with pytest.raises(error):
             FeatureMatrix(names, values)
 
 

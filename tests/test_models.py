@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from test_tree_engine import GOLDEN, GOLDEN_DATA, _staircase, _tied_data, assert_model_document
 
+from imbtab import FeatureMatrix
 from imbtab.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -557,6 +558,7 @@ class TestContract:
     def test_the_input_checks_run_in_order_and_copy_no_float64_array(self):
         X, y = np.array([[0.0, np.nan], [1.0, 2.0]]), np.array([0.0, 3.0])
         faults = [
+            (NonFiniteFeature, X, y[:1]),
             (DimensionMismatch, X[:0], y),
             (EmptyInput, X[:0], y[:0]),
             (NonFiniteFeature, X, y),
@@ -570,6 +572,7 @@ class TestContract:
         assert X_out is X_ok and y_out is y_ok
         X_out, y_out = check_fit_inputs(X_ok.astype(np.float32), [0, 1])
         assert X_out.dtype == y_out.dtype == np.float64
+        assert FeatureMatrix(("a", "b"), X_ok).values is X_ok
 
     @pytest.mark.parametrize(
         "family, overrides",
@@ -787,20 +790,9 @@ class TestFitModels:
         assert interrupted.exists()
         assert time.monotonic() - begun < 30
 
-    def test_failed_fits_give_the_error_fit_model_raises(self, fit_cpus):
-        # the forest fails in check_fit_inputs before any fork, DT and XGB in their units
-        X, y = _tied_data()
-        X[3, 2] = np.nan
-        cfgs = [ModelConfig.for_family(f) for f in ("dt", "rf", "xgb")]
-        fitted = fit_models(X, y, cfgs)
-        assert len(fitted) == len(cfgs)
-        for cfg, error in zip(cfgs, fitted):
-            with pytest.raises(NonFiniteFeature) as expected:
-                fit_model(X, y, cfg)
-            assert (type(error), str(error)) == (type(expected.value), str(expected.value))
-
     @pytest.mark.parametrize("fault", list(BAD_INPUTS))
     def test_each_bad_input_gives_every_slot_the_error_of_its_fitter(self, fit_cpus, fault):
+        # the forest fails in check_fit_inputs before any fork, the others in their units
         make, raised = BAD_INPUTS[fault]
         X, y = _tied_data()
         X, y = make(X, y.astype(float))

@@ -134,6 +134,10 @@ def test_rebalance_matches_golden_digest(case, config):
     names = tuple(f"f{i}" for i in range(values.shape[1]))
     result = rebalance(FeatureMatrix(names, values), labels, CONFIGS[config])
     assert _digest(result) == GOLDEN[(case, config)]
+    # bool and float 0/1 labels are read as the same ints
+    for same in (labels.astype(bool), labels.astype(float)):
+        again = rebalance(FeatureMatrix(names, values), same, CONFIGS[config])
+        assert _digest(again) == GOLDEN[(case, config)]
     # the digest writes no provenance and empty provenance alike
     assert (result.provenance is not None) == (CONFIGS[config].strategy == "smote")
 

@@ -16,10 +16,13 @@ from imbtab.errors import (
     DimensionMismatch,
     EmptyMinority,
     KTooLarge,
+    LabelOutOfRange,
     NonFiniteFeature,
     StrategyUnknown,
     TooFewMinoritySamples,
     ValidationError,
+    check_features,
+    check_fit_inputs,
 )
 
 
@@ -176,6 +179,9 @@ class TestSmote:
         pts = np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0]])
         with pytest.raises(NonFiniteFeature):
             smote(pts, k=1, n_new=1)
+        # a non-finite matrix is reported before too few rows
+        with pytest.raises(NonFiniteFeature):
+            smote(pts[1:2], k=1, n_new=1)
 
 
 class TestNearMiss:
@@ -244,6 +250,69 @@ class TestNearMiss:
         (maj if side == "majority" else mn)[1, 0] = bad
         with pytest.raises(NonFiniteFeature):
             nearmiss(maj, mn, variant=variant, k=1, n=1)
+        if side == "majority":  # a non-finite matrix is reported before an empty minority
+            with pytest.raises(NonFiniteFeature):
+                nearmiss(maj, mn[:0], variant=variant, k=1, n=1)
+
+
+# Every entry point that takes a feature matrix: a good input, a call on an
+# input, the matrix check_features sees of that input, and the width it checks.
+ROWS = np.ones((3, 2))
+MATRIX_ENTRY_POINTS = {
+    "FeatureMatrix": (ROWS, lambda M: FeatureMatrix(("a", "b"), M), None, 2),
+    "check_fit_inputs": (ROWS, lambda M: check_fit_inputs(M, [0.0] * len(M)), None, None),
+    "NeighborIndex": (ROWS, NeighborIndex, None, None),
+    "nearest_neighbors-query": (
+        np.ones(2),
+        lambda q: nearest_neighbors(NeighborIndex(ROWS), q, 1),
+        lambda q: [q],
+        2,
+    ),
+    "smote": (ROWS, lambda M: smote(M, 1, 1), None, None),
+    "nearmiss-majority": (ROWS, lambda M: nearmiss(M, ROWS, 1, 1), None, None),
+    "nearmiss-minority": (ROWS, lambda M: nearmiss(ROWS, M, 1, 1), None, 2),
+}
+
+
+def _set_last(value):
+    def bad(x):
+        x = x.copy()
+        x.flat[-1] = value
+        return x
+
+    return bad
+
+
+# matrix faults, each made from a good input: one dimension fewer or more
+# (for the query, the one-row matrix [query] loses or gains it), a NaN or +inf
+# value, and one column more
+MATRIX_FAULTS = {
+    "1-D": lambda x: x[0],
+    "3-D": lambda x: x[..., None],
+    "nan": _set_last(np.nan),
+    "inf": _set_last(np.inf),
+    "wrong-width": lambda x: np.concatenate([x, x[..., :1]], axis=-1),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, fault",
+    [
+        (entry, fault)
+        for entry, (*_, width) in MATRIX_ENTRY_POINTS.items()
+        for fault in MATRIX_FAULTS
+        if fault != "wrong-width" or width is not None
+    ],
+)
+def test_every_matrix_input_gets_the_error_of_check_features(entry, fault):
+    good, call, seen, width = MATRIX_ENTRY_POINTS[entry]
+    call(good)
+    bad = MATRIX_FAULTS[fault](good)
+    with pytest.raises((DimensionMismatch, NonFiniteFeature)) as expected:
+        check_features(seen(bad) if seen else bad, width)
+    with pytest.raises(type(expected.value)) as got:
+        call(bad)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
 
 
 class TestArgumentChecks:
@@ -392,6 +461,26 @@ class TestRebalance:
         b = rebalance(X, y, cfg)
         assert np.array_equal(a.features.values, b.features.values)
         assert same_provenance(a.provenance, b.provenance)
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            (lambda y: y[:-1], DimensionMismatch),
+            (lambda y: np.append(y, 0), DimensionMismatch),
+            (lambda y: np.append(y[:-1], 2), LabelOutOfRange),
+            (lambda y: np.append(y[:-1], 0.7), LabelOutOfRange),
+        ],
+        ids=["one-label-short", "one-label-long", "label-2", "label-0.7"],
+    )
+    @pytest.mark.parametrize(
+        "strategy", ["none", "smote", "random_over", "random_under", "nearmiss1"]
+    )
+    def test_labels_must_be_one_0_or_1_per_row(self, strategy, fault, error):
+        X, y = fm(np.arange(12.0).reshape(6, 2)), np.array([0, 0, 0, 1, 1, 0])
+        cfg = ResampleConfig(strategy=strategy, k=1, seed=1)
+        rebalance(X, y, cfg)
+        with pytest.raises(error):
+            rebalance(X, fault(y), cfg)
 
     def test_unknown_strategy(self):
         with pytest.raises(StrategyUnknown):
