@@ -85,7 +85,7 @@ class NonFiniteLoss(ImbtabError):
 
 
 class LabelOutOfRange(ImbtabError):
-    """A label NaN or outside [0, 1] (a fit), or not 0 or 1 (rebalance)."""
+    """A label NaN or outside [0, 1] (a fit), or not 0 or 1 (rebalance, confusion_matrix)."""
 
 
 class NonFiniteScore(ImbtabError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch
+from .errors import DimensionMismatch, EmptyInput, LabelOutOfRange, LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,21 @@ class MetricsReport:
 
 
 def confusion_matrix(y_true, y_pred):
-    y_true = np.asarray(y_true, dtype=int)
-    y_pred = np.asarray(y_pred, dtype=int)
+    """The counts of y_pred against y_true. Both must be 1-D (else
+    DimensionMismatch), of one length (LengthMismatch), not empty (EmptyInput)
+    and hold only labels 0 or 1 (LabelOutOfRange); bool and float 0/1 labels
+    count as ints."""
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
+    if y_true.ndim != 1 or y_pred.ndim != 1:
+        raise DimensionMismatch(f"labels must be 1-D, got shapes {y_true.shape} and {y_pred.shape}")
     if len(y_true) != len(y_pred):
         raise LengthMismatch(f"{len(y_true)} true labels vs {len(y_pred)} predictions")
     if len(y_true) == 0:
         raise EmptyInput("cannot build a confusion matrix from zero rows")
+    for labels in (y_true, y_pred):
+        if not np.all((labels == 0) | (labels == 1)):
+            raise LabelOutOfRange("a confusion matrix needs every label 0 or 1")
     tp = int(np.sum((y_true == 1) & (y_pred == 1)))
     fp = int(np.sum((y_true == 0) & (y_pred == 1)))
     tn = int(np.sum((y_true == 0) & (y_pred == 0)))

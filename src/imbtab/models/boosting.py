@@ -83,13 +83,13 @@ class GainCriterion:
         self.min_samples_leaf = min_samples_leaf
 
     def node(self, rows):
-        """(score, gini, row statistics, loss) of the node holding rows."""
+        """(score, gini, row statistics, loss, n) of the node holding rows."""
         g_node, h_node = self.g[rows], self.h[rows]
         G, H = g_node.sum(), h_node.sum()
         score = float(_ratio(-G, H + self.l2))
         n = len(rows)
         loss = None if n < 2 else _gain_loss(G, H, self.l2, n, self.min_samples_leaf)
-        return score, gini_impurity(self.y[rows]), (g_node, h_node), loss
+        return score, gini_impurity(self.y[rows]), (g_node, h_node), loss, n
 
     def accepts(self, loss, gini):
         return -loss > 0.0

@@ -2,8 +2,11 @@
 
 Each tree gets its own RNG stream spawned from the forest seed, a bootstrap
 resample (when enabled), and a fresh sqrt-sized feature subset at every split.
-The features are coded once per forest (`fit_codes`); a bootstrap sample is
-an array of row indices into the codes, not a copy of the rows. Subsets of
+The features are coded and the rows grouped once per forest (`fit_codes`,
+`row_groups`). A bootstrap draw is row indices into the codes, not a copy of
+the rows, and becomes a count per group of equal rows (`counted_rows`): the
+tree grows over the groups drawn, each weighted by its copies, and is bit for
+bit the tree grown over every drawn copy (tree.py says why). Subsets of
 fewer than tree.py's `_BLOCK` (8) features never take the split search's
 two-valued path, so the codes of such a forest hold no matrix for it.
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import check_fit_inputs
-from .tree import Codes, GiniCriterion, fit_codes, grow, tree_predict
+from .tree import Codes, GiniCriterion, counted_rows, fit_codes, grow, row_groups, tree_predict
 
 
 @dataclass
@@ -32,10 +35,11 @@ class ForestModel:
 
 @dataclass
 class ForestPlan:
-    """What every tree of one forest shares: the feature codes, the subset
-    size and one spawned seed stream per tree."""
+    """What every tree of one forest shares: the feature codes, the row groups
+    (`row_groups`), the subset size and one spawned seed stream per tree."""
 
     codes: Codes
+    group: np.ndarray | None
     feature_subset_size: int
     streams: list
 
@@ -47,18 +51,22 @@ def plan_forest(X, y, cfg):
         subset = max(1, math.ceil(math.sqrt(X.shape[1])))
     codes = fit_codes(X, subset)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
-    return ForestPlan(codes=codes, feature_subset_size=subset, streams=streams)
+    return ForestPlan(
+        codes=codes, group=row_groups(codes, y), feature_subset_size=subset, streams=streams
+    )
 
 
 def grow_tree(y, cfg, plan, i):
     """Tree i of the forest: stream i draws the bootstrap rows, then every
-    split's feature subset."""
+    split's feature subset. The tree grows over the plan's groups of equal
+    rows that the draw holds (every row without bootstrap), each weighted by
+    its drawn copies (`counted_rows`); with a fractional label, over the draw
+    as it is."""
     rng = np.random.default_rng(plan.streams[i])
-    if cfg.bootstrap:
-        rows = rng.integers(len(y), size=len(y))
-    else:
-        rows = np.arange(len(y))
-    criterion = GiniCriterion(y, cfg.min_samples_leaf)
+    n = len(y)
+    draw = rng.integers(n, size=n) if cfg.bootstrap else np.arange(n)
+    rows, weight = counted_rows(plan.group, draw)
+    criterion = GiniCriterion(y, weight, cfg.min_samples_leaf)
     return grow(plan.codes, rows, criterion, cfg.max_depth, rng, plan.feature_subset_size)
 
 

@@ -36,6 +36,20 @@ Fitting is exact greedy split finding (Algorithm 1 of Chen & Guestrin 2016):
 - A split sends a row left iff its value is <= the threshold, in fitting (read
   from the codes) and in prediction alike.
 
+CART and the forest grow over counted rows (`row_groups`, `counted_rows`):
+rows equal in every code and in the label form a group, and a tree grows over
+one entry per group, its first row, weighted by the group's copies in the
+tree's sample (the rows random oversampling repeats, and a bootstrap's
+repeated draws). `GiniCriterion` sums y * weight and weight where it summed y
+and counted rows. With every label 0 or 1 each such sum is an integer below
+2**53, which float64 holds exactly whatever the order of the adds, so every
+loss, tie, threshold and node, and with them a forest's feature draws, are bit
+for bit those of growing over every copy; `Tree.n` and `min_samples_leaf`
+count the copies. With any other label nothing is grouped: the tree grows over
+every copy, each of weight 1, so its sums add the labels copy by copy.
+Boosting does not group rows: its statistics g and h are floats, whose sums
+would round differently added in another order or as products with a count.
+
 `grow` is the one grower. It keeps the nodes still to split on an explicit
 stack and pops the left child first, so it visits the nodes in preorder, draws
 a forest's feature subsets from its generator in that order, and writes each
@@ -265,8 +279,8 @@ def _two_valued_best(low, rows, feats, columns, stats, loss):
 def _gini_loss(n, positives):
     # Known defect: no side is held to min_samples_leaf rows (pinned by a
     # strict xfail test); the fix changes reports and lands on its own.
-    def loss(left, n_left):
-        pos_left = left[0]
+    def loss(left, _):
+        pos_left, n_left = left  # the left sums of y * weight and weight
         pos_right = positives - pos_left
         n_right = n - n_left
         p_l = pos_left / n_left
@@ -277,36 +291,75 @@ def _gini_loss(n, positives):
 
 
 class GiniCriterion:
-    """CART's rules for `grow`: the row statistic is the label, a leaf scores the
-    fraction of positive labels (0.0 when empty), a node with Gini 0 or fewer
-    than min_samples_leaf rows is not split, and a split must lower the Gini
-    impurity strictly."""
+    """CART's rules for `grow`, over rows that each stand for weight[row]
+    copies (an integer count per code row, `counted_rows`): the row
+    statistics are y * weight and weight, a node's size n and each candidate
+    side's are weight sums, a leaf scores the weighted fraction of positive
+    labels (0.0 when empty), a node with Gini 0 or n below min_samples_leaf is
+    not split, and a split must lower the Gini impurity strictly. The module
+    docstring says why these sums give the trees of every copy bit for bit."""
 
-    def __init__(self, y, min_samples_leaf):
-        self.y = y
+    def __init__(self, y, weight, min_samples_leaf):
+        self.yw = y * weight
+        self.weight = weight
         self.min_samples_leaf = min_samples_leaf
 
     def node(self, rows):
-        """(score, gini, row statistics, loss) of the node holding rows; the
-        loss is None when the node is not split."""
-        y_node = self.y[rows]
-        n = len(rows)
-        positives = float(np.sum(y_node))  # labels in [0, 1], exact for 0/1
+        """(score, gini, row statistics, loss, n) of the node holding rows;
+        the loss is None when the node is not split."""
+        yw, weight = self.yw[rows], self.weight[rows]
+        n = int(weight.sum())
+        positives = float(yw.sum())  # labels in [0, 1], exact for 0/1
         score = positives / n if n else 0.0
         gini = 2.0 * score * (1.0 - score)
         loss = None if gini == 0.0 or n < self.min_samples_leaf else _gini_loss(n, positives)
-        return score, gini, (y_node,), loss
+        return score, gini, (yw, weight), loss, n
 
     def accepts(self, loss, gini):
         return loss < gini
 
 
+def row_groups(codes, y):
+    """Per row of the codes, the first row equal to it in every code and in
+    the label; None when some label is not 0 or 1, so that each row stays
+    alone and `counted_rows` keeps every copy.
+
+    A row's key is built one column at a time as a mixed-radix int64: the
+    label, then each code. np.unique renumbers the keys before their radix
+    could pass 2**62, so only a few (n_rows,) int64 arrays are ever held."""
+    if not np.all((y == 0.0) | (y == 1.0)):
+        return None
+    key = y.astype(np.int64)
+    radix = 2
+    for rank, values in zip(codes.rank, codes.values):
+        if radix * len(values) > 1 << 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            radix = len(distinct)
+        key *= len(values)
+        key += rank
+        radix *= len(values)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def counted_rows(group, draw):
+    """(rows, weight) to grow a CART tree over draw: n_rows row indices, one
+    per copy. With groups, rows holds the first row of each drawn group once,
+    and weight, per code row, that group's drawn copies; with none
+    (`row_groups` gave None), rows is draw itself and every weight is 1."""
+    if group is None:
+        return draw, np.ones(len(draw), dtype=np.intp)
+    weight = np.bincount(group[draw], minlength=len(group))
+    return np.flatnonzero(weight), weight
+
+
 def grow(codes, rows, criterion, max_depth, rng=None, feature_subset_size=None, leaf=None):
     """The Tree that criterion grows over the rows of the codes with best_split.
 
-    A node is a leaf at max_depth (None: no limit), when criterion.node gives
-    it no loss (it must give none to a node of fewer than two rows), or when
-    the best split is missing or not criterion.accepts.
+    Each node's n is the size criterion.node gives it. A node is a leaf at
+    max_depth (None: no limit), when criterion.node gives it no loss (it must
+    give none to a node of fewer than two rows), or when the best split is
+    missing or not criterion.accepts.
     With a feature_subset_size below the number of features, each searched
     node draws that many features from rng, in preorder; otherwise it
     searches them all and rng is not used.
@@ -322,8 +375,8 @@ def grow(codes, rows, criterion, max_depth, rng=None, feature_subset_size=None, 
         i = len(nodes)
         if parent is not None:
             nodes[parent][2] = i
-        score, gini, stats, loss = criterion.node(rows)
-        nodes.append([-1, 0.0, i, score, gini, len(rows)])
+        score, gini, stats, loss, n = criterion.node(rows)
+        nodes.append([-1, 0.0, i, score, gini, n])
         found = None
         if loss is not None and (max_depth is None or depth < max_depth):
             if feature_subset_size is not None and feature_subset_size < n_features:
@@ -355,8 +408,9 @@ def grow(codes, rows, criterion, max_depth, rng=None, feature_subset_size=None, 
 def fit_tree(X, y, cfg):
     """Grow a CART tree over every feature; leaf score is the positive-label fraction."""
     X, y = check_fit_inputs(X, y)
-    criterion = GiniCriterion(y, cfg.min_samples_leaf)
-    return grow(fit_codes(X, X.shape[1]), np.arange(len(y)), criterion, cfg.max_depth)
+    codes = fit_codes(X, X.shape[1])
+    rows, weight = counted_rows(row_groups(codes, y), np.arange(len(y)))
+    return grow(codes, rows, GiniCriterion(y, weight, cfg.min_samples_leaf), cfg.max_depth)
 
 
 def tree_predict(tree, X):

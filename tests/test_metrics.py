@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from imbtab import (
@@ -7,7 +8,7 @@ from imbtab import (
     f1_from_precision_recall,
     format_report_table,
 )
-from imbtab.errors import EmptyInput, LengthMismatch
+from imbtab.errors import DimensionMismatch, EmptyInput, LabelOutOfRange, LengthMismatch
 from imbtab.metrics import reports_to_json
 
 
@@ -37,6 +38,33 @@ class TestConfusionMatrix:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             confusion_matrix([], [])
+
+    @pytest.mark.parametrize("true, pred", [([0, 1, 2, 1, 0, 0], [0, 1, 1, 1, 0, 0]),
+                                            ([0, 1, 1], [0, 1, -1]),
+                                            ([0.7, 1.0], [0.0, 1.0]),
+                                            ([0.0, np.nan], [0.0, 1.0])],
+                             ids=["true-2", "pred-minus-1", "true-0.7", "true-nan"])
+    def test_a_label_not_0_or_1_is_refused(self, true, pred):
+        # a 2 was in no cell (5 of 6 rows counted) and 0.7 was cast to 0, a false positive
+        with pytest.raises(LabelOutOfRange):
+            confusion_matrix(true, pred)
+
+    @pytest.mark.parametrize("true, pred", [([[0, 1], [1, 0]], [[0, 1], [1, 1]]),
+                                            ([0, 1], [[0, 1]]),
+                                            (1, 1)],
+                             ids=["2x2", "pred-2-d", "scalars"])
+    def test_labels_must_be_1_d(self, true, pred):
+        # a 2x2 input of 2 rows was counted as 4 labels
+        with pytest.raises(DimensionMismatch):
+            confusion_matrix(true, pred)
+
+    def test_bool_and_float_labels_count_as_ints(self):
+        true, pred = [1, 0, 1, 1, 0], [1, 1, 0, 1, 0]
+        expected = confusion_matrix(true, pred)
+        assert (expected.tp, expected.fp, expected.tn, expected.fn) == (2, 1, 1, 1)
+        for cast in (bool, float):
+            got = confusion_matrix(np.array(true, dtype=cast), np.array(pred, dtype=cast))
+            assert got == expected
 
 
 class TestComputeMetrics:

@@ -40,7 +40,7 @@ from imbtab.models import (
 from imbtab.models import boosting
 from imbtab.models.boosting import logit
 from imbtab.models.forest import plan_forest
-from imbtab.models.tree import _BLOCK, best_split, fit_codes, grow
+from imbtab.models.tree import _BLOCK, best_split, fit_codes, grow, row_groups
 
 
 # --- oracle: the per-node argsort search ------------------------------------
@@ -413,24 +413,50 @@ _LEVELS = [-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]
 
 
 @st.composite
-def _tied_problem(draw, values=_LEVELS):
+def _tied_problem(draw, values=_LEVELS, labels=st.integers(0, 1)):
     n = draw(st.integers(1, 50))
     d = draw(st.integers(1, 4))
     values = st.sampled_from(values)
     levels = draw(st.lists(values, min_size=1, max_size=4))
     cells = draw(st.lists(st.sampled_from(levels), min_size=n * d, max_size=n * d))
-    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    y = draw(st.lists(labels, min_size=n, max_size=n))
     return np.array(cells, dtype=np.float64).reshape(n, d), np.array(y, dtype=np.float64)
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def _repeated(draw, problem):
+    """A drawn problem whose rows are each repeated 1-6 times, as random_over
+    repeats minority rows: the originals first, then the extra copies in a
+    drawn order."""
+    X, y = draw(problem)
+    repeats = draw(st.lists(st.integers(1, 6), min_size=len(y), max_size=len(y)))
+    extra = np.repeat(np.arange(len(y)), np.array(repeats) - 1)
+    extra = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(extra)
+    rows = np.concatenate([np.arange(len(y)), extra])
+    return X[rows], y[rows]
+
+
+@st.composite
+def _fractional_problem(draw):
+    """A _tied_problem whose first label is strictly between 0 and 1."""
+    X, y = draw(_tied_problem(labels=st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0])))
+    y[0] = draw(st.sampled_from([0.25, 0.5, 0.7]))
+    return X, y
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    problem=_tied_problem(),
+    problem=st.one_of(
+        _tied_problem(), _repeated(_tied_problem()), _repeated(_fractional_problem())
+    ),
     max_depth=st.sampled_from([1, 2, 4, None]),
-    min_leaf=st.integers(1, 4),
+    min_leaf=st.integers(1, 8),
     seed=st.integers(0, 5),
 )
 def test_engine_matches_argsort_oracle(problem, max_depth, min_leaf, seed):
+    # with 0/1 labels DT and RF grow over one entry per distinct row, weighted
+    # by its copies, and the oracle over every copy; with a fractional label
+    # the engine too grows over every copy
     X, y = problem
     dt = ModelConfig.for_family("dt", max_depth=max_depth, min_samples_leaf=min_leaf)
     tree = fit_model(X, y, dt).model
@@ -552,11 +578,11 @@ def _two_valued_problem(draw, values=_LEVELS):
     return np.column_stack([columns[c] for c in order]), np.array(y, dtype=np.float64)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    problem=_two_valued_problem(),
+    problem=st.one_of(_two_valued_problem(), _repeated(_two_valued_problem())),
     max_depth=st.sampled_from([1, 2, 4, None]),
-    min_leaf=st.integers(1, 4),
+    min_leaf=st.integers(1, 8),
     seed=st.integers(0, 5),
     subset=st.integers(_BLOCK, 15),
 )
@@ -766,3 +792,53 @@ def test_forest_builds_the_two_valued_matrix_only_for_wide_subsets(subset, built
     assert (codes.low is not None) == built
     if built:
         assert codes.low.flags.c_contiguous and codes.low.shape == (len(X), 13)
+
+
+# --- rows counted once per group ---------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=st.one_of(_repeated(_tied_problem(_EDGE_VALUES)), _repeated(_two_valued_problem())))
+def test_rows_share_a_group_iff_their_codes_and_label_are_equal(problem):
+    X, y = problem
+    codes = fit_codes(X, X.shape[1])
+    first = {}
+    keys = [(*codes.rank[:, i].tolist(), y[i]) for i in range(len(y))]
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    assert row_groups(codes, y).tolist() == [first[key] for key in keys]
+
+
+def test_a_fractional_label_leaves_every_row_alone():
+    X = np.zeros((4, 2))
+    codes = fit_codes(X, 2)
+    assert row_groups(codes, np.array([0.0, 0.0, 1.0, 1.0])).tolist() == [0, 0, 2, 2]
+    assert row_groups(codes, np.array([0.0, 0.0, 1.0, 0.5])) is None
+
+
+def test_row_groups_renumber_keys_before_they_overflow():
+    # the label, a two-valued column and four columns of 65536 values each:
+    # a key built in full would be y * 2**65 + c * 2**64 + ..., so with 64
+    # bits rows that differ only in the label or c would share it
+    rng = np.random.default_rng(1)
+    n = 1 << 16
+    wide = np.column_stack([rng.permutation(n) for _ in range(4)]).astype(np.float64)
+    X = np.column_stack([np.zeros(n + 3), np.vstack([wide, wide[[0, 0, 0]]])])
+    X[n, 0] = 1.0  # row n differs from row 0 in column 0 only
+    y = np.zeros(n + 3)
+    y[n + 1] = 1.0  # row n + 1 differs from row 0 in the label only
+    codes = fit_codes(X, X.shape[1])  # row n + 2 equals row 0
+    assert [len(v) for v in codes.values] == [2] + [n] * 4
+    assert row_groups(codes, y).tolist() == [*range(n + 2), 0]
+
+
+def test_a_tree_counts_every_copy_of_a_row():
+    # Tree.n counts copies, repeated rows and bootstrap draws, not the
+    # distinct rows the tree is grown over
+    X, y = _tied_data()
+    X, y = X[np.arange(len(y)) % 50], y[np.arange(len(y)) % 50]  # 50 rows, 8 copies each
+    dt = fit_model(X, y, ModelConfig.for_family("dt")).model
+    assert dt.n[0] == len(y) and dt.n[dt.feature < 0].sum() == len(y)
+    rf = fit_model(X, y, ModelConfig.for_family("rf", n_trees=3, seed=2)).model
+    for tree in rf.trees:
+        assert tree.n[0] == len(y) and tree.n[tree.feature < 0].sum() == len(y)
