@@ -18,11 +18,16 @@ line end (a quoted line break or a lone CR), the same reader reads the rest.
 Otherwise the body is read in byte blocks cut at line ends. A UTF-8 block
 with no `"` byte, no NUL byte and no CR outside CRLF is split into cells with
 numpy, and each distinct token of a column is decoded and parsed once per
-block. From the first block that fails any of those, `csv.reader`, the only
-path that handles quoting, reads the rest of the same block stream, decoding
-one line and checking one row's width at a time. Both paths give the cells
-that `csv.reader` gives, and raise the first fault in file order: a
-malformed row, with its index, or bytes that are not UTF-8.
+block. The distinct tokens are found with one sort per column and block
+(`_token_ids`): each token's 8-byte words fold into one mixed uint64 key; a
+key of one word is exact, and longer tokens are checked word for word
+against the first token with their key, falling back to one sort per word
+when two distinct tokens share one. From the first block that fails any of
+those, `csv.reader`, the only path that handles quoting, reads the rest of
+the same block stream, decoding one line and checking one row's width at a
+time. Both paths give the cells that `csv.reader` gives, and raise the
+first fault in file order: a malformed row, with its index, or bytes that
+are not UTF-8.
 """
 
 from __future__ import annotations
@@ -345,6 +350,10 @@ def _line_blocks(fh, size):
 
 # words[p] & _MASKS[n] keeps the n bytes of the little-endian word at byte p
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+# The odd multiplier that mixes a token's words into one key (the 64-bit
+# golden ratio, as in Fibonacci hashing). Mixed keys also sort faster than raw
+# words: numpy's argsort of a low-cardinality column of raw words is slow.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _first_seen(key):
@@ -364,29 +373,56 @@ def _first_seen(key):
     return first[by_first], ids
 
 
+def _token_words(words, starts, lengths):
+    """The tokens of `lengths` bytes at `starts` as 8-byte words masked to
+    their length: a list of (tokens,) uint64 arrays, first word first; a
+    token shorter than the longest has zero words past its end."""
+    token_words = []
+    low = np.zeros_like(lengths)  # where the next word starts, or the token's end
+    for k in range(8, max(int(lengths.max()), 1) + 8, 8):
+        high = np.minimum(lengths, k)
+        # a word past the token's end reads at its end, which is in the block
+        token_words.append(words[starts + low] & _MASKS[high - low])
+        low = high
+    return token_words
+
+
 def _token_ids(words, starts, lengths):
     """`_first_seen` of the tokens of `lengths` bytes at `starts`: equal ids
-    for equal bytes. A token is read as 8-byte words masked to its length;
-    with no NUL byte in the block, equal words mean equal lengths too. The
-    ids of the words combine one word at a time."""
-    first = ids = None
-    for k in range(0, max(int(lengths.max()), 1), 8):
-        # a word past the token's end reads at its end, which is in the block
-        word = words[starts + np.minimum(k, lengths)] & _MASKS[np.clip(lengths - k, 0, 8)]
+    for equal bytes. With no NUL byte in the block, equal masked words
+    (`_token_words`) mean equal lengths too.
+
+    The words fold into one key, `key = (key ^ word) * _MIX` mod 2**64,
+    numbered by one `_first_seen`. A one-word token's key is its word times
+    an odd number, a bijection mod 2**64, so those ids are exact. Longer
+    tokens are checked: every word of every token must equal that word of
+    its id's first token. If one differs, two distinct tokens share a key,
+    and the ids are found again one word at a time, each word's ids combined
+    with those of the words before it."""
+    token_words = _token_words(words, starts, lengths)
+    key = token_words[0] * _MIX  # wraps mod 2**64
+    for word in token_words[1:]:
+        key ^= word
+        key *= _MIX
+    first, ids = _first_seen(key)
+    if len(token_words) == 1:
+        return first, ids
+    head = first[ids]
+    if all(np.array_equal(word[head], word) for word in token_words):
+        return first, ids
+    first, ids = _first_seen(token_words[0])
+    for word in token_words[1:]:
         word_first, word_ids = _first_seen(word)
-        if ids is None:
-            first, ids = word_first, word_ids
-        else:
-            first, ids = _first_seen(ids * len(word_first) + word_ids)
+        first, ids = _first_seen(ids * len(word_first) + word_ids)
     return first, ids
 
 
 def _block_cells(block, width, start):
     """Start and length of each cell of `block`, a run of whole lines, as two
-    (rows, width) arrays; None if csv.reader must read it (it holds a `"`, a
-    NUL byte, bytes that are not UTF-8, a CR outside CRLF or a cell over csv's
-    field limit). Raises MalformedRow, whose row index counts the `start` rows
-    before the block."""
+    (width, rows) arrays, so that each column's cells are contiguous; None if
+    csv.reader must read it (it holds a `"`, a NUL byte, bytes that are not
+    UTF-8, a CR outside CRLF or a cell over csv's field limit). Raises
+    MalformedRow, whose row index counts the `start` rows before the block."""
     a = np.frombuffer(block, dtype=np.uint8)
     if (a == ord('"')).any() or not a.all():
         return None
@@ -403,6 +439,7 @@ def _block_cells(block, width, start):
     starts = np.concatenate(([0], ends[:-1] + 1))
     ends[np.searchsorted(ends, cr + 1)] -= 1  # a CRLF line's last cell ends before the CR
     lengths = ends - starts
+    del ends  # so that the copies below never hold more than three index arrays
     if lengths.max() > csv.field_size_limit():
         return None
     widths = np.diff(line_ends, prepend=-1)
@@ -411,7 +448,9 @@ def _block_cells(block, width, start):
     if bad.size:
         i = int(bad[0])
         raise MalformedRow(start + i, f"expected {width} cells, got {widths[i]}")
-    return starts.reshape(-1, width), lengths.reshape(-1, width)
+    starts = starts.reshape(-1, width).T.copy()
+    lengths = lengths.reshape(-1, width).T.copy()
+    return starts, lengths
 
 
 def _read_blocks(blocks, width, parsers, order):
@@ -425,12 +464,12 @@ def _read_blocks(blocks, width, parsers, order):
             return rows, itertools.chain([block], blocks)
         words = np.ndarray(len(block), "<u8", block + bytes(7), 0, (1,))
         for parser, j in zip(parsers, order):
-            starts, lengths = cells[0][:, j], cells[1][:, j]
+            starts, lengths = cells[0][j], cells[1][j]
             first, ids = _token_ids(words, starts, lengths)
             spans = zip(starts[first].tolist(), lengths[first].tolist())
             tokens = [block[s : s + n].decode("utf-8") for s, n in spans]
             parser.parts.append(parser.lookup(tokens)[ids])
-        rows += len(cells[0])
+        rows += cells[0].shape[1]
     return rows, ()
 
 

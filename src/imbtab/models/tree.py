@@ -7,7 +7,8 @@ Fitting is exact greedy split finding (Algorithm 1 of Chen & Guestrin 2016):
   each feature column as the rank of its value among the column's sorted
   distinct values, and keeps those. A stable argsort of the codes orders a
   node's rows exactly as a stable argsort of the values would, and numpy
-  radix-sorts 16-bit keys. One-hot encoding makes most columns two-valued
+  radix-sorts 16-bit keys. A column of only +0.0 and 1.0 values is coded
+  without a sort. One-hot encoding makes most columns two-valued
   (codes 0 and 1); when some node of the fit can search _BLOCK of them,
   `fit_codes` also keeps their code-0 flags as a row-major (rows, features)
   bool matrix.
@@ -169,10 +170,25 @@ class Codes(NamedTuple):
 
 
 def fit_codes(X, searched):
-    """The Codes of a checked X (`check_fit_inputs`) for nodes that search `searched` features."""
+    """The Codes of a checked X (`check_fit_inputs`) for nodes that search `searched` features.
+
+    A column whose every value is +0.0 or 1.0 (a one-hot column) is coded
+    without a sort: its values are [0.], [1.] or [0., 1.], and its rank is
+    1 where it holds 1.0, or 0 throughout when it holds only 1.0; that is
+    what np.unique gives it. Any other column, one holding -0.0 too, goes
+    through np.unique."""
     rank = np.empty((X.shape[1], X.shape[0]), dtype=np.uint16)
     values = []
+    one = X == 1.0
+    binary = X.view(np.uint64) == 0  # +0.0, and not -0.0
+    binary |= one
+    binary = binary.all(axis=0)  # the columns of only +0.0 and 1.0
+    lo, hi = one.all(axis=0).tolist(), (1 + one.any(axis=0)).tolist()  # [0., 1.][lo:hi]
     for f in range(X.shape[1]):
+        if binary[f]:
+            rank[f] = 0 if lo[f] else one[:, f]
+            values.append(np.array([0.0, 1.0][lo[f] : hi[f]]))
+            continue
         distinct, inverse = np.unique(X[:, f], return_inverse=True)
         if len(distinct) > 1 << 16 and rank.dtype == np.uint16:
             rank = rank.astype(np.uint32)
@@ -261,12 +277,14 @@ def _two_valued_best(low, rows, feats, columns, stats, loss):
     feature's total, in node row order, which is the order the sorting
     path's cumsum adds the code-0 rows in. A reduction with the rows
     innermost (one feature, F-ordered flags, or `s @ zero`) would be summed
-    in blocks instead; `test_two_valued_left_sums_*` pin the order."""
+    in blocks instead; `test_two_valued_left_sums_*` pin the order. The
+    left entry counts are the same einsum with ones, which sums exact
+    integers, and is faster than a sum of the bool flags."""
     n = len(rows)
     zero = low[rows]
     if len(columns) < low.shape[1]:
         zero = np.take(zero, columns, axis=1)  # stays C-ordered, where zero[:, columns] would not
-    n_left = zero.sum(axis=0)
+    n_left = np.einsum("ij,i->j", zero, np.ones(n))  # integers below 2**53: exact
     keep = (n_left > 0) & (n_left < n)
     if not keep.any():
         return None
@@ -297,7 +315,13 @@ class GiniCriterion:
     side's are weight sums, a leaf scores the weighted fraction of positive
     labels (0.0 when empty), a node with Gini 0 or n below min_samples_leaf is
     not split, and a split must lower the Gini impurity strictly. The module
-    docstring says why these sums give the trees of every copy bit for bit."""
+    docstring says why these sums give the trees of every copy bit for bit.
+
+    A node's positives are one `sum` of its rows' y * weight in node row
+    order, and a candidate's right side holds that total minus its left sum,
+    for every feature alike. With 0/1 labels every such sum is exact; with a
+    fractional label this rule fixes the rounding, and so which of two
+    near-equal candidates wins."""
 
     def __init__(self, y, weight, min_samples_leaf):
         self.yw = y * weight

@@ -329,6 +329,20 @@ def test_tokens_that_differ_in_one_byte_stay_distinct(tmp_path):
     assert column.cells() == tokens + tokens[::-1]
 
 
+def test_tokens_whose_mixed_keys_collide_stay_distinct(tmp_path, monkeypatch):
+    """With a multiplier of 1 a token's key is the XOR of its words, so two
+    tokens whose two words are swapped share a key. The word-for-word check
+    finds that, and the block's ids are found one word at a time."""
+    monkeypatch.setattr(imbtab.data, "_MIX", np.uint64(1))
+    tokens = ["abcdefghijklmnop", "ijklmnopabcdefgh", "ab", "ijklmnopabcdefgh", "abcdefghijklmnop"]
+    path = tmp_path / "d.csv"
+    path.write_text("".join(["c,t\n"] + [f"{c},{i % 2}\n" for i, c in enumerate(tokens)]))
+    schema = (ColumnSchema("c", CATEGORICAL), ColumnSchema("t", TARGET))
+    d = load_csv(path, schema)
+    assert typed(d.rows) == typed(_reference_load(path, schema))
+    assert d.column_data("c").vocab == ("abcdefghijklmnop", "ijklmnopabcdefgh", "ab")
+
+
 @pytest.mark.parametrize("block_bytes", [4096, 1 << 20])
 def test_a_write_csv_file_loads_like_the_reference(tmp_path, monkeypatch, block_bytes):
     """`write_csv` ends lines with CRLF and quotes nothing: the benchmark's CSVs."""

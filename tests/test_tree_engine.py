@@ -65,6 +65,7 @@ class _OracleNode:
 
 def _oracle_gini_split(X, y, feature_indices):
     n = len(y)
+    positives = np.sum(y)  # the node's total, as GiniCriterion takes it
     best = None  # (weighted_gini, feature, threshold)
     for f in feature_indices:
         col = X[:, f]
@@ -78,7 +79,7 @@ def _oracle_gini_split(X, y, feature_indices):
         n_left = boundaries + 1
         n_right = n - n_left
         pos_left = pos_cum[boundaries]
-        pos_right = pos_cum[-1] - pos_left
+        pos_right = positives - pos_left
         p_l = pos_left / n_left
         p_r = pos_right / n_right
         weighted = (n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)) / n
@@ -444,6 +445,26 @@ def _fractional_problem(draw):
     return X, y
 
 
+def _fractional_ties():
+    """Two fractional-label problems whose best candidates tie but for the
+    rounding of the right side's positives. The engine and the oracle agree
+    only if both take them as the node's total minus the left sum, not as
+    the last of a feature's cumulative sums: the first makes RF's bootstrap
+    trees (depth 1) differ, the second the DT (depth 2)."""
+    X1 = np.vstack([np.full((29, 4), -0.5), [[-2.0, -0.5, 0.0, -0.5]]])
+    y1 = np.array([0.7] + [0.0] * 27 + [0.25, 0.5])
+    X2 = np.full((39, 4), -2.0)
+    X2[[0, 3, 38], 3] = 0.0
+    X2[37, 2:] = [0.0, -0.5]
+    y2 = np.zeros(39)
+    y2[[0, 38]] = 0.7
+    y2[[3, 37]] = 1.0
+    return (X1, y1), (X2, y2)
+
+
+_TIE_RF, _TIE_DT = _fractional_ties()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     problem=st.one_of(
@@ -453,6 +474,8 @@ def _fractional_problem(draw):
     min_leaf=st.integers(1, 8),
     seed=st.integers(0, 5),
 )
+@example(problem=_TIE_RF, max_depth=1, min_leaf=1, seed=0)
+@example(problem=_TIE_DT, max_depth=2, min_leaf=1, seed=0)
 def test_engine_matches_argsort_oracle(problem, max_depth, min_leaf, seed):
     # with 0/1 labels DT and RF grow over one entry per distinct row, weighted
     # by its copies, and the oracle over every copy; with a fractional label
@@ -618,15 +641,40 @@ _A = np.nextafter(1.0, 2.0)
 _EDGE_VALUES = [-0.0, 0.0, _A, np.nextafter(_A, 2.0), -1e308, 1e308, -2.0, 3.0]
 
 
+def _assert_codes_match_unique(X):
+    """fit_codes gives each column np.unique's values, sorted and distinct,
+    with their dtype and bits (-0.0 is not 0.0), and its inverse as the
+    rank, so that values[f][rank[f]] == X[:, f]."""
+    codes = fit_codes(X, X.shape[1])
+    assert codes.rank.dtype == np.uint16
+    for f in range(X.shape[1]):
+        distinct, inverse = np.unique(X[:, f], return_inverse=True)
+        assert codes.values[f].dtype == distinct.dtype
+        assert codes.values[f].tobytes() == distinct.tobytes()
+        assert np.array_equal(codes.rank[f], inverse)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[0.0, 1.0, 1.0, 0.0], [1.0] * 4, [0.0] * 4, [-0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 2.0, 1.0]],
+    ids=["zero-one", "ones", "zeros", "both-zeros-one", "zero-one-two"],
+)
+def test_fit_codes_match_np_unique(column):
+    # the first three take the 0/1 shortcut, the last two np.unique
+    column = np.array(column)
+    _assert_codes_match_unique(column[:, None])
+    # next to other columns, and repeated past a node's _BLOCK
+    X = np.column_stack([column, column[::-1], np.arange(4.0)] + [column] * _BLOCK)
+    _assert_codes_match_unique(X)
+
+
 @settings(max_examples=100, deadline=None)
-@given(problem=_tied_problem(_EDGE_VALUES))
+@given(problem=st.one_of(_tied_problem(_EDGE_VALUES), _tied_problem([-0.0, 0.0, 1.0])))
 def test_fit_codes_keep_each_columns_sorted_values(problem):
     X, _ = problem
-    X = np.vstack([X, np.full_like(X[:1], -0.0), np.zeros_like(X[:1])])  # both zeros in each column
-    codes = fit_codes(X, X.shape[1])
-    for f in range(X.shape[1]):
-        assert np.all(codes.values[f][1:] > codes.values[f][:-1])
-        assert np.array_equal(codes.values[f][codes.rank[f]], X[:, f])
+    _assert_codes_match_unique(X)
+    # both zeros in each column
+    _assert_codes_match_unique(np.vstack([X, np.full_like(X[:1], -0.0), np.zeros_like(X[:1])]))
 
 
 @settings(max_examples=100, deadline=None)
