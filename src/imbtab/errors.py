@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all imbtab modules, the value checks that the
 config dataclasses raise ValidationError from, the one feature-matrix check
-(`check_features`) and every fitter's input check."""
+(`check_features`), the one label check (`check_labels`) and every fitter's
+input check."""
 
 import numbers
 
@@ -85,7 +86,7 @@ class NonFiniteLoss(ImbtabError):
 
 
 class LabelOutOfRange(ImbtabError):
-    """A label NaN or outside [0, 1] (a fit), or not 0 or 1 (rebalance, confusion_matrix)."""
+    """A label that is not 0 or 1 (`check_labels`)."""
 
 
 class NonFiniteScore(ImbtabError):
@@ -188,19 +189,25 @@ def check_features(X, width=None):
     return X
 
 
+def check_labels(y):
+    """Raise LabelOutOfRange unless every label of the array y is 0 or 1; NaN
+    is neither. Bool and float labels pass when they equal 0 or 1."""
+    if not np.all((y == 0) | (y == 1)):
+        raise LabelOutOfRange("every label must be 0 or 1")
+
+
 def check_fit_inputs(X, y):
     """X and y as float64 arrays (not copied if they are), checked for what
     every model fitter needs, in this order: X a feature matrix
     (`check_features`), y 1-D with a label per row (else DimensionMismatch),
-    a row (EmptyInput), and labels in [0, 1], none NaN (LabelOutOfRange)."""
+    a row (EmptyInput), and every label 0 or 1 (`check_labels`)."""
     X = check_features(X)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (len(X),):
         raise DimensionMismatch(f"a fit needs a label per row: {X.shape}, {y.shape}")
     if len(y) == 0:
         raise EmptyInput("cannot fit a model on zero rows")
-    if not np.all((y >= 0.0) & (y <= 1.0)):
-        raise LabelOutOfRange("a fit needs every label in [0, 1], none NaN")
+    check_labels(y)
     return X, y
 
 

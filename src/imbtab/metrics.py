@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, LabelOutOfRange, LengthMismatch
+from .errors import DimensionMismatch, EmptyInput, LengthMismatch, check_labels
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class MetricsReport:
 def confusion_matrix(y_true, y_pred):
     """The counts of y_pred against y_true. Both must be 1-D (else
     DimensionMismatch), of one length (LengthMismatch), not empty (EmptyInput)
-    and hold only labels 0 or 1 (LabelOutOfRange); bool and float 0/1 labels
+    and hold only labels 0 or 1 (`check_labels`); bool and float 0/1 labels
     count as ints."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
@@ -50,9 +50,8 @@ def confusion_matrix(y_true, y_pred):
         raise LengthMismatch(f"{len(y_true)} true labels vs {len(y_pred)} predictions")
     if len(y_true) == 0:
         raise EmptyInput("cannot build a confusion matrix from zero rows")
-    for labels in (y_true, y_pred):
-        if not np.all((labels == 0) | (labels == 1)):
-            raise LabelOutOfRange("a confusion matrix needs every label 0 or 1")
+    check_labels(y_true)
+    check_labels(y_pred)
     tp = int(np.sum((y_true == 1) & (y_pred == 1)))
     fp = int(np.sum((y_true == 0) & (y_pred == 1)))
     tn = int(np.sum((y_true == 0) & (y_pred == 0)))

@@ -39,7 +39,7 @@ class ForestPlan:
     (`row_groups`), the subset size and one spawned seed stream per tree."""
 
     codes: Codes
-    group: np.ndarray | None
+    group: np.ndarray
     feature_subset_size: int
     streams: list
 
@@ -60,8 +60,7 @@ def grow_tree(y, cfg, plan, i):
     """Tree i of the forest: stream i draws the bootstrap rows, then every
     split's feature subset. The tree grows over the plan's groups of equal
     rows that the draw holds (every row without bootstrap), each weighted by
-    its drawn copies (`counted_rows`); with a fractional label, over the draw
-    as it is."""
+    its drawn copies (`counted_rows`)."""
     rng = np.random.default_rng(plan.streams[i])
     n = len(y)
     draw = rng.integers(n, size=n) if cfg.bootstrap else np.arange(n)

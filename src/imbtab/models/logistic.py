@@ -2,7 +2,7 @@
 
 `fit_logistic` computes the loss once, after its last step. Each step tests
 only that the loss would be finite (the probabilities sum to a finite value
-and the L2 term is finite), which for the finite features and [0, 1] labels
+and the L2 term is finite), which for the finite features and 0/1 labels
 that `check_fit_inputs` lets through is the same test.
 """
 
@@ -67,7 +67,7 @@ def fit_logistic(X, y, cfg):
     The probabilities p of each step are reused for the next step's
     gradient, so X @ w is computed once per iteration. The loss is computed
     once, from the final p and w; each step only tests that it would be
-    finite. With every label in [0, 1], each clipped log term lies in
+    finite. With every label 0 or 1, each clipped log term lies in
     [log(1e-12), 0], so the mean log-loss is finite unless some p is NaN, and
     adding it to a finite L2 term cannot overflow: the loss is finite exactly
     when p.sum() and the L2 term are. NonFiniteLoss names the first step

@@ -42,14 +42,13 @@ rows equal in every code and in the label form a group, and a tree grows over
 one entry per group, its first row, weighted by the group's copies in the
 tree's sample (the rows random oversampling repeats, and a bootstrap's
 repeated draws). `GiniCriterion` sums y * weight and weight where it summed y
-and counted rows. With every label 0 or 1 each such sum is an integer below
-2**53, which float64 holds exactly whatever the order of the adds, so every
-loss, tie, threshold and node, and with them a forest's feature draws, are bit
-for bit those of growing over every copy; `Tree.n` and `min_samples_leaf`
-count the copies. With any other label nothing is grouped: the tree grows over
-every copy, each of weight 1, so its sums add the labels copy by copy.
-Boosting does not group rows: its statistics g and h are floats, whose sums
-would round differently added in another order or as products with a count.
+and counted rows. Every label is 0 or 1 (`check_labels`), so each such sum is
+an integer below 2**53, which float64 holds exactly whatever the order of the
+adds, and every loss, tie, threshold and node, and with them a forest's
+feature draws, are bit for bit those of growing over every copy; `Tree.n` and
+`min_samples_leaf` count the copies. Boosting does not group rows: its
+statistics g and h are floats, whose sums would round differently added in
+another order or as products with a count.
 
 `grow` is the one grower. It keeps the nodes still to split on an explicit
 stack and pops the left child first, so it visits the nodes in preorder, draws
@@ -314,14 +313,10 @@ class GiniCriterion:
     statistics are y * weight and weight, a node's size n and each candidate
     side's are weight sums, a leaf scores the weighted fraction of positive
     labels (0.0 when empty), a node with Gini 0 or n below min_samples_leaf is
-    not split, and a split must lower the Gini impurity strictly. The module
-    docstring says why these sums give the trees of every copy bit for bit.
-
-    A node's positives are one `sum` of its rows' y * weight in node row
-    order, and a candidate's right side holds that total minus its left sum,
-    for every feature alike. With 0/1 labels every such sum is exact; with a
-    fractional label this rule fixes the rounding, and so which of two
-    near-equal candidates wins."""
+    not split, and a split must lower the Gini impurity strictly. A node's
+    positives are the sum of its rows' y * weight, and a candidate's right
+    side holds that total minus its left sum. The module docstring says why
+    these sums give the trees of every copy bit for bit."""
 
     def __init__(self, y, weight, min_samples_leaf):
         self.yw = y * weight
@@ -333,7 +328,7 @@ class GiniCriterion:
         the loss is None when the node is not split."""
         yw, weight = self.yw[rows], self.weight[rows]
         n = int(weight.sum())
-        positives = float(yw.sum())  # labels in [0, 1], exact for 0/1
+        positives = float(yw.sum())  # an integer below 2**53: exact
         score = positives / n if n else 0.0
         gini = 2.0 * score * (1.0 - score)
         loss = None if gini == 0.0 or n < self.min_samples_leaf else _gini_loss(n, positives)
@@ -345,14 +340,11 @@ class GiniCriterion:
 
 def row_groups(codes, y):
     """Per row of the codes, the first row equal to it in every code and in
-    the label; None when some label is not 0 or 1, so that each row stays
-    alone and `counted_rows` keeps every copy.
+    its label, which is 0 or 1.
 
     A row's key is built one column at a time as a mixed-radix int64: the
     label, then each code. np.unique renumbers the keys before their radix
     could pass 2**62, so only a few (n_rows,) int64 arrays are ever held."""
-    if not np.all((y == 0.0) | (y == 1.0)):
-        return None
     key = y.astype(np.int64)
     radix = 2
     for rank, values in zip(codes.rank, codes.values):
@@ -367,12 +359,10 @@ def row_groups(codes, y):
 
 
 def counted_rows(group, draw):
-    """(rows, weight) to grow a CART tree over draw: n_rows row indices, one
-    per copy. With groups, rows holds the first row of each drawn group once,
-    and weight, per code row, that group's drawn copies; with none
-    (`row_groups` gave None), rows is draw itself and every weight is 1."""
-    if group is None:
-        return draw, np.ones(len(draw), dtype=np.intp)
+    """(rows, weight) to grow a CART tree over draw, row indices with one
+    entry per copy, given the `row_groups` of the codes: rows holds the first
+    row of each drawn group once, and weight, per code row, that group's
+    drawn copies."""
     weight = np.bincount(group[draw], minlength=len(group))
     return np.flatnonzero(weight), weight
 

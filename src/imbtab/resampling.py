@@ -36,13 +36,13 @@ from .errors import (
     DimensionMismatch,
     EmptyMinority,
     KTooLarge,
-    LabelOutOfRange,
     StrategyUnknown,
     TooFewMinoritySamples,
     ValidationError,
     check_choice,
     check_features,
     check_integer,
+    check_labels,
 )
 
 STRATEGIES = ("none", "smote", "nearmiss1", "nearmiss2", "nearmiss3", "random_over", "random_under")
@@ -328,8 +328,8 @@ def _split_by_label(labels):
 def rebalance(features, labels, config):
     """Apply the configured strategy to a training feature matrix.
 
-    labels must be one per row (else DimensionMismatch), each 0 or 1 (else
-    LabelOutOfRange); bool and float labels are read as ints. Returns a
+    labels must be one per row (else DimensionMismatch), each 0 or 1
+    (`check_labels`); bool and float labels are read as ints. Returns a
     RebalanceResult carrying the resampled matrix, labels, an
     original-vs-synthetic row mask, and SMOTE provenance when applicable.
     Only training data should ever pass through here.
@@ -338,8 +338,7 @@ def rebalance(features, labels, config):
     labels = np.asarray(labels)
     if labels.shape != (len(X),):
         raise DimensionMismatch(f"rebalance needs a label per row: {X.shape}, {labels.shape}")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise LabelOutOfRange("rebalance needs every label 0 or 1")
+    check_labels(labels)
     labels = labels.astype(int, copy=False)
     if config.strategy == "none":
         return RebalanceResult(features, labels, np.ones(len(labels), dtype=bool))

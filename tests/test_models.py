@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from test_tree_engine import GOLDEN, GOLDEN_DATA, _staircase, _tied_data, assert_model_document
 
-from imbtab import FeatureMatrix
+from imbtab import FeatureMatrix, ResampleConfig, confusion_matrix, rebalance
 from imbtab.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -21,6 +21,7 @@ from imbtab.errors import (
     NonFiniteScore,
     ValidationError,
     check_fit_inputs,
+    check_labels,
 )
 from imbtab.models import (
     FAMILIES,
@@ -150,8 +151,8 @@ class TestLogistic:
         with pytest.raises(NonFiniteLoss, match="iteration 52;"):
             fit_logistic(X, y, lr_cfg(learning_rate=1e3, l2=1.0))
 
-    @pytest.mark.parametrize("label", [np.nan, 2.0, -0.5])
-    def test_labels_outside_the_unit_interval_are_refused(self, label):
+    @pytest.mark.parametrize("label", [np.nan, 2.0, -0.5, 0.5])
+    def test_labels_not_0_or_1_are_refused(self, label):
         X, y = self._scaled_data()
         y = y.astype(float)
         y[7] = label
@@ -685,10 +686,31 @@ def _nan_feature(X, y):
 # bad fit inputs: a callable making one from good (X, y), and the error every fitter raises
 BAD_INPUTS = {
     "label-2": (_with_label(2.0), LabelOutOfRange),
+    "label-0.5": (_with_label(0.5), LabelOutOfRange),
     "label-nan": (_with_label(np.nan), LabelOutOfRange),
     "feature-nan": (_nan_feature, NonFiniteFeature),
     "X-one-row-longer": (lambda X, y: (X, y[:-1]), DimensionMismatch),
 }
+
+
+@pytest.mark.parametrize("label", [0.5, np.nan])
+def test_every_label_input_gets_the_error_of_check_labels(label):
+    # each family's fit, rebalance and confusion_matrix (either argument)
+    X, y = _tied_data()
+    X, y = _with_label(label)(X, y.astype(float))
+    with pytest.raises(LabelOutOfRange) as expected:
+        check_labels(y)
+    features = FeatureMatrix([f"x{j}" for j in range(X.shape[1])], X)
+    zeros = np.zeros(len(y))
+    calls = [lambda f=f: fit_model(X, y, ModelConfig.for_family(f)) for f in FAMILIES] + [
+        lambda: rebalance(features, y, ResampleConfig(strategy="none")),
+        lambda: confusion_matrix(y, zeros),
+        lambda: confusion_matrix(zeros, y),
+    ]
+    for call in calls:
+        with pytest.raises(LabelOutOfRange) as got:
+            call()
+        assert str(got.value) == str(expected.value)
 
 
 class TestFitModels:

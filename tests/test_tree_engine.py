@@ -414,13 +414,13 @@ _LEVELS = [-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]
 
 
 @st.composite
-def _tied_problem(draw, values=_LEVELS, labels=st.integers(0, 1)):
+def _tied_problem(draw, values=_LEVELS):
     n = draw(st.integers(1, 50))
     d = draw(st.integers(1, 4))
     values = st.sampled_from(values)
     levels = draw(st.lists(values, min_size=1, max_size=4))
     cells = draw(st.lists(st.sampled_from(levels), min_size=n * d, max_size=n * d))
-    y = draw(st.lists(labels, min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return np.array(cells, dtype=np.float64).reshape(n, d), np.array(y, dtype=np.float64)
 
 
@@ -437,49 +437,16 @@ def _repeated(draw, problem):
     return X[rows], y[rows]
 
 
-@st.composite
-def _fractional_problem(draw):
-    """A _tied_problem whose first label is strictly between 0 and 1."""
-    X, y = draw(_tied_problem(labels=st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0])))
-    y[0] = draw(st.sampled_from([0.25, 0.5, 0.7]))
-    return X, y
-
-
-def _fractional_ties():
-    """Two fractional-label problems whose best candidates tie but for the
-    rounding of the right side's positives. The engine and the oracle agree
-    only if both take them as the node's total minus the left sum, not as
-    the last of a feature's cumulative sums: the first makes RF's bootstrap
-    trees (depth 1) differ, the second the DT (depth 2)."""
-    X1 = np.vstack([np.full((29, 4), -0.5), [[-2.0, -0.5, 0.0, -0.5]]])
-    y1 = np.array([0.7] + [0.0] * 27 + [0.25, 0.5])
-    X2 = np.full((39, 4), -2.0)
-    X2[[0, 3, 38], 3] = 0.0
-    X2[37, 2:] = [0.0, -0.5]
-    y2 = np.zeros(39)
-    y2[[0, 38]] = 0.7
-    y2[[3, 37]] = 1.0
-    return (X1, y1), (X2, y2)
-
-
-_TIE_RF, _TIE_DT = _fractional_ties()
-
-
 @settings(max_examples=100, deadline=None)
 @given(
-    problem=st.one_of(
-        _tied_problem(), _repeated(_tied_problem()), _repeated(_fractional_problem())
-    ),
+    problem=st.one_of(_tied_problem(), _repeated(_tied_problem())),
     max_depth=st.sampled_from([1, 2, 4, None]),
     min_leaf=st.integers(1, 8),
     seed=st.integers(0, 5),
 )
-@example(problem=_TIE_RF, max_depth=1, min_leaf=1, seed=0)
-@example(problem=_TIE_DT, max_depth=2, min_leaf=1, seed=0)
 def test_engine_matches_argsort_oracle(problem, max_depth, min_leaf, seed):
-    # with 0/1 labels DT and RF grow over one entry per distinct row, weighted
-    # by its copies, and the oracle over every copy; with a fractional label
-    # the engine too grows over every copy
+    # DT and RF grow over one entry per distinct row, weighted by its copies,
+    # and the oracle over every copy
     X, y = problem
     dt = ModelConfig.for_family("dt", max_depth=max_depth, min_samples_leaf=min_leaf)
     tree = fit_model(X, y, dt).model
@@ -855,13 +822,6 @@ def test_rows_share_a_group_iff_their_codes_and_label_are_equal(problem):
     for i, key in enumerate(keys):
         first.setdefault(key, i)
     assert row_groups(codes, y).tolist() == [first[key] for key in keys]
-
-
-def test_a_fractional_label_leaves_every_row_alone():
-    X = np.zeros((4, 2))
-    codes = fit_codes(X, 2)
-    assert row_groups(codes, np.array([0.0, 0.0, 1.0, 1.0])).tolist() == [0, 0, 2, 2]
-    assert row_groups(codes, np.array([0.0, 0.0, 1.0, 0.5])) is None
 
 
 def test_row_groups_renumber_keys_before_they_overflow():
